@@ -7,7 +7,8 @@ sample indices, and aggregation fills indexed slots, so outputs are
 byte-identical for any worker count.  Floats are written with 17
 significant digits so CSV outputs round-trip exactly.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+3 sampling failure (a rejection step exceeded its iteration cap).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .equilibrium import (
     mu_a_measure,
 )
 from .process import log_path
-from .sampler import DeformedVerblunskySample, ensemble_gammas, substream
+from .sampler import DeformedVerblunskySample, SamplingError, ensemble_gammas, substream
 from .specfun import DomainError, entropy_J
 
 __all__ = ["main"]
@@ -370,9 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ensemble_flags(p)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("moments", help="exact vs asymptotic moment table")
@@ -428,6 +428,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SamplingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

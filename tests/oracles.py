@@ -89,3 +89,24 @@ def golden_section_max(f, lo: float, hi: float, iters: int = 90) -> float:
             x1 = hi - phi * (hi - lo)
             f1 = f(x1)
     return max(f1, f2)
+
+
+def mpmath_log_angle_normaliser(m: float, b: float, dps: int = 30) -> float:
+    """log of the integral of cos(phi)^(2m) exp(2 b phi) over (-pi/2, pi/2)
+    by tanh-sinh quadrature, split at the mode arctan(b/m) and scaled by
+    the integrand's peak so sharply peaked cases keep full accuracy."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m, b = mp.mpf(m), mp.mpf(b)
+        mode = mp.atan2(b, m)
+        log_peak = 2 * m * mp.log(mp.cos(mode)) + 2 * b * mode if m > 0 else 2 * b * mode
+
+        def f(x):
+            c = mp.cos(x)
+            if c <= 0:
+                return mp.mpf(0)
+            return mp.exp(2 * m * mp.log(c) + 2 * b * x - log_peak)
+
+        pts = sorted({-mp.pi / 2, mode, mp.pi / 2})
+        return float(mp.log(mp.quad(f, pts)) + log_peak)

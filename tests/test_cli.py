@@ -1,7 +1,7 @@
 import json
 import math
 
-from circjacobi import cli
+from circjacobi import cli, sampler
 
 
 def run(tmp_path, name, args):
@@ -38,6 +38,21 @@ class TestSampleCommand:
         )
         assert rc == 0
         assert len(text.splitlines()) == 10
+
+    def test_drift_regime_samples(self, tmp_path):
+        # delta = beta/2 * d * n = 32, deep in the drift regime
+        rc, text = run(
+            tmp_path, "d.csv",
+            ["sample", "--n", "64", "--beta", "2", "--scaled-d-re", "0.5", "--samples", "4"],
+        )
+        assert rc == 0
+        assert len(text.splitlines()) == 1 + 4 * 65
+
+    def test_removed_flags_fail(self, tmp_path):
+        base = ["sample", "--n", "8", "--beta", "2", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(base + ["--workers", "2"]) == 2
+        assert cli.main(base + ["--format", "json"]) == 2
+        assert cli.main(base + ["--format", "csv"]) == 0
 
 
 class TestMomentsCommand:
@@ -156,6 +171,21 @@ class TestUsageErrors:
 
     def test_domain_error_exit_code(self):
         assert cli.main(["equilibrium", "--scaled-d-re", "-1"]) == 2
+
+    def test_sampling_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def stalled(params, rng):
+            raise sampler.SamplingError(
+                "angle rejection cap exceeded (empirical acceptance 1.000e-07)"
+            )
+
+        monkeypatch.setattr(cli, "ensemble_gammas", stalled)
+        rc = cli.main(
+            ["sample", "--n", "8", "--beta", "2", "--delta-im", "0.5",
+             "--out", str(tmp_path / "x.csv")]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "empirical acceptance 1.000e-07" in err
 
     def test_both_regimes_rejected(self, tmp_path):
         rc = cli.main(

@@ -8,6 +8,7 @@ from circjacobi import gammalaw as gl
 from circjacobi import sampler as sp
 from circjacobi import specfun as sf
 from circjacobi.asymptotics import EnsembleParams
+from oracles import mpmath_log_angle_normaliser
 
 
 class TestDiscSampler:
@@ -147,21 +148,93 @@ class TestAcceptance:
             assert sp.disc_acceptance_rate(1.0, d) > 1e-4
 
     def test_empirical_matches_theoretical(self):
-        for d in (0.5, 1.0 + 1.0j):
-            r = 2.0
+        # the complex-delta angle step: accepted draws per proposal
+        for r, d in ((2.0, 0.5 + 0.5j), (0.0, 1.0 + 1.0j), (5.0, 0.3 - 0.2j), (0.0, 0.7j)):
             theory = sp.disc_acceptance_rate(r, d)
-            rng = sp.substream(606, 0)
-            proposals = 200_000
-            u = rng.random(proposals)
-            theta = 2 * math.pi * rng.random(proposals)
-            v = rng.random(proposals)
-            z = np.sqrt(1 - (1 - u) ** (1 / r)) * np.exp(1j * theta)
-            logw = 2 * complex(d).real * np.log(np.abs(1 - z)) + 2 * complex(
-                d
-            ).imag * np.angle(1 - z)
-            log_env = 2 * complex(d).real * math.log(2) + math.pi * abs(complex(d).imag)
-            emp = np.mean(np.log(v) + log_env <= logw)
-            assert emp == pytest.approx(theory, rel=0.05)
+            m = np.array([r + d.real])
+            _, proposals = sp._draw_angles(sp.substream(606, 0), m, d.imag, 200_000)
+            assert 200_000 / proposals == pytest.approx(theory, rel=0.01)
+
+    def test_real_delta_needs_no_rejection(self):
+        for r, d in ((0.0, 0.0), (3.0, 0.0), (0.0, 2.0), (64.0, 32.0)):
+            assert sp.disc_acceptance_rate(r, d) == 1.0
+
+    def test_angle_normaliser_matches_quadrature(self):
+        for m, b in ((0.0, 0.3), (0.25, -0.08), (0.5, 0.5), (5.3, 0.2), (40.0, -100.0), (4096.0, 2048.0)):
+            ref = mpmath_log_angle_normaliser(m, b)
+            assert sp._log_angle_normaliser(m, b) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_iteration_cap_is_finite(self):
         assert sp.ITERATION_CAP == 10**6
+
+    def test_cap_raises_with_empirical_acceptance(self, monkeypatch):
+        monkeypatch.setattr(sp, "ITERATION_CAP", 0)
+        with pytest.raises(sp.SamplingError, match="empirical acceptance"):
+            sp.sample_gamma_disc(2.0, 0.5 + 0.5j, sp.substream(1, 0), size=1000)
+
+
+def _z_scores(lg: np.ndarray, cs) -> list:
+    root = math.sqrt(lg.size)
+    cre = lg.real - lg.real.mean()
+    cim = lg.imag - lg.imag.mean()
+    pairs = [
+        (lg.real.mean(), cs.mean.real, lg.real.std()),
+        (lg.imag.mean(), cs.mean.imag, lg.imag.std()),
+        ((cre**2).mean(), cs.var_re, (cre**2).std()),
+        ((cim**2).mean(), cs.var_im, (cim**2).std()),
+        ((cre * cim).mean(), cs.cov_re_im, (cre * cim).std()),
+    ]
+    return [abs(a - b) / (sd / root) for a, b, sd in pairs]
+
+
+class TestDriftRegime:
+    """The scaled regime delta = beta/2 * d * n at n = 4096."""
+
+    N = 4096
+    BETAS = (1.0, 2.0, 4.0)
+    DS = (0.5, 0.5 + 0.5j, 1.0)
+
+    def test_acceptance_every_slot(self):
+        for beta in self.BETAS:
+            for d in self.DS:
+                p = EnsembleParams(self.N, beta, scaled_d=d)
+                delta = p.effective_delta
+                worst = min(sp.disc_acceptance_rate(r, delta) for r in p.coefficient_ranks())
+                assert worst >= 0.5, (beta, d, worst)
+
+    def test_log_moments_match_cumulants(self):
+        # one kernel call with per-slot ranks: draws of the three ranks
+        # interleave, so the per-slot envelope and open-slot bookkeeping
+        # are exercised
+        draws = 100_000
+        for i, beta in enumerate(self.BETAS):
+            for j, d in enumerate(self.DS):
+                delta = EnsembleParams(self.N, beta, scaled_d=d).effective_delta
+                laws = np.array([beta / 2, 32 * beta, (self.N - 1) * beta / 2])
+                ranks = np.tile(laws, draws)
+                g = sp._draw(sp.substream(4242, i, j), ranks, delta, ranks.size)
+                lg = np.log(1 - g).reshape(draws, laws.size)
+                for k, r in enumerate(laws):
+                    cs = gl.cumulants(gl.CoefficientLaw(r, delta))
+                    z = max(_z_scores(lg[:, k], cs))
+                    assert z < 4.0, (beta, d, r, z)
+
+    def test_ensemble_sample_is_valid(self):
+        p = EnsembleParams(64, 2.0, scaled_d=0.5 + 0.5j)
+        s = sp.sample_ensemble(p, 3)
+        assert np.all(np.abs(s.gamma[:-1]) < 1.0)
+
+
+class TestSupport:
+    def test_open_disc_at_small_rank(self):
+        # r = 0.5: 1 - S = G2 / (G1 + G2) has its mass near 0, so draws
+        # crowd the circle; they must stay strictly inside it
+        for i, d in enumerate((0.0, 0.5, 0.5 + 0.5j)):
+            g = sp.sample_gamma_disc(0.5, d, sp.substream(77, i), size=10**6)
+            assert np.all(np.abs(g) < 1.0)
+            assert np.all(g != 1.0)
+
+    def test_circle_slot_is_unimodular(self):
+        for i, d in enumerate((0.5, 0.5 + 0.5j, 2j)):
+            g = sp.sample_gamma_circle(d, sp.substream(78, i), size=10**5)
+            assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-15
