@@ -398,12 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scaled-d-re", type=float, default=None)
     p.add_argument("--scaled-d-im", type=float, default=0.0)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_ldp)
 
     p = sub.add_parser("equilibrium", help="equilibrium densities and residuals")
     p.add_argument("--scaled-d-re", type=float, required=True, help="drift a > 0")
-    p.add_argument("--scaled-d-im", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=256, help="table points")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

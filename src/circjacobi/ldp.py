@@ -8,13 +8,20 @@ component.  Its convex pre-dual is the Lagrangian
     L(X, Y) = J(1+X) - J(1+Z) - J(1+conj(Z)),   2Z = X + iY,
 
 whose Legendre transform reproduces H_a exactly; ``legendre_numeric``
-verifies this by damped Newton ascent.  The marginal rate at time T is
-obtained from the normalized cumulant generating function
-``cgf_L0`` by one-dimensional convex duality on the real axis (three
-explicit branches: interior, linear extension below the left boundary
-xi_T, infinite at and beyond T log 2) and by a two-dimensional interior
-solve for general arguments.  Nonzero drift d enters through an affine
-shift with constant -cgf_L0(T, 2 Re d, 2 Im d).
+verifies this numerically.  The marginal rate at time T is obtained from
+the normalized cumulant generating function ``cgf_L0`` by
+one-dimensional convex duality on the real axis (three explicit
+branches: interior, linear extension below the left boundary xi_T,
+infinite at and beyond T log 2) and by a two-dimensional interior solve
+for general arguments.  Nonzero drift d enters through an affine shift
+with constant -cgf_L0(T, 2 Re d, 2 Im d).
+
+Both numerical duals run one damped-Newton ascent, ``_ascend``, over a
+half-plane {p[0] > floor}: X > -1 for the Lagrangian, s > -(1-T) for the
+marginal.  The marginal solve works in zero-drift multipliers and starts
+at the drift's own origin (2 Re d, 2 Im d), which lies inside the domain
+for every valid ``RatePoint`` (T = 1 requires Re d > 0); for d = 0 this
+is (0, 0).
 
 Infinite values are returned as math.inf, but only as *results* tagged
 with an explicit branch; no arithmetic is ever performed on them.
@@ -26,6 +33,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,7 +73,7 @@ class SolverError(RuntimeError):
     """Root finding for the rate multipliers did not converge."""
 
     def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (best residual {residual:.3e})")
+        super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
 
 
@@ -73,9 +81,9 @@ class SolverError(RuntimeError):
 class RatePoint:
     """Marginal evaluation point (T, xi, eta) with drift d.
 
-    Zero drift requires T < 1: exponential tightness fails at T = 1
-    without drift, so the T = 1 marginal rate is only defined for
-    Re d > 0.
+    At T = 1 the zero-drift cgf is finite only for s >= 0, so exponential
+    tightness fails unless the drift moves that edge off the origin: the
+    T = 1 marginal rate is only defined for Re d > 0.
     """
 
     T: float
@@ -91,8 +99,8 @@ class RatePoint:
         d = complex(self.d)
         if d.real < 0:
             raise DomainError(f"need Re d >= 0, got d={d}")
-        if d == 0 and self.T == 1:
-            raise DomainError("T = 1 requires nonzero drift (tightness boundary)")
+        if d.real == 0 and self.T == 1:
+            raise DomainError("T = 1 requires Re d > 0 (tightness boundary)")
 
 
 @dataclass(frozen=True)
@@ -148,66 +156,84 @@ def _hess_L(x: float, y: float) -> np.ndarray:
 _DIVERGED = 1e8
 
 
+def _ascend(
+    target: Tuple[float, float],
+    f: Callable[[float, float], float],
+    grad_f: Callable[[float, float], Tuple[float, float]],
+    hess_f: Callable[[float, float], np.ndarray],
+    start: Tuple[float, float],
+    floor: float,
+    tol: float,
+    max_iter: int = 300,
+) -> Tuple[Tuple[float, float], float, float, str]:
+    """Damped Newton ascent of the concave Legendre-dual objective
+    p . target - f(p) over {p[0] > floor}, for a convex f with gradient
+    ``grad_f`` and Hessian ``hess_f``.
+
+    Each step backs off in p[0] until it stays above the floor (an iterate
+    pinned there at float granularity moves in p[1] only), then halves
+    until the objective does not drop.  Returns (point, value, residual,
+    status): residual is |target - grad_f| at the last point evaluated,
+    status is ``converged`` (residual < tol), ``flat`` (no step raises the
+    objective at working precision) or ``diverged`` (the iterates or the
+    value passed 1e8, or max_iter ran out).
+    """
+    xi, eta = target
+    x, y = start
+    val = x * xi + y * eta - f(x, y)
+    res = math.inf
+    for _ in range(max_iter):
+        gx, gy = grad_f(x, y)
+        rx, ry = xi - gx, eta - gy
+        res = math.hypot(rx, ry)
+        if res < tol:
+            return (x, y), val, res, "converged"
+        try:
+            sx, sy = np.linalg.solve(hess_f(x, y), np.array([rx, ry]))
+        except np.linalg.LinAlgError:
+            sx, sy = rx, ry
+        scale = 1.0
+        for _ in range(200):
+            if x + scale * sx > floor + 1e-15:
+                break
+            scale *= 0.5
+        else:
+            sx, scale = 0.0, 1.0
+        for _ in range(61):
+            new_x, new_y = x + scale * sx, y + scale * sy
+            new_val = new_x * xi + new_y * eta - f(new_x, new_y)
+            if new_val >= val:
+                break
+            scale *= 0.5
+        if new_val <= val + 1e-16 * max(1.0, abs(val)):
+            return (x, y), val, res, "flat"
+        x, y, val = new_x, new_y, new_val
+        if abs(x) > _DIVERGED or abs(y) > _DIVERGED or val > _DIVERGED:
+            break
+    return (x, y), val, res, "diverged"
+
+
 def legendre_numeric(
     xi: float, eta: float, tol: float = 1e-9, max_iter: int = 300
 ) -> Tuple[float, Optional[Tuple[float, float]]]:
     """Legendre transform sup_{X > -1, Y} [X xi + Y eta - L(X, Y)].
 
-    Damped Newton ascent seeded at the closed-form stationary point when
-    the target is admissible; returns (value, argmax) on convergence and
-    (inf, None) when the iterates diverge (inadmissible target).
+    Ascent seeded at the closed-form stationary point when the target is
+    admissible; returns (value, argmax), or (inf, None) when the iterates
+    diverge (inadmissible target).
     """
-    x, y = 0.0, 0.0
+    start = (0.0, 0.0)
     denom = math.cos(eta) - 0.5 * math.exp(xi) if abs(eta) < 0.5 * math.pi else 0.0
     if denom > 1e-12:
         x0 = (math.exp(xi) - math.cos(eta)) / denom
         if x0 > -1.0:
-            x, y = x0, math.sin(eta) / denom
-
-    def objective(px, py):
-        return px * xi + py * eta - lagrangian_L(px, py)
-
-    val = objective(x, y)
-    for _ in range(max_iter):
-        gx, gy = _grad_L(x, y)
-        rx, ry = xi - gx, eta - gy
-        res = math.hypot(rx, ry)
-        if res < tol:
-            return objective(x, y), (x, y)
-        try:
-            step = np.linalg.solve(_hess_L(x, y), np.array([rx, ry]))
-        except np.linalg.LinAlgError:
-            step = np.array([rx, ry])
-        # Back off the X-component near the X = -1 edge; when the iterate
-        # is already pinned there at float granularity, move only in Y.
-        scale = 1.0
-        guard = 0
-        while guard < 200 and x + scale * step[0] <= -1.0 + 1e-15:
-            scale *= 0.5
-            guard += 1
-        if guard == 200:
-            step = np.array([0.0, step[1]])
-            scale = 1.0
-        new_x, new_y = x + scale * step[0], y + scale * step[1]
-        new_val = objective(new_x, new_y)
-        halvings = 0
-        while new_val < val and halvings < 60:
-            scale *= 0.5
-            new_x, new_y = x + scale * step[0], y + scale * step[1]
-            new_val = objective(new_x, new_y)
-            halvings += 1
-        if new_val <= val + 1e-15 * max(1.0, abs(val)):
-            # Flat maximum at working precision: the objective is
-            # quadratically stationary, so the value is converged even
-            # when the gradient cannot reach tol at float granularity.
-            return max(val, new_val), (x, y)
-        x, y, val = new_x, new_y, new_val
-        if abs(x) > _DIVERGED or abs(y) > _DIVERGED or val > _DIVERGED:
-            return math.inf, None
-    gx, gy = _grad_L(x, y)
-    raise SolverError(
-        "Legendre ascent did not converge", math.hypot(xi - gx, eta - gy)
+            start = (x0, math.sin(eta) / denom)
+    point, value, _, status = _ascend(
+        (xi, eta), lagrangian_L, _grad_L, _hess_L, start, -1.0, tol, max_iter
     )
+    if status == "diverged":
+        return math.inf, None
+    return value, point
 
 
 def _F(u) -> complex:
@@ -406,63 +432,14 @@ def _solve_gamma(T: float, xi: float) -> float:
     return gamma
 
 
-def _solve_interior_2d(
-    T: float, xi: float, eta: float, tol: float = 1e-11, max_iter: int = 300
-) -> Tuple[float, float]:
-    """Damped Newton ascent of the concave dual objective
-    s xi + t eta - cgf_L0(T, s, t) on s > -(1-T); the maximizer solves
-    grad cgf_L0 = (xi, eta)."""
-    s, t = 0.0, 0.0
-    floor = -(1.0 - T)
-
-    def objective(ps, pt):
-        return ps * xi + pt * eta - _L0(T, ps, pt)
-
-    val = objective(s, t)
-    best = math.inf
-    for _ in range(max_iter):
-        gs, gt = _grad_L0(T, s, t)
-        rs, rt = xi - gs, eta - gt
-        res = math.hypot(rs, rt)
-        best = min(best, res)
-        if res < tol:
-            return s, t
-        try:
-            step = np.linalg.solve(_hess_L0(T, s, t), np.array([rs, rt]))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Hessian in interior solve", res) from exc
-        scale = 1.0
-        guard = 0
-        while guard < 200 and s + scale * step[0] <= floor + 1e-15:
-            scale *= 0.5
-            guard += 1
-        if guard == 200:
-            raise SolverError("interior solve pinned at the domain edge", res)
-        new_s, new_t = s + scale * step[0], t + scale * step[1]
-        new_val = objective(new_s, new_t)
-        halvings = 0
-        while new_val < val and halvings < 60:
-            scale *= 0.5
-            new_s, new_t = s + scale * step[0], t + scale * step[1]
-            new_val = objective(new_s, new_t)
-            halvings += 1
-        if new_val <= val + 1e-16 * max(1.0, abs(val)):
-            if res <= 1e-6:
-                return s, t  # flat maximum at working precision
-            raise SolverError("interior endpoint solve stalled", res)
-        s, t, val = new_s, new_t, new_val
-        if abs(s) > _DIVERGED or abs(t) > _DIVERGED:
-            raise SolverError("interior endpoint solve diverged", best)
-    raise SolverError("interior endpoint solve did not converge", best)
-
-
 def marginal_rate_h(point: RatePoint) -> MarginalRateResult:
     """Marginal rate at (T, xi, eta) for drift d.
 
     eta = 0 follows the three proved branches; general eta attempts the
     interior two-multiplier solve only (admissibility beyond it is not
-    characterized) and raises :class:`SolverError` on failure.  Nonzero
-    drift enters as the affine shift of the zero-drift rate.
+    characterized) and raises :class:`SolverError` unless the ascent
+    converges, or ends flat with residual <= 1e-6.  Nonzero drift enters
+    as the affine shift of the zero-drift rate.
     """
     T, xi, eta, d = point.T, point.xi, point.eta, complex(point.d)
 
@@ -485,9 +462,15 @@ def marginal_rate_h(point: RatePoint) -> MarginalRateResult:
         value = value_edge + (1.0 - T) * (xi_t - xi)
         return shifted(value, Branch.LINEAR)
 
-    s, t = _solve_interior_2d(T, xi, eta)
-    value = s * xi + t * eta - _L0(T, s, t)
-    return shifted(value, Branch.INTERIOR, (s, t))
+    # Zero-drift multipliers, started at the drift's own origin, which lies
+    # inside s > -(1-T) for every valid RatePoint.
+    mult, value, res, status = _ascend(
+        (xi, eta), partial(_L0, T), partial(_grad_L0, T), partial(_hess_L0, T),
+        (2.0 * d.real, 2.0 * d.imag), -(1.0 - T), tol=1e-11,
+    )
+    if status != "converged" and not (status == "flat" and res <= 1e-6):
+        raise SolverError(f"interior solve ended {status}", res)
+    return shifted(value, Branch.INTERIOR, mult)
 
 
 def hkoc_forms(which: str, arg: float) -> float:

@@ -58,7 +58,7 @@ def _result(check, passed, computed, reference, tolerance, t0, detail=""):
         computed=computed,
         reference=reference,
         tolerance=tolerance,
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
         detail=detail,
     )
 
@@ -73,7 +73,7 @@ def _random_coefficients(rng, n: int) -> np.ndarray:
 def check_triple_determinant() -> CheckResult:
     """1. Product formula, Szego recursion at z = 1 and the GGT block
     determinant agree pairwise to 1e-8 relative on 200 random arrays."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(20240601)
     worst = 0.0
     for trial in range(200):
@@ -90,7 +90,7 @@ def check_triple_determinant() -> CheckResult:
             worst = max(worst, abs(np.exp(lg) - ref) / abs(ref))
     return _result(
         "triple determinant agreement",
-        worst < 1e-8 and time.time() - t0 < 10.0,
+        worst < 1e-8 and time.perf_counter() - t0 < 10.0,
         f"max pairwise rel dev {worst:.2e}",
         "0",
         "1e-8, < 10 s",
@@ -101,7 +101,7 @@ def check_triple_determinant() -> CheckResult:
 def check_moment_exactness() -> CheckResult:
     """2. Monte Carlo mean/covariance of log(1-gamma) matches the closed
     forms within 4 standard errors at 1e6 draws."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     draws = 10**6
     worst_z = 0.0
     details = []
@@ -134,7 +134,7 @@ def check_moment_exactness() -> CheckResult:
         worst_z = max(worst_z, zmax)
     return _result(
         "moment exactness (Monte Carlo)",
-        worst_z < 4.0 and time.time() - t0 < 60.0,
+        worst_z < 4.0 and time.perf_counter() - t0 < 60.0,
         f"max z-score {worst_z:.2f}",
         "0",
         "4 SE, < 60 s",
@@ -146,7 +146,7 @@ def check_moment_exactness() -> CheckResult:
 def check_cgf_identity() -> CheckResult:
     """3. exp(cgf) equals the Mellin-Fourier moment at conjugate
     exponents to 1e-12 relative on 100 random valid points."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(31337)
     worst = 0.0
     count = 0
@@ -167,7 +167,7 @@ def check_cgf_identity() -> CheckResult:
         count += 1
     return _result(
         "cgf / Mellin-Fourier identity",
-        worst < 1e-12 and time.time() - t0 < 1.0,
+        worst < 1e-12 and time.perf_counter() - t0 < 1.0,
         f"max rel dev {worst:.2e}",
         "0",
         "1e-12, < 1 s",
@@ -178,7 +178,7 @@ def check_cgf_identity() -> CheckResult:
 def check_first_regime_mean() -> CheckResult:
     """4. |exact mean + (delta/beta') log(1-t)| decreases over
     n in {1e2, 1e3, 1e4} and is below 0.01 at n = 1e4."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     delta, beta = 0.3, 2.0
     ok = True
     worst_last = 0.0
@@ -208,7 +208,7 @@ def check_second_regime_mean() -> CheckResult:
     n = 1e4, d = 1, beta = 2, t in {0.5, 1}; and in the drift regime
     n = 64, beta = 2, d = 0.5 the Monte Carlo mean of log Phi_n(1) over
     4000 exact samples is within 4 SE of the exact sum."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n, beta, d = 10**4, 2.0, 1.0
     p = asy.EnsembleParams(n, beta, scaled_d=d)
     worst = 0.0
@@ -244,7 +244,7 @@ def check_covariance_scaling() -> CheckResult:
     """6. Accelerated covariance at n = 1e8 is within 10% of I2 / beta
     after log-n normalization; acceleration agrees with direct summation
     at n = 1e4 to 1e-9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     beta, delta = 2.0, 0.3 + 0.2j
     p8 = asy.EnsembleParams(10**8, beta, delta=delta)
     cov = asy.exact_cov_zeta(p8, 10**8) / math.log(10**8)
@@ -269,7 +269,7 @@ def check_covariance_scaling() -> CheckResult:
 def check_abel_plana() -> CheckResult:
     """7. The summation engine reproduces sum j^2 = 385 to 1e-10 and the
     digamma-difference sum at n = 100 to 1e-10."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     poly = sf.abel_plana_sum(lambda t: t * t, 0, 10)
     poly_dev = abs(poly - 385.0)
     bp, delta = 1.0, 0.3 + 0.2j
@@ -294,7 +294,7 @@ def check_abel_plana() -> CheckResult:
 def check_legendre_duality() -> CheckResult:
     """8. Numerical Legendre dual of the Lagrangian equals the pointwise
     rate to 1e-6 on the admissible grid; recession slope -xi for xi < 0."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for eta in np.linspace(-1.2, 1.2, 13):
         hi = math.log(2 * math.cos(eta) - 0.05)  # e^xi <= 2 cos(eta) - 0.05
@@ -327,7 +327,7 @@ def check_hkoc_forms() -> CheckResult:
     closed imaginary form to 1e-8; the limiting slope of the imaginary
     form is pi/2 within 1e-3 (Richardson-extrapolated; the plain slope
     at t carries an exact -1/t correction)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_r = max(
         abs(ldp.cgf_L0(1.0, s, 0.0) - ldp.hkoc_forms("real", s))
         for s in np.arange(0.1, 5.0001, 0.1)
@@ -382,7 +382,7 @@ def check_marginal_rate_branches() -> CheckResult:
     """10. Interior values match grid-sup duality to 1e-8; continuity and
     slope -(1-T) at the branch edge; infinite at T log 2; drift shift
     identity constant to 1e-10 on a 5 x 5 grid."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(14142)
     dual_dev = 0.0
     for _ in range(50):
@@ -433,7 +433,7 @@ def check_marginal_rate_branches() -> CheckResult:
 def check_equilibrium_circle() -> CheckResult:
     """11. Circle equilibrium: unit mass to 1e-8, log-modulus moment
     equals the entropy combination to 1e-8, argument moment 0 to 1e-10."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     mass_dev = logm_dev = arg_dev = 0.0
     for a in (0.25, 0.5, 1.0, 2.0):
         mu = eq.mu_a_measure(a)
@@ -461,7 +461,7 @@ def check_equilibrium_line() -> CheckResult:
     """12. Line equilibrium: the closed-form edge solves its defining
     equation to 1e-8, unit mass, constancy of potential + log kernel,
     integral-transform reconstruction to 1e-6, exact Cayley endpoint."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     r = 2.0
     b = eq.line_edge(r)
     aux_dev = abs(eq.edge_equation_residual(r, b))
@@ -507,7 +507,7 @@ def check_equilibrium_line() -> CheckResult:
 def check_energy_duality() -> CheckResult:
     """13. The double-quadrature log energy of mu_a equals the closed
     rate value with multiplier 2a, within 1e-4, for a in {0.5, 1}."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for a in (0.5, 1.0):
         mu = eq.mu_a_measure(a)
@@ -525,7 +525,7 @@ def check_energy_duality() -> CheckResult:
         worst = max(worst, abs(-sigma - closed))
     return _result(
         "energy / rate duality",
-        worst < 1e-4 and time.time() - t0 < 60.0,
+        worst < 1e-4 and time.perf_counter() - t0 < 60.0,
         f"max dev {worst:.2e}",
         "0",
         "1e-4, < 60 s",
@@ -543,7 +543,7 @@ def check_clt_smoke() -> CheckResult:
     variance is 0.5948 (log-n bias), which the 20% band absorbs; the
     sample is additionally required to match the exact finite-n variance
     within 4 SE."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n, beta, samples = 4096, 2.0, 4000
     p = asy.EnsembleParams(n, beta, delta=0.0)
     g = sp.sample_ensemble_batch(p, CLT_SEED, samples)
@@ -579,7 +579,7 @@ def check_clt_smoke() -> CheckResult:
 def check_fourth_moment_sums() -> CheckResult:
     """15. Partial sums of the fourth-moment bound scale like 1/n within
     a factor 4 across n in {1e2, 1e3, 1e4}."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     beta, delta = 2.0, 0.3 + 0.2j
     scaled = []
     for n in (10**2, 10**3, 10**4):
@@ -607,7 +607,7 @@ def check_determinism() -> CheckResult:
     import tempfile
     from . import cli
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workers in (1, 4, 16):
@@ -681,8 +681,12 @@ CHECK_IDS = tuple(CHECKS)
 
 
 def run_check(check_id: str) -> CheckResult:
-    return CHECKS[check_id]()
+    return run_all([check_id])[0]
 
 
 def run_all(ids: Optional[Sequence[str]] = None) -> List[CheckResult]:
-    return [run_check(cid) for cid in (ids or CHECK_IDS)]
+    ids = tuple(ids or CHECK_IDS)
+    unknown = ", ".join(cid for cid in ids if cid not in CHECKS)
+    if unknown:
+        raise sf.DomainError(f"unknown check id(s) {unknown}; valid ids: {', '.join(CHECK_IDS)}")
+    return [CHECKS[cid]() for cid in ids]

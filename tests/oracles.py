@@ -110,3 +110,28 @@ def mpmath_log_angle_normaliser(m: float, b: float, dps: int = 30) -> float:
 
         pts = sorted({-mp.pi / 2, mode, mp.pi / 2})
         return float(mp.log(mp.quad(f, pts)) + log_peak)
+
+
+def mpmath_marginal_cgf(T: float, s: float, t: float, d: complex = 0j, dps: int = 30) -> float:
+    """Normalized cgf of the time-T marginal with drift d, from the entropy
+    primitive F(u) = u^2/2 log u - 3u^2/4 + u (F(0) = 0) in mpmath:
+    Lambda(s, t) = Re[F(1+s) - F(1-T+s) + F(1) - F(1-T)] - 2 Re[F(1+z) - F(1-T+z)]
+    with 2z = s + it, and Lambda(s + 2 Re d, t + 2 Im d) - Lambda(2 Re d, 2 Im d)
+    for drift d."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        def prim(u):
+            u = mp.mpc(u)
+            return mp.mpc(0) if u == 0 else u * u / 2 * mp.log(u) - 3 * u * u / 4 + u
+
+        def lam(a, b):
+            a, b = mp.mpf(a), mp.mpf(b)
+            z = mp.mpc(a, b) / 2
+            real = prim(1 + a) - prim(1 - T + a) + prim(1) - prim(1 - T)
+            cross = prim(1 + z) - prim(1 - T + z)
+            return mp.re(real) - 2 * mp.re(cross)
+
+        d = complex(d)
+        dr, di = 2 * mp.mpf(d.real), 2 * mp.mpf(d.imag)
+        return float(lam(s + dr, t + di) - lam(dr, di))

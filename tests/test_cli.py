@@ -134,6 +134,28 @@ class TestLdpCommand:
         row = text.splitlines()[1].split(",")
         assert row[5] == "inf" and row[6] == "infinite"
 
+    def test_terminal_time_drift_surface(self, tmp_path):
+        rc, text = run(
+            tmp_path, "l3.csv",
+            ["ldp", "--T", "1", "--scaled-d-re", "0.5", "--xi-grid=-0.3:0.2:0.1",
+             "--eta-grid=0.1:0.1:1"],
+        )
+        assert rc == 0
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 6
+        for row in rows:
+            xi = float(row[1])
+            if xi < 0:
+                assert row[5:] == ["nan", "unsolved", "", ""]
+            else:
+                assert row[6] == "interior" and math.isfinite(float(row[5]))
+
+    def test_removed_flags_fail(self, tmp_path):
+        base = ["ldp", "--T", "0.5", "--xi-grid=0:0:1", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(base + ["--format", "json"]) == 2
+        assert cli.main(base + ["--format", "csv"]) == 2
+        assert cli.main(base) == 0
+
 
 class TestEquilibriumCommand:
     def test_density_tables(self, tmp_path):
@@ -160,6 +182,12 @@ class TestEquilibriumCommand:
         assert abs(payload["line_mass"] - 1) < 1e-8
         assert abs(payload["logmod_residual"]) < 1e-8
         assert abs(payload["cayley_endpoint_residual"]) < 1e-12
+
+    def test_removed_flags_fail(self, tmp_path):
+        base = ["equilibrium", "--scaled-d-re", "0.5", "--samples", "4",
+                "--out", str(tmp_path / "e.csv")]
+        assert cli.main(base + ["--scaled-d-im", "0.2"]) == 2
+        assert cli.main(base) == 0
 
 
 class TestUsageErrors:
@@ -207,3 +235,9 @@ class TestVerifySubset:
         assert set(payload[0]) == {
             "check", "computed", "reference", "tolerance", "pass", "seconds", "detail",
         }
+
+    def test_unknown_check_id(self, capsys):
+        assert cli.main(["verify", "--checks", "99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown check id(s) 99")
+        assert "01-triple-determinant" in err and "16-determinism" in err

@@ -7,7 +7,7 @@ from scipy import integrate
 from circjacobi import ldp
 from circjacobi import specfun as sf
 
-from oracles import golden_section_max
+from oracles import golden_section_max, mpmath_marginal_cgf
 
 
 class TestRateHa:
@@ -232,8 +232,28 @@ class TestMarginalRate:
     def test_terminal_time_needs_drift(self):
         with pytest.raises(sf.DomainError):
             ldp.RatePoint(1.0, 0.1, 0.0, 0j)
+        with pytest.raises(sf.DomainError):
+            ldp.RatePoint(1.0, 0.1, 0.2, 0.3j)
         res = ldp.marginal_rate_h(ldp.RatePoint(1.0, 0.1, 0.0, 0.5))
         assert math.isfinite(res.value)
+
+    def test_terminal_time_drift_round_trip(self):
+        d = 0.5
+        for (s0, t0) in ((0.3, 0.4), (1.2, -0.8), (0.02, 0.05)):
+            xi, eta = ldp._grad_L0(1.0, s0, t0)
+            res = ldp.marginal_rate_h(ldp.RatePoint(1.0, xi, eta, d))
+            assert res.branch is ldp.Branch.INTERIOR
+            assert abs(res.multipliers[0] - s0) < 1e-8
+            assert abs(res.multipliers[1] - t0) < 1e-8
+            # drifted dual at the drifted multipliers (s0 - 2 Re d, t0)
+            sd, td = s0 - 2 * d, t0
+            dual = sd * xi + td * eta - mpmath_marginal_cgf(1.0, sd, td, d)
+            assert res.value == pytest.approx(dual, abs=1e-10)
+
+    def test_terminal_time_edge_point_unsolved(self):
+        # the maximiser lies on the edge s = 0 of the zero-drift domain
+        with pytest.raises(ldp.SolverError):
+            ldp.marginal_rate_h(ldp.RatePoint(1.0, -0.3, 0.2, 0.5))
 
     def test_rate_point_validation(self):
         with pytest.raises(sf.DomainError):
