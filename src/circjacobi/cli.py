@@ -8,7 +8,8 @@ byte-identical for any worker count.  Floats are written with 17
 significant digits so CSV outputs round-trip exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 sampling failure (a rejection step exceeded its iteration cap).
+3 sampling failure (a rejection step exceeded its iteration cap, or a disc
+coefficient rounded onto the unit circle).
 """
 
 from __future__ import annotations

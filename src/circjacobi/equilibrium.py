@@ -22,7 +22,10 @@ Quadrature policy: single integrals use adaptive QUADPACK (the endpoint
 square-root singularities are within its extrapolation class); the
 double log-energy integral uses a nested adaptive rule split at the
 diagonal, targeted at 1e-4 absolute, and exists as an independent check
-on the single-integral identities rather than as the fast route.
+on the single-integral identities rather than as the fast route.  The
+integral transform in ``lubinsky_saff_density`` is a fixed Gauss-Legendre
+rule whose nodes come from the cache in ``specfun``; its integrand is
+evaluated at all nodes as one array expression.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable, Tuple
 import numpy as np
 from scipy import integrate
 
-from .specfun import DomainError, QuadratureError, entropy_F
+from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_F
 
 __all__ = [
     "RadonMeasure1D",
@@ -326,21 +329,21 @@ def lubinsky_saff_density(r: float, t: float, order: int = 400) -> float:
     b = line_edge(r)
     sfp = _scaled_field_sfprime(r, b)
 
-    def ratio(s: float) -> float:
-        if abs(s - abs(t)) > 1e-5 and abs(s + abs(t)) > 1e-5:
-            return (sfp(s) - sfp(t)) / (s * s - t * t)
-        h = 1e-5
-        # (d/du sfp)(t) / (2t) extended by parity; at t ~ 0 use the
-        # second derivative limit of the even function sfp.
-        if abs(t) > 1e-4:
-            dsfp = (sfp(abs(t) + h) - sfp(abs(t) - h)) / (2.0 * h)
-            return dsfp / (2.0 * abs(t))
-        return (sfp(h) - sfp(0.0)) / (h * h)
-
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_nodes(order)
     u = 0.25 * math.pi * (x + 1.0)  # s = sin(u), u on (0, pi/2)
-    s_nodes = np.sin(u)
-    vals = np.array([ratio(s) for s in s_nodes])
+    s = np.sin(u)
+    h = 1e-5
+    at = abs(t)
+    if at > 1e-4:
+        # (d/du sfp)(t) / (2t) extended by parity
+        near = (sfp(at + h) - sfp(at - h)) / (2.0 * h) / (2.0 * at)
+    else:
+        # at t ~ 0, the second derivative limit of the even function sfp
+        near = (sfp(h) - sfp(0.0)) / (h * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = (sfp(s) - sfp(t)) / (s * s - t * t)
+    away = (np.abs(s - at) > 1e-5) & (np.abs(s + at) > 1e-5)
+    vals = np.where(away, quotient, near)
     integral = 0.25 * math.pi * float(np.sum(w * vals))
     main = (2.0 / math.pi**2) * math.sqrt(1.0 - t * t) * integral
     bf = lubinsky_saff_Bf(r)

@@ -150,13 +150,15 @@ def ggt_matrix(alpha: SchurCoefficients) -> np.ndarray:
     a = alpha.alpha
     n = a.size
     rho = np.sqrt(np.maximum(0.0, 1.0 - np.abs(a) ** 2))
-    g = np.zeros((n, n), dtype=np.complex128)
-    for l in range(n):
-        if l + 1 < n:
-            g[l + 1, l] = rho[l]
-        for k in range(l + 1):
-            prev = -1.0 + 0.0j if k == 0 else a[k - 1]
-            g[k, l] = -np.conj(a[l]) * prev * np.prod(rho[k:l])
+    # prods[k, l] = prod_{j=k..l-1} rho_j for k <= l, by the running
+    # product P_k = rho_k P_{k+1} down each column (no quotient: rho may be 0)
+    prods = np.eye(n)
+    for k in range(n - 2, -1, -1):
+        prods[k, k + 1 :] = rho[k] * prods[k + 1, k + 1 :]
+    prev = np.concatenate([[-1.0 + 0.0j], a[:-1]])
+    g = np.triu(-np.conj(a) * prev[:, None] * prods)
+    idx = np.arange(n - 1)
+    g[idx + 1, idx] = rho[:-1]
     return g
 
 

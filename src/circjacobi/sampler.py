@@ -19,7 +19,9 @@ with S ~ Beta(r + 1 + 2 Re delta, r) independent of W, which is drawn
 from the circle law with deformation r + delta.  The circle (terminal)
 coefficient is the case r = 0, S = 1.  1 - S is formed as G2 / (G1 + G2)
 from the two gamma variates, never as 1 - S, so draws close to the
-circle keep their distance from it.
+circle keep their distance from it.  At small rank weights the law still
+puts mass within 1e-16 of the circle; an ensemble draw with a disc
+coefficient that rounded onto it in float64 raises ``SamplingError``.
 
 Drawing W, with m = r + Re delta and b = Im delta:
 
@@ -84,7 +86,8 @@ _HALF_PI = 0.5 * math.pi
 
 
 class SamplingError(RuntimeError):
-    """Rejection sampling exceeded its iteration cap."""
+    """A draw could not be made exactly: the angle rejection step exceeded
+    its iteration cap, or a disc coefficient rounded onto the unit circle."""
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -277,6 +280,20 @@ def _draw(rng: np.random.Generator, ranks: np.ndarray, delta: complex, size: int
     return w
 
 
+def _check_open_disc(gamma: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Pass an ensemble draw whose disc coefficients (all but the last)
+    lie in the open disc in float64."""
+    interior = np.abs(gamma[:-1])
+    if interior.size and interior.max() >= 1.0:
+        bad = np.flatnonzero(interior >= 1.0)
+        raise SamplingError(
+            f"{bad.size} disc coefficient(s) rounded onto the unit circle in "
+            f"float64; smallest rank weight involved r = {ranks[bad].min():.6g} "
+            f"(coefficient j = {bad.max()})"
+        )
+    return gamma
+
+
 def _draw_one_law(r: float, delta: complex, stream, size: Optional[int]):
     rng = _as_generator(stream)
     out = _draw(rng, np.array([float(r)]), delta, 1 if size is None else size)
@@ -319,13 +336,18 @@ def sample_ensemble(params: EnsembleParams, seed: int) -> DeformedVerblunskySamp
     gamma = np.concatenate(
         [_draw(substream(seed, j), ranks[j : j + 1], delta, 1) for j in range(params.n)]
     )
+    _check_open_disc(gamma, ranks)
     return DeformedVerblunskySample(gamma=gamma, seed=seed, params=params)
 
 
 def ensemble_gammas(params: EnsembleParams, rng: np.random.Generator) -> np.ndarray:
-    """One coefficient vector, all slots drawn from a single generator."""
+    """One coefficient vector, all slots drawn from a single generator.
+
+    Raises :class:`SamplingError` if a disc coefficient rounded onto the
+    unit circle."""
     delta = _check_delta(params.effective_delta)
-    return _draw(rng, params.coefficient_ranks(), delta, params.n)
+    ranks = params.coefficient_ranks()
+    return _check_open_disc(_draw(rng, ranks, delta, params.n), ranks)
 
 
 def sample_ensemble_batch(

@@ -14,6 +14,15 @@ This module is the numeric substrate for the rest of the package:
   integral, a midpoint correction and a boundary integral along the
   imaginary directions.
 
+The summation engine integrates by composite Gauss-Legendre rules whose
+order doubles until two levels agree.  Nodes come from one cache
+(``_gauss_nodes``, shared with the equilibrium quadrature), and each
+refinement level calls the integrand once, at the nodes of all panels
+together (a long segment integral, in blocks of 2^16 nodes); the
+boundary integrand evaluates its four lines m +- iy and n +- iy in that
+one call.  A summand that accepts only scalars is evaluated point by
+point instead.
+
 All functions accept scalars or numpy arrays and are pure and stateless,
 so they are safe for unrestricted concurrent use.
 
@@ -307,7 +316,11 @@ class HolomorphicSummand:
 
 @lru_cache(maxsize=32)
 def _gauss_nodes(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only because
+    every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 
@@ -321,23 +334,39 @@ def _eval_many(f: Callable, pts: np.ndarray) -> np.ndarray:
     return np.array([f(p) for p in pts], dtype=np.complex128)
 
 
-def _panel_quad(f: Callable, a: float, b: float, order: int) -> complex:
+# Most nodes per integrand call: a long segment integral (no antiderivative)
+# is taken in blocks of panels so that its memory stays bounded.
+_NODES_PER_CALL = 1 << 16
+
+
+def _gauss_panels(f: Callable, breaks: np.ndarray, order: int) -> complex:
+    """Composite Gauss-Legendre rule with ``order`` nodes on each panel
+    [breaks[i], breaks[i+1]].  ``f`` is called on the nodes of all panels
+    at once as one flat array (of a block of panels when there are more
+    than ``_NODES_PER_CALL`` nodes); each panel's weighted sum is taken
+    separately and the panels are added in order."""
     x, w = _gauss_nodes(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = _eval_many(f, mid + half * x)
-    return complex(half * np.sum(w * vals))
+    total = 0
+    step = max(1, _NODES_PER_CALL // order)
+    lo, hi = breaks[:-1], breaks[1:]
+    for i in range(0, lo.size, step):
+        a, b = lo[i : i + step], hi[i : i + step]
+        half = 0.5 * (b - a)
+        nodes = (0.5 * (a + b))[:, None] + half[:, None] * x
+        vals = f(nodes.ravel()).reshape(nodes.shape)
+        total = sum((half * np.sum(w * vals, axis=1)).tolist(), total)
+    return total
 
 
 def _refined_quad(f: Callable, breaks, tol: float, what: str) -> complex:
     """Composite Gauss-Legendre over the panels in ``breaks``, doubling the
-    order until two consecutive refinements agree to ``tol``."""
+    order until two consecutive refinements agree to ``tol``; each level
+    is one pass of ``_gauss_panels``."""
+    breaks = np.asarray(breaks, dtype=np.float64)
     prev = None
     order = 16
     while order <= 512:
-        cur = sum(
-            _panel_quad(f, a, b, order) for a, b in zip(breaks[:-1], breaks[1:])
-        )
+        cur = _gauss_panels(f, breaks, order)
         if prev is not None:
             err = abs(cur - prev) / max(1.0, abs(cur))
             if err <= tol:
@@ -349,7 +378,7 @@ def _refined_quad(f: Callable, breaks, tol: float, what: str) -> complex:
 
 def _segment_breaks(a: float, b: float, max_len: float = 8.0):
     count = max(1, int(math.ceil((b - a) / max_len)))
-    return list(np.linspace(a, b, count + 1))
+    return np.linspace(a, b, count + 1)
 
 
 _AP_YMAX = 20.0  # exp(-2 pi * 20) ~ 2.6e-55: boundary tail is negligible
@@ -389,18 +418,16 @@ def abel_plana_sum(g, m: int, n: int, tol: float = 1e-12) -> complex:
             tol,
             "Abel-Plana segment integral",
         )
-    edge = 0.5 * (complex(ev(complex(n))) - complex(ev(complex(m))))
+    g_n, g_m = _eval_many(ev, np.array([n, m], dtype=np.complex128)).tolist()
+    edge = 0.5 * (g_n - g_m)
 
     def boundary_integrand(y):
-        y = np.asarray(y, dtype=np.float64)
+        # the four lines m+iy, n+iy, m-iy, n-iy in one evaluator call
         iy = 1j * y
-        num = (
-            _eval_many(ev, m + iy)
-            - _eval_many(ev, n + iy)
-            - _eval_many(ev, m - iy)
-            + _eval_many(ev, n - iy)
-        )
-        return 1j * num / np.expm1(2.0 * math.pi * y)
+        g_mp, g_np, g_mm, g_nm = _eval_many(
+            ev, np.concatenate([m + iy, n + iy, m - iy, n - iy])
+        ).reshape(4, -1)
+        return 1j * (g_mp - g_np - g_mm + g_nm) / np.expm1(2.0 * math.pi * y)
 
     breaks = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, _AP_YMAX]
     boundary = _refined_quad(

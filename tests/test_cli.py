@@ -215,6 +215,18 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "empirical acceptance 1.000e-07" in err
 
+    def test_coefficients_on_the_circle(self, tmp_path, capsys):
+        # at beta = 0.2 some disc draws round onto the unit circle in float64
+        args = ["--n", "64", "--beta", "0.2", "--delta-re", "0.3", "--samples", "200"]
+        assert cli.main(["sample"] + args + ["--out", str(tmp_path / "s.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "rounded onto the unit circle" in err[0]
+        assert "smallest rank weight involved r = 0.1 " in err[0]
+        out = tmp_path / "c.csv"
+        assert cli.main(["clt"] + args + ["--format", "csv", "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_both_regimes_rejected(self, tmp_path):
         rc = cli.main(
             ["sample", "--n", "8", "--beta", "2", "--delta-re", "0.1",

@@ -152,6 +152,22 @@ class TestLubinskySaff:
                 ref = b * float(g.density(b * t))
                 assert abs(eq.lubinsky_saff_density(r, t) - ref) < 1e-6
 
+    def test_warm_call_builds_no_nodes(self, monkeypatch):
+        r, t = 2.0, 0.35
+        eq.lubinsky_saff_density(r, t)
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(order):
+            calls.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        b = eq.line_edge(r)
+        ref = b * float(eq.line_equilibrium(r).density(b * t))
+        assert abs(eq.lubinsky_saff_density(r, t) - ref) < 1e-6
+        assert calls == []
+
     def test_mass_defect_zero(self):
         for r in (0.5, 2.0, 7.0):
             assert abs(eq.lubinsky_saff_Bf(r)) < 1e-8

@@ -14,6 +14,11 @@ CASES = {
         "moments", "--n", "50", "--beta", "2", "--delta-re", "0.3",
         "--delta-im", "0.1", "--t-grid", "0.2:1.0:0.2",
     ],
+    # n above CROSSOVER_N: the Abel-Plana route
+    "moments_n20000_d1.csv": [
+        "moments", "--n", "20000", "--beta", "2", "--scaled-d-re", "1",
+        "--t-grid", "0.1:1.0:0.1",
+    ],
     "sample_n6_seed7.csv": [
         "sample", "--n", "6", "--beta", "2", "--delta-re", "0.5",
         "--samples", "1", "--seed", "7",

@@ -16,6 +16,21 @@ def random_gamma(rng, n):
     return g
 
 
+def ggt_matrix_loop(alpha):
+    """The GGT matrix entry by entry from its defining products."""
+    a = alpha.alpha
+    n = a.size
+    rho = np.sqrt(np.maximum(0.0, 1.0 - np.abs(a) ** 2))
+    g = np.zeros((n, n), dtype=np.complex128)
+    for l in range(n):
+        if l + 1 < n:
+            g[l + 1, l] = rho[l]
+        for k in range(l + 1):
+            prev = -1.0 + 0.0j if k == 0 else a[k - 1]
+            g[k, l] = -np.conj(a[l]) * prev * np.prod(rho[k:l])
+    return g
+
+
 class TestLogPath:
     def test_starts_at_zero(self):
         p = EnsembleParams(12, 2.0, delta=0.3)
@@ -122,6 +137,14 @@ class TestGGT:
         for n in (3, 8, 12):
             u = pr.ggt_matrix(pr.gamma_to_alpha(random_gamma(rng, n)))
             assert np.max(np.abs(u @ u.conj().T - np.eye(n))) < 1e-12
+
+    def test_matches_entrywise_products(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 64, 256):
+            alpha = pr.SchurCoefficients(random_gamma(rng, n))
+            np.testing.assert_allclose(
+                pr.ggt_matrix(alpha), ggt_matrix_loop(alpha), rtol=1e-14, atol=0
+            )
 
     def test_branch_correct_logs(self):
         rng = np.random.default_rng(9)

@@ -173,6 +173,21 @@ class TestAcceptance:
             sp.sample_gamma_disc(2.0, 0.5 + 0.5j, sp.substream(1, 0), size=1000)
 
 
+class TestOpenDisc:
+    def test_draw_rounded_onto_circle_is_a_sampling_error(self):
+        # beta = 0.2: rank weights down to 0.1 put mass within 1e-16 of
+        # the circle; ensemble sample 65 of seed 0 rounds onto it
+        params = EnsembleParams(64, 0.2, delta=0.3)
+        with pytest.raises(sp.SamplingError, match=r"^1 disc coefficient\(s\) rounded"):
+            for i in range(200):
+                sp.ensemble_gammas(params, sp.substream(0, i))
+
+    def test_passed_vector_on_circle_is_a_value_error(self):
+        params = EnsembleParams(3, 2.0)
+        with pytest.raises(ValueError, match="open disc"):
+            sp.DeformedVerblunskySample(np.array([0.5, 1j, -1.0]), 0, params)
+
+
 def _z_scores(lg: np.ndarray, cs) -> list:
     root = math.sqrt(lg.size)
     cre = lg.real - lg.real.mean()

@@ -257,6 +257,46 @@ class TestAbelPlana:
         )
         assert abs(sf.abel_plana_sum(g, 0, 10) - 385.0) < 1e-11
 
+    def test_one_evaluator_call_per_refinement_level(self, monkeypatch):
+        calls, orders = [], []
+        nodes = sf._gauss_nodes
+
+        def counted_nodes(order):
+            orders.append(order)
+            return nodes(order)
+
+        def ev(t):
+            calls.append(np.size(t))
+            return t * t
+
+        monkeypatch.setattr(sf, "_gauss_nodes", counted_nodes)
+        g = sf.HolomorphicSummand(
+            evaluator=ev, strip=(0, 10), antiderivative=lambda t: t**3 / 3.0
+        )
+        assert abs(sf.abel_plana_sum(g, 0, 10) - 385.0) < 1e-11
+        levels = len(set(orders))
+        assert levels >= 2
+        assert len(calls) <= 2 + levels
+
+    def test_long_segment_in_blocks(self, monkeypatch):
+        # 375 panels of 8: blocks of panels, summed in panel order, give
+        # the same bits as one block
+        def g(t):
+            return np.exp(-0.01 * t) * np.cos(0.2 * t)
+
+        monkeypatch.setattr(sf, "_NODES_PER_CALL", 1 << 20)
+        whole = sf.abel_plana_sum(g, 0, 3000)
+        monkeypatch.setattr(sf, "_NODES_PER_CALL", 40)
+        assert sf.abel_plana_sum(g, 0, 3000) == whole
+        direct = np.sum(g(np.arange(1.0, 3001.0)))
+        assert abs(whole - direct) <= 1e-10 * abs(direct)
+
+    def test_scalar_only_evaluator(self):
+        # complex() refuses arrays, so every node goes through the
+        # per-point fallback
+        val = sf.abel_plana_sum(lambda t: complex(t) ** 2, 0, 10)
+        assert abs(val - 385.0) < 1e-10
+
     def test_strip_validation(self):
         g = sf.HolomorphicSummand(evaluator=lambda t: t, strip=(2, 5))
         with pytest.raises(sf.DomainError):
