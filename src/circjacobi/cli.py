@@ -7,6 +7,12 @@ sample indices, and aggregation fills indexed slots, so outputs are
 byte-identical for any worker count.  Floats are written with 17
 significant digits so CSV outputs round-trip exactly.
 
+Each command yields the rows of a CSV table or builds one JSON payload,
+and one writer sends the text to stdout or to ``--out``.  A file output is
+complete or absent: a command that fails part-way removes its file before
+it reports the error.  Stdout streams, so there a failing command may
+leave part of its output.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 sampling failure (a rejection step exceeded its iteration cap, or a disc
 coefficient rounded onto the unit circle).
@@ -17,14 +23,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
+from functools import partial
 from multiprocessing import get_context
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import ldp
-from . import verification
 from .asymptotics import (
     EnsembleParams,
     exact_cov_zeta,
@@ -41,15 +49,11 @@ from .equilibrium import (
     lubinsky_saff_Bf,
     mu_a_measure,
 )
-from .process import log_path
+from .process import PATH_HEADER, PATH_ROW, log_path
 from .sampler import DeformedVerblunskySample, SamplingError, ensemble_gammas, substream
 from .specfun import DomainError, entropy_J
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_seed(text: str) -> int:
@@ -90,69 +94,85 @@ def _params_from_args(args) -> EnsembleParams:
     return EnsembleParams(args.n, args.beta, delta=delta)
 
 
-def _open_out(path: Optional[str]):
+# ------------------------------------------------------------------ output
+
+def _write(path: Optional[str], chunks: Iterable[str]) -> None:
+    """Write text chunks to stdout (``path`` None or "-") or to a file.
+
+    A regular file ends up complete or absent: on any exception, including
+    KeyboardInterrupt, it is removed and the exception re-raised.  Stdout,
+    and a path that is not a regular file (a device, a pipe, a symlink such
+    as /dev/stdout), stream: a failing command may leave part of its
+    output there.
+    """
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:
+        if regular:
+            os.remove(path)
+        raise
+
+
+def _table(header: str, row_format: str, rows: Iterable[tuple]) -> Iterator[str]:
+    """CSV lines: the header, then ``row_format % row`` for each row.  Rows
+    format floats with ``%.17g`` (round-trip exact, and ``-0``, ``inf`` and
+    ``nan`` as ``f"{x:.17g}"`` writes them) and ints with ``%d``."""
+    yield header + "\n"
+    row_format += "\n"
+    for row in rows:
+        yield row_format % row
+
+
+def _json(payload) -> Tuple[str]:
+    return (json.dumps(payload, indent=2) + "\n",)
 
 
 # ----------------------------------------------------------------- workers
 
-_WORKER_PARAMS: Optional[EnsembleParams] = None
-_WORKER_SEED = 0
-
-
-def _pool_init(params: EnsembleParams, seed: int) -> None:
-    global _WORKER_PARAMS, _WORKER_SEED
-    _WORKER_PARAMS = params
-    _WORKER_SEED = seed
-
-
-def _draw_log_sum(index: int) -> complex:
-    gamma = ensemble_gammas(_WORKER_PARAMS, substream(_WORKER_SEED, index))
+def _draw_log_sum(params: EnsembleParams, seed: int, index: int) -> complex:
+    gamma = ensemble_gammas(params, substream(seed, index))
     return complex(np.sum(np.log(1.0 - gamma)))
 
 
 def _log_sums(params: EnsembleParams, seed: int, count: int, workers: int):
     """Per-sample log Phi_n(1), indexed by sample; worker-count invariant."""
+    draw = partial(_draw_log_sum, params, seed)
     if workers <= 1:
-        _pool_init(params, seed)
-        return np.array([_draw_log_sum(i) for i in range(count)])
-    ctx = get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(params, seed)) as pool:
-        vals = pool.map(_draw_log_sum, range(count), chunksize=max(1, count // (4 * workers)))
-    return np.array(vals)
+        return np.array(list(map(draw, range(count))))
+    with get_context("fork").Pool(workers) as pool:
+        return np.array(pool.map(draw, range(count), chunksize=max(1, count // (4 * workers))))
 
 
 # ---------------------------------------------------------------- commands
 
+def _sample_rows(params: EnsembleParams, seed: int, count: int) -> Iterator[tuple]:
+    for i in range(count):
+        gamma = ensemble_gammas(params, substream(seed, i))
+        sample = DeformedVerblunskySample(gamma=gamma, seed=seed, params=params)
+        for row in log_path(sample, centered=True).rows():
+            yield (i, *row)
+
+
 def _cmd_sample(args) -> int:
     params = _params_from_args(args)
-    fh, close = _open_out(args.out)
-    try:
-        fh.write("sample,k,t,re_log_phi,im_log_phi,re_zeta,im_zeta\n")
-        n = params.n
-        for i in range(args.samples):
-            gamma = ensemble_gammas(params, substream(args.seed, i))
-            sample = DeformedVerblunskySample(gamma=gamma, seed=args.seed, params=params)
-            path = log_path(sample, centered=True)
-            for k in range(n + 1):
-                v, z = path.values[k], path.zeta[k]
-                fh.write(
-                    f"{i},{k},{_fmt(k / n)},{_fmt(v.real)},{_fmt(v.imag)},"
-                    f"{_fmt(z.real)},{_fmt(z.imag)}\n"
-                )
-    finally:
-        if close:
-            fh.close()
+    rows = _sample_rows(params, args.seed, args.samples)
+    _write(args.out, _table("sample," + PATH_HEADER, "%d," + PATH_ROW, rows))
     return 0
 
 
-def _cmd_moments(args) -> int:
-    params = _params_from_args(args)
+def _moment_rows(params: EnsembleParams, grid: np.ndarray) -> Iterator[tuple]:
+    """(t, m, exact mean, asymptotic mean, exact cov, limit cov) for each
+    time of the grid that falls on a rank m in 1..n."""
     n = params.n
-    grid = _parse_grid(args.t_grid)
-    rows = []
     for t in grid:
         m = int(math.floor(n * t + 1e-9))
         if not 1 <= m <= n:
@@ -174,42 +194,36 @@ def _cmd_moments(args) -> int:
             else:
                 asym = (delta / params.beta_prime) * math.log(n)
                 cov_lim = np.eye(2) * (math.log(n) / params.beta)
-        rows.append(
-            (t_n, m, mean, asym, cov, cov_lim)
+        yield t_n, m, mean, complex(asym), cov, cov_lim
+
+
+def _cmd_moments(args) -> int:
+    params = _params_from_args(args)
+    rows = _moment_rows(params, _parse_grid(args.t_grid))
+    if args.format == "json":
+        chunks = _json([
+            {
+                "t": t_n,
+                "m": m,
+                "exact_mean": [mean.real, mean.imag],
+                "asymptotic_mean": [asym.real, asym.imag],
+                "exact_cov": cov.tolist(),
+                "limit_cov": cov_lim.tolist(),
+            }
+            for (t_n, m, mean, asym, cov, cov_lim) in rows
+        ])
+    else:
+        chunks = _table(
+            "t,m,exact_mean_re,exact_mean_im,asym_mean_re,asym_mean_im,"
+            "cov_xx,cov_xy,cov_yy,limit_cov_xx,limit_cov_xy,limit_cov_yy",
+            "%.17g,%d" + ",%.17g" * 10,
+            (
+                (t_n, m, mean.real, mean.imag, asym.real, asym.imag,
+                 cov[0, 0], cov[0, 1], cov[1, 1], lim[0, 0], lim[0, 1], lim[1, 1])
+                for (t_n, m, mean, asym, cov, lim) in rows
+            ),
         )
-    fh, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            payload = [
-                {
-                    "t": t_n,
-                    "m": m,
-                    "exact_mean": [mean.real, mean.imag],
-                    "asymptotic_mean": [asym.real, asym.imag],
-                    "exact_cov": cov.tolist(),
-                    "limit_cov": cov_lim.tolist(),
-                }
-                for (t_n, m, mean, asym, cov, cov_lim) in rows
-            ]
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(
-                "t,m,exact_mean_re,exact_mean_im,asym_mean_re,asym_mean_im,"
-                "cov_xx,cov_xy,cov_yy,limit_cov_xx,limit_cov_xy,limit_cov_yy\n"
-            )
-            for (t_n, m, mean, asym, cov, cov_lim) in rows:
-                cells = [
-                    _fmt(t_n), str(m),
-                    _fmt(mean.real), _fmt(mean.imag),
-                    _fmt(complex(asym).real), _fmt(complex(asym).imag),
-                    _fmt(cov[0, 0]), _fmt(cov[0, 1]), _fmt(cov[1, 1]),
-                    _fmt(cov_lim[0, 0]), _fmt(cov_lim[0, 1]), _fmt(cov_lim[1, 1]),
-                ]
-                fh.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            fh.close()
+    _write(args.out, chunks)
     return 0
 
 
@@ -220,67 +234,61 @@ def _cmd_clt(args) -> int:
     delta = params.effective_delta
     shift = (delta / params.beta_prime) * math.log(n)
     theta = (sums - shift) / math.sqrt(math.log(n))
-    fh, close = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            fh.write("sample,re_theta,im_theta\n")
-            for i, v in enumerate(theta):
-                fh.write(f"{i},{_fmt(v.real)},{_fmt(v.imag)}\n")
-        else:
-            from scipy import stats
+    if args.format == "csv":
+        rows = zip(range(theta.size), theta.real.tolist(), theta.imag.tolist())
+        chunks = _table("sample,re_theta,im_theta", "%d,%.17g,%.17g", rows)
+    else:
+        from scipy import stats
 
-            target_sd = math.sqrt(1.0 / params.beta)
-            summary = {
-                "n": n,
-                "beta": params.beta,
-                "samples": args.samples,
-                "mean": [theta.real.mean(), theta.imag.mean()],
-                "variance": [
-                    theta.real.var(ddof=1),
-                    theta.imag.var(ddof=1),
-                ],
-                "limit_variance": 1.0 / params.beta,
-                "ks_distance": [
-                    stats.kstest(theta.real, stats.norm(0, target_sd).cdf).statistic,
-                    stats.kstest(theta.imag, stats.norm(0, target_sd).cdf).statistic,
-                ],
-            }
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+        target_sd = math.sqrt(1.0 / params.beta)
+        chunks = _json({
+            "n": n,
+            "beta": params.beta,
+            "samples": args.samples,
+            "mean": [theta.real.mean(), theta.imag.mean()],
+            "variance": [
+                theta.real.var(ddof=1),
+                theta.imag.var(ddof=1),
+            ],
+            "limit_variance": 1.0 / params.beta,
+            "ks_distance": [
+                stats.kstest(theta.real, stats.norm(0, target_sd).cdf).statistic,
+                stats.kstest(theta.imag, stats.norm(0, target_sd).cdf).statistic,
+            ],
+        })
+    _write(args.out, chunks)
     return 0
+
+
+def _rate_rows(T: float, d: complex, xi_grid, eta_grid) -> Iterator[tuple]:
+    """One row per grid point; the last cell holds both multipliers, empty
+    off the interior branch."""
+    for xi in xi_grid:
+        for eta in eta_grid:
+            try:
+                res = ldp.marginal_rate_h(ldp.RatePoint(T, xi, eta, d))
+            except ldp.SolverError:
+                yield T, xi, eta, d.real, d.imag, math.nan, "unsolved", ","
+                continue
+            h = res.value if math.isfinite(res.value) else math.inf
+            mult = "%.17g,%.17g" % res.multipliers if res.multipliers else ","
+            yield T, xi, eta, d.real, d.imag, h, res.branch.value, mult
 
 
 def _cmd_ldp(args) -> int:
     d = complex(args.scaled_d_re or 0.0, args.scaled_d_im)
     xi_grid = _parse_grid(args.xi_grid)
     eta_grid = _parse_grid(args.eta_grid) if args.eta_grid else np.array([0.0])
-    fh, close = _open_out(args.out)
-    try:
-        fh.write("T,xi,eta,d_re,d_im,h,branch,gamma,rho\n")
-        for xi in xi_grid:
-            for eta in eta_grid:
-                try:
-                    res = ldp.marginal_rate_h(ldp.RatePoint(args.T, xi, eta, d))
-                    h_txt = _fmt(res.value) if math.isfinite(res.value) else "inf"
-                    branch = res.branch.value
-                    g_txt, r_txt = (
-                        (_fmt(res.multipliers[0]), _fmt(res.multipliers[1]))
-                        if res.multipliers
-                        else ("", "")
-                    )
-                except ldp.SolverError:
-                    h_txt, branch, g_txt, r_txt = "nan", "unsolved", "", ""
-                fh.write(
-                    f"{_fmt(args.T)},{_fmt(xi)},{_fmt(eta)},{_fmt(d.real)},"
-                    f"{_fmt(d.imag)},{h_txt},{branch},{g_txt},{r_txt}\n"
-                )
-    finally:
-        if close:
-            fh.close()
+    rows = _rate_rows(args.T, d, xi_grid, eta_grid)
+    _write(args.out, _table(
+        "T,xi,eta,d_re,d_im,h,branch,gamma,rho", "%.17g," * 6 + "%s,%s", rows
+    ))
     return 0
+
+
+def _density_rows(measure, npts: int) -> List[tuple]:
+    lo, hi = measure.support
+    return [(x, float(measure.density(x))) for x in np.linspace(lo, hi, npts)]
 
 
 def _cmd_equilibrium(args) -> int:
@@ -290,52 +298,45 @@ def _cmd_equilibrium(args) -> int:
     r = 2.0 * a
     mu = mu_a_measure(a)
     g = line_equilibrium(r)
-    npts = args.samples
-    fh, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            logmod, argmom = circle_log_moments(a)
-            ref = (
-                entropy_J(1 + 2 * a)
-                - entropy_J(1 + a)
-                - entropy_J(2 * a)
-                + entropy_J(a)
-            )
-            cayley = cayley_check(r)
-            summary = {
-                "a": a,
-                "r": r,
-                "circle_mass": mu.mass(),
-                "line_mass": g.mass(),
-                "logmod_residual": logmod - ref,
-                "arg_moment": argmom,
-                "edge_equation_residual": edge_equation_residual(r, line_edge(r)),
-                "transform_mass_defect": lubinsky_saff_Bf(r),
-                "cayley_endpoint_residual": cayley.endpoint_residual,
-                "cayley_max_density_rel_err": cayley.max_density_rel_err,
-            }
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write("theta,density\n")
-            lo, hi = mu.support
-            for theta in np.linspace(lo, hi, npts):
-                fh.write(f"{_fmt(theta)},{_fmt(float(mu.density(theta)))}\n")
-    finally:
-        if close:
-            fh.close()
-    if args.format == "csv" and args.out and args.out != "-":
-        # companion table for the line measure, columns x, density
+    if args.format == "json":
+        logmod, argmom = circle_log_moments(a)
+        ref = (
+            entropy_J(1 + 2 * a)
+            - entropy_J(1 + a)
+            - entropy_J(2 * a)
+            + entropy_J(a)
+        )
+        cayley = cayley_check(r)
+        _write(args.out, _json({
+            "a": a,
+            "r": r,
+            "circle_mass": mu.mass(),
+            "line_mass": g.mass(),
+            "logmod_residual": logmod - ref,
+            "arg_moment": argmom,
+            "edge_equation_residual": edge_equation_residual(r, line_edge(r)),
+            "transform_mass_defect": lubinsky_saff_Bf(r),
+            "cayley_endpoint_residual": cayley.endpoint_residual,
+            "cayley_max_density_rel_err": cayley.max_density_rel_err,
+        }))
+        return 0
+    # The circle table goes to --out; a file also gets the line table as a
+    # companion <stem>.line.<suffix>.  Both tables are computed before
+    # either is written.
+    tables = [(args.out, "theta,density", _density_rows(mu, args.samples))]
+    if args.out and args.out != "-":
         stem, dot, suffix = args.out.rpartition(".")
         line_path = f"{stem}.line.{suffix}" if dot else f"{args.out}.line"
-        with open(line_path, "w", newline="") as lf:
-            lf.write("x,density\n")
-            for x in np.linspace(g.support[0], g.support[1], npts):
-                lf.write(f"{_fmt(x)},{_fmt(float(g.density(x)))}\n")
+        tables.append((line_path, "x,density", _density_rows(g, args.samples)))
+    for path, header, rows in tables:
+        _write(path, _table(header, "%.17g,%.17g", rows))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    # imported here: it loads scipy.stats, which no other command needs
+    from . import verification
+
     ids = args.checks.split(",") if args.checks else None
     results = verification.run_all(ids)
     for res in results:
@@ -343,7 +344,7 @@ def _cmd_verify(args) -> int:
     failures = [r for r in results if not r.passed]
     print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     if args.out:
-        payload = [
+        _write(args.out, _json([
             {
                 "check": r.check,
                 "computed": r.computed,
@@ -354,10 +355,7 @@ def _cmd_verify(args) -> int:
                 "detail": r.detail,
             }
             for r in results
-        ]
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        ]))
     return 1 if failures else 0
 
 

@@ -41,7 +41,6 @@ from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_F
 
 __all__ = [
     "RadonMeasure1D",
-    "PotentialSpec",
     "EnergyReport",
     "CayleyReport",
     "mu_a_measure",
@@ -61,17 +60,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadonMeasure1D:
-    """A measure with density on a closed interval.
-
-    ``endpoint_exponents`` records the power-law vanishing/blowup at each
-    endpoint as a quadrature hint; ``domain`` tags circle (variable is
-    the angle) versus line measures.
-    """
+    """A measure with density on a closed interval."""
 
     density: Callable[[np.ndarray], np.ndarray]
     support: Tuple[float, float]
-    endpoint_exponents: Tuple[float, float] = (0.0, 0.0)
-    domain: str = "circle"
 
     def integrate(
         self, f: Callable[[float], float], tol: float = 1e-10
@@ -92,15 +84,6 @@ class RadonMeasure1D:
 
     def mass(self, tol: float = 1e-10) -> float:
         return self.integrate(lambda x: 1.0, tol=tol)
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """External field with its constraint multiplier and domain tag."""
-
-    potential: Callable[[float], float]
-    multiplier: float
-    domain: str
 
 
 @dataclass(frozen=True)
@@ -132,12 +115,7 @@ def mu_a_measure(a: float) -> RadonMeasure1D:
         val = (1.0 + a) * np.sqrt(np.maximum(s * s - k2, 0.0)) / (2.0 * math.pi * s)
         return val
 
-    return RadonMeasure1D(
-        density=density,
-        support=(theta_a, 2.0 * math.pi - theta_a),
-        endpoint_exponents=(0.5, 0.5),
-        domain="circle",
-    )
+    return RadonMeasure1D(density=density, support=(theta_a, 2.0 * math.pi - theta_a))
 
 
 def circle_log_moments(a: float, tol: float = 1e-10) -> Tuple[float, float]:
@@ -272,14 +250,12 @@ def edge_equation_residual(r: float, b: float, tol: float = 1e-12) -> float:
     return val - math.pi * r / (2.0 * (2.0 + r))
 
 
-def line_potential(r: float) -> PotentialSpec:
+def line_potential(r: float) -> Callable[[float], float]:
     """The even admissible field Q(x) = (1 + r/2)/2 log(1 + x^2)."""
     if r <= 0:
         raise DomainError(f"need r > 0, got {r}")
     c = 0.5 * (1.0 + 0.5 * r)
-    return PotentialSpec(
-        potential=lambda x: c * math.log1p(x * x), multiplier=r, domain="line"
-    )
+    return lambda x: c * math.log1p(x * x)
 
 
 def line_equilibrium(r: float) -> RadonMeasure1D:
@@ -292,12 +268,7 @@ def line_equilibrium(r: float) -> RadonMeasure1D:
         inside = np.maximum(1.0 - (x / b) ** 2, 0.0)
         return front * np.sqrt(inside) / (1.0 + x * x)
 
-    return RadonMeasure1D(
-        density=density,
-        support=(-b, b),
-        endpoint_exponents=(0.5, 0.5),
-        domain="line",
-    )
+    return RadonMeasure1D(density=density, support=(-b, b))
 
 
 def _scaled_field_sfprime(r: float, b: float) -> Callable[[float], float]:

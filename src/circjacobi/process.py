@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,6 +36,8 @@ __all__ = [
     "ggt_matrix",
     "ggt_check",
     "export_path_csv",
+    "PATH_HEADER",
+    "PATH_ROW",
 ]
 
 
@@ -62,6 +64,12 @@ class SchurCoefficients:
         return self.alpha.size
 
 
+# The path table: its CSV header and the printf-style format of one row
+# (17 significant digits round-trip doubles exactly).
+PATH_HEADER = "k,t,re_log_phi,im_log_phi,re_zeta,im_zeta"
+PATH_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
+
+
 @dataclass(frozen=True)
 class LogPolyPath:
     """values[k] = log Phi_{k,n}(1) for k = 0..n, with values[0] = 0;
@@ -74,6 +82,18 @@ class LogPolyPath:
     @property
     def n(self) -> int:
         return self.values.size - 1
+
+    def rows(self) -> Iterator[tuple]:
+        """Rows of the path table (``PATH_HEADER``, ``PATH_ROW``) as Python
+        numbers, k = 0..n; the uncentered values stand in for a missing
+        ``zeta``."""
+        k = np.arange(self.n + 1)
+        zeta = self.values if self.zeta is None else self.zeta
+        return zip(
+            k.tolist(), (k / self.n).tolist(),
+            self.values.real.tolist(), self.values.imag.tolist(),
+            zeta.real.tolist(), zeta.imag.tolist(),
+        )
 
 
 def log_path(sample: DeformedVerblunskySample, centered: bool = True) -> LogPolyPath:
@@ -182,18 +202,9 @@ def ggt_check(alpha: SchurCoefficients, k: int) -> complex:
     return complex(np.sum(np.log(1.0 - eigs)))
 
 
-_PATH_HEADER = "k,t,re_log_phi,im_log_phi,re_zeta,im_zeta"
-
-
 def export_path_csv(path: LogPolyPath, fh: io.TextIOBase) -> None:
     """Write one trajectory with the pinned schema and 17 significant
     digits (round-trip exact for doubles)."""
-    n = path.n
-    zeta = path.zeta if path.zeta is not None else path.values
-    fh.write(_PATH_HEADER + "\n")
-    for k in range(n + 1):
-        v = path.values[k]
-        z = zeta[k]
-        fh.write(
-            f"{k},{k / n:.17g},{v.real:.17g},{v.imag:.17g},{z.real:.17g},{z.imag:.17g}\n"
-        )
+    fh.write(PATH_HEADER + "\n")
+    row_format = PATH_ROW + "\n"
+    fh.writelines(row_format % row for row in path.rows())

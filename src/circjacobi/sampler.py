@@ -107,9 +107,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         return substream(self.seed, *self.path)
 
-    def child(self, index: int) -> "RandomStream":
-        return RandomStream(self.seed, self.path + (index,))
-
 
 @dataclass(frozen=True)
 class DeformedVerblunskySample:

@@ -467,7 +467,7 @@ def check_equilibrium_line() -> CheckResult:
     aux_dev = abs(eq.edge_equation_residual(r, b))
     g = eq.line_equilibrium(r)
     mass_dev = abs(g.mass() - 1.0)
-    q = eq.line_potential(r).potential
+    q = eq.line_potential(r)
 
     def u_plus_q(x):
         val, _ = integrate.quad(

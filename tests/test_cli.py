@@ -1,7 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from circjacobi import cli, sampler
+import pytest
+
+import circjacobi
+from circjacobi import cli, ldp, sampler, verification
 
 
 def run(tmp_path, name, args):
@@ -223,6 +230,8 @@ class TestUsageErrors:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "rounded onto the unit circle" in err[0]
         assert "smallest rank weight involved r = 0.1 " in err[0]
+        # the 65 samples drawn before the failing one are not left on disk
+        assert list(tmp_path.iterdir()) == []
         out = tmp_path / "c.csv"
         assert cli.main(["clt"] + args + ["--format", "csv", "--out", str(out)]) == 3
         assert not out.exists()
@@ -253,3 +262,101 @@ class TestVerifySubset:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown check id(s) 99")
         assert "01-triple-determinant" in err and "16-determinism" in err
+
+
+def _fail_on_call(func, call):
+    """``func``, except that call number ``call`` raises KeyboardInterrupt."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise KeyboardInterrupt("interrupted mid-table")
+        return func(*args, **kwargs)
+
+    return wrapped
+
+
+def _interrupt(module, name, call):
+    """A patch that makes call number ``call`` of ``module.name`` raise."""
+    return lambda mp: mp.setattr(module, name, _fail_on_call(getattr(module, name), call))
+
+
+def _interrupt_line_density(mp):
+    original = cli.line_equilibrium
+
+    def line_equilibrium(r):
+        g = original(r)
+        return type(g)(density=_fail_on_call(g.density, 3), support=g.support)
+
+    mp.setattr(cli, "line_equilibrium", line_equilibrium)
+
+
+class TestOutputFiles:
+    """A file output is written whole or not at all."""
+
+    # command and the patch that interrupts it at one of its per-row calls
+    CASES = {
+        "sample": (["sample", "--n", "16", "--beta", "2", "--samples", "3"],
+                   _interrupt(cli, "ensemble_gammas", 2)),
+        "moments": (["moments", "--n", "50", "--beta", "2", "--delta-re", "0.3"],
+                    _interrupt(cli, "exact_mean_logphi", 2)),
+        "clt": (["clt", "--n", "16", "--beta", "2", "--samples", "5", "--format", "csv"],
+                _interrupt(cli, "ensemble_gammas", 2)),
+        "ldp": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],
+                _interrupt(ldp, "marginal_rate_h", 3)),
+        # interrupted in the companion line table: neither table may be left
+        "equilibrium": (["equilibrium", "--scaled-d-re", "0.5", "--samples", "8"],
+                        _interrupt_line_density),
+        "verify": (["verify", "--checks", "04-first-regime-mean,07-abel-plana"],
+                   lambda mp: mp.setitem(verification.CHECKS, "07-abel-plana",
+                                         _fail_on_call(verification.check_abel_plana, 1))),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_interrupted_command_leaves_no_file(self, command, tmp_path, monkeypatch):
+        argv, patch = self.CASES[command]
+        patch(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_removes_an_older_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_text("an earlier run\n")
+        argv, patch = self.CASES["sample"]
+        patch(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv + ["--out", str(out)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlink_is_written_in_place_and_kept(self, tmp_path, monkeypatch):
+        # a path that is not a regular file (/dev/stdout, a device) streams
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("")
+        link.symlink_to(target)
+        argv, patch = self.CASES["sample"]
+        patch(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv + ["--out", str(link)])
+        assert link.is_symlink()
+        assert target.read_text().startswith("sample,k,t,")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002])
+    def test_file_mode_follows_umask(self, umask, tmp_path):
+        out = tmp_path / "m.csv"
+        old = os.umask(umask)
+        try:
+            assert cli.main(["moments", "--n", "20", "--beta", "2", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(circjacobi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = "import sys, circjacobi.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

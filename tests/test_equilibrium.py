@@ -109,7 +109,7 @@ class TestLineEquilibrium:
         r = 2.0
         g = eq.line_equilibrium(r)
         b = eq.line_edge(r)
-        q = eq.line_potential(r).potential
+        q = eq.line_potential(r)
 
         def u_plus_q(x):
             val, _ = integrate.quad(
