@@ -54,7 +54,6 @@ from .process import (
 )
 from .sampler import (
     DeformedVerblunskySample,
-    RandomStream,
     sample_ensemble,
     sample_gamma_circle,
     sample_gamma_disc,

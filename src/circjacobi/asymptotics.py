@@ -109,46 +109,52 @@ def mean_increments(params: EnsembleParams) -> np.ndarray:
     return digamma(r + 1 + 2 * d.real) - digamma(r + 1 + d.conjugate())
 
 
-def _ap_sum(evaluator, antiderivative, lo: int, hi: int) -> complex:
-    """Sum evaluator(k) for k = lo..hi via Abel-Plana, splitting off the
-    k = lo term when the strip would otherwise reach below 1 (the summand
-    may have poles with real part < 1)."""
-    first = 0j
+def _rank_sum(
+    params: EnsembleParams, term, primitive, lo: int, hi: int, accelerated: bool
+) -> complex:
+    """Sum term(x) over x = beta' (k-1), k = lo..hi, directly or by
+    Abel-Plana, where primitive(x) is an antiderivative of term in x.
+
+    The Abel-Plana route splits off the k = 1 term when lo = 1, because
+    the summand may have poles with real part < 1 in k."""
+    bp = params.beta_prime
+    if not accelerated:
+        k = np.arange(lo, hi + 1, dtype=float)
+        return complex(np.sum(term(bp * (k - 1))))
+
+    def ev(t):
+        return term(bp * (np.asarray(t, dtype=complex) - 1))
+
+    def anti(t):
+        return primitive(bp * (complex(t) - 1)) / bp
+
     if lo < 1:
         raise DomainError("accelerated sum needs lo >= 1")
+    first = 0j
     if lo == 1:
-        first = complex(evaluator(1.0 + 0j))
+        first = complex(ev(1.0 + 0j))
         lo = 2
         if hi < lo:
             return first
     g = HolomorphicSummand(
-        evaluator=evaluator,
+        evaluator=ev,
         strip=(float(lo - 1), float(hi)),
-        antiderivative=antiderivative,
+        antiderivative=anti,
     )
     return first + abel_plana_sum(g, lo - 1, hi, tol=1e-13)
 
 
 def _mean_sum(params: EnsembleParams, lo: int, hi: int, accelerated: bool) -> complex:
     """Sum over k = lo..hi of Psi(b'(k-1)+1+d+conj(d)) - Psi(b'(k-1)+1+conj(d))."""
-    bp = params.beta_prime
     d = params.effective_delta
     a_sym = 1 + 2 * d.real
     a_con = 1 + d.conjugate()
-    if not accelerated:
-        k = np.arange(lo, hi + 1, dtype=float)
-        x = bp * (k - 1)
-        return complex(np.sum(digamma(x + a_sym) - digamma(x + a_con)))
-
-    def ev(t):
-        x = bp * (np.asarray(t, dtype=complex) - 1)
-        return digamma(x + a_sym) - digamma(x + a_con)
-
-    def anti(t):
-        x = bp * (complex(t) - 1)
-        return (log_gamma(x + a_sym) - log_gamma(x + a_con)) / bp
-
-    return _ap_sum(ev, anti, lo, hi)
+    return _rank_sum(
+        params,
+        lambda x: digamma(x + a_sym) - digamma(x + a_con),
+        lambda x: log_gamma(x + a_sym) - log_gamma(x + a_con),
+        lo, hi, accelerated,
+    )
 
 
 def exact_mean_logphi(params: EnsembleParams, m: int) -> complex:
@@ -164,21 +170,13 @@ def exact_mean_logphi(params: EnsembleParams, m: int) -> complex:
 def _trigamma_sum(
     params: EnsembleParams, alpha: complex, lo: int, hi: int, accelerated: bool
 ) -> complex:
-    bp = params.beta_prime
-    if not accelerated:
-        k = np.arange(lo, hi + 1, dtype=float)
-        x = bp * (k - 1)
-        return complex(np.sum(polygamma(1, x + 1 + alpha)))
-
-    def ev(t):
-        x = bp * (np.asarray(t, dtype=complex) - 1)
-        return polygamma(1, x + 1 + alpha)
-
-    def anti(t):
-        x = bp * (complex(t) - 1)
-        return digamma(x + 1 + alpha) / bp
-
-    return _ap_sum(ev, anti, lo, hi)
+    """Sum over k = lo..hi of Psi'(b'(k-1)+1+alpha)."""
+    return _rank_sum(
+        params,
+        lambda x: polygamma(1, x + 1 + alpha),
+        lambda x: digamma(x + 1 + alpha),
+        lo, hi, accelerated,
+    )
 
 
 def exact_cov_zeta(params: EnsembleParams, m: int) -> np.ndarray:

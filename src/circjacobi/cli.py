@@ -83,6 +83,12 @@ def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scaled-d-im", type=float, default=0.0)
 
 
+def _at_least(flag: str, value: int, least: int) -> int:
+    if value < least:
+        raise DomainError(f"{flag} must be at least {least}, got {value}")
+    return value
+
+
 def _params_from_args(args) -> EnsembleParams:
     if args.scaled_d_re is not None:
         if args.delta_re is not None:
@@ -164,7 +170,7 @@ def _sample_rows(params: EnsembleParams, seed: int, count: int) -> Iterator[tupl
 
 def _cmd_sample(args) -> int:
     params = _params_from_args(args)
-    rows = _sample_rows(params, args.seed, args.samples)
+    rows = _sample_rows(params, args.seed, _at_least("--samples", args.samples, 1))
     _write(args.out, _table("sample," + PATH_HEADER, "%d," + PATH_ROW, rows))
     return 0
 
@@ -229,8 +235,10 @@ def _cmd_moments(args) -> int:
 
 def _cmd_clt(args) -> int:
     params = _params_from_args(args)
-    n = params.n
-    sums = _log_sums(params, args.seed, args.samples, args.workers)
+    n = _at_least("--n", params.n, 2)  # theta divides by sqrt(log n)
+    # the JSON summary takes sample variances
+    count = _at_least("--samples", args.samples, 2 if args.format == "json" else 1)
+    sums = _log_sums(params, args.seed, count, args.workers)
     delta = params.effective_delta
     shift = (delta / params.beta_prime) * math.log(n)
     theta = (sums - shift) / math.sqrt(math.log(n))
@@ -295,6 +303,7 @@ def _cmd_equilibrium(args) -> int:
     a = args.scaled_d_re
     if a is None or a <= 0:
         raise DomainError("equilibrium needs --scaled-d-re > 0 (the drift a)")
+    npts = _at_least("--samples", args.samples, 1)
     r = 2.0 * a
     mu = mu_a_measure(a)
     g = line_equilibrium(r)
@@ -323,11 +332,11 @@ def _cmd_equilibrium(args) -> int:
     # The circle table goes to --out; a file also gets the line table as a
     # companion <stem>.line.<suffix>.  Both tables are computed before
     # either is written.
-    tables = [(args.out, "theta,density", _density_rows(mu, args.samples))]
+    tables = [(args.out, "theta,density", _density_rows(mu, npts))]
     if args.out and args.out != "-":
         stem, dot, suffix = args.out.rpartition(".")
         line_path = f"{stem}.line.{suffix}" if dot else f"{args.out}.line"
-        tables.append((line_path, "x,density", _density_rows(g, args.samples)))
+        tables.append((line_path, "x,density", _density_rows(g, npts)))
     for path, header, rows in tables:
         _write(path, _table(header, "%.17g,%.17g", rows))
     return 0

@@ -30,6 +30,7 @@ evaluated at all nodes as one array expression.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -324,6 +325,12 @@ def lubinsky_saff_density(r: float, t: float, order: int = 400) -> float:
 def lubinsky_saff_Bf(r: float, tol: float = 1e-12) -> float:
     """Mass defect B_f = 1 - (1/pi) int_-1^1 s f'(s)/sqrt(1-s^2) ds;
     zero for this field (that is the endpoint equation)."""
+    return _mass_defect(r, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _mass_defect(r: float, tol: float) -> float:
+    # depends on r alone, so each density table pays for one quadrature
     b = line_edge(r)
     sfp = _scaled_field_sfprime(r, b)
     val, _ = integrate.quad(

@@ -43,20 +43,21 @@ Samplers require Re delta >= 0; the singular-weight range
 -1/2 < Re delta < 0 is covered by the closed-form modules only.
 
 Randomness contract (pinned): numpy ``PCG64`` bit generators seeded via
-``SeedSequence(seed, spawn_key=path)``.  ``sample_ensemble`` draws
-coefficient j from the substream ``(j,)``; ``sample_ensemble_batch``
-draws sample i from the substream ``(i,)``, so Monte Carlo runs are
-reproducible and independent of how samples are distributed over
-workers.  Within one generator, every sampler calls the same kernel on
-an array of per-slot rank weights, whose draw sequence depends only on
-the ranks and delta.
+``SeedSequence(seed, spawn_key=(i,))``.  Ensemble sample i of master
+seed s is ``ensemble_gammas(params, substream(s, i))``: all n slots come
+from that one generator.  ``sample_ensemble(params, s)`` is sample 0 and
+``sample_ensemble_batch`` stacks samples 0..count-1, so Monte Carlo runs
+are reproducible and independent of how samples are distributed over
+workers.  Samplers take a numpy ``Generator``; within one generator
+every sampler calls the same kernel on an array of per-slot rank
+weights, whose draw sequence depends only on the ranks and delta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -66,7 +67,6 @@ from .specfun import DomainError, log_gamma
 __all__ = [
     "GENERATOR_FAMILY",
     "SamplingError",
-    "RandomStream",
     "DeformedVerblunskySample",
     "substream",
     "sample_gamma_disc",
@@ -97,18 +97,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class RandomStream:
-    """A (seed, substream path) pair; equal pairs yield equal draws
-    regardless of how many execution units run concurrently."""
-
-    seed: int
-    path: tuple = ()
-
-    def generator(self) -> np.random.Generator:
-        return substream(self.seed, *self.path)
-
-
-@dataclass(frozen=True)
 class DeformedVerblunskySample:
     """One draw of the coefficient vector (gamma_0, ..., gamma_{n-1})."""
 
@@ -127,14 +115,6 @@ class DeformedVerblunskySample:
             raise ValueError("terminal coefficient must lie on the circle")
         if np.any(g == 1.0):
             raise ValueError("coefficients must differ from 1")
-
-
-def _as_generator(stream) -> np.random.Generator:
-    if isinstance(stream, np.random.Generator):
-        return stream
-    if isinstance(stream, RandomStream):
-        return stream.generator()
-    raise TypeError(f"expected RandomStream or numpy Generator, got {type(stream)}")
 
 
 def _check_delta(delta: complex) -> complex:
@@ -291,8 +271,9 @@ def _check_open_disc(gamma: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _draw_one_law(r: float, delta: complex, stream, size: Optional[int]):
-    rng = _as_generator(stream)
+def _draw_one_law(r: float, delta: complex, rng: np.random.Generator, size: Optional[int]):
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"expected a numpy Generator, got {type(rng).__name__}")
     out = _draw(rng, np.array([float(r)]), delta, 1 if size is None else size)
     return complex(out[0]) if size is None else out
 
@@ -300,7 +281,7 @@ def _draw_one_law(r: float, delta: complex, stream, size: Optional[int]):
 def sample_gamma_disc(
     r: float,
     delta: complex,
-    stream: Union[RandomStream, np.random.Generator],
+    rng: np.random.Generator,
     size: Optional[int] = None,
 ):
     """Exact draw(s) from the disc law of rank weight r > 0.
@@ -309,31 +290,22 @@ def sample_gamma_disc(
     """
     if r <= 0:
         raise DomainError(f"disc law needs r > 0, got {r}")
-    return _draw_one_law(r, _check_delta(delta), stream, size)
+    return _draw_one_law(r, _check_delta(delta), rng, size)
 
 
 def sample_gamma_circle(
     delta: complex,
-    stream: Union[RandomStream, np.random.Generator],
+    rng: np.random.Generator,
     size: Optional[int] = None,
 ):
     """Exact draw(s) from the circle law (the terminal coefficient)."""
-    return _draw_one_law(0.0, _check_delta(delta), stream, size)
+    return _draw_one_law(0.0, _check_delta(delta), rng, size)
 
 
 def sample_ensemble(params: EnsembleParams, seed: int) -> DeformedVerblunskySample:
-    """One full coefficient vector; coefficient j uses substream (j,).
-
-    The per-coefficient substream contract makes individual coefficients
-    reproducible in isolation; ``ensemble_gammas`` is the fast path for
-    Monte Carlo.
-    """
-    delta = _check_delta(params.effective_delta)
-    ranks = params.coefficient_ranks()
-    gamma = np.concatenate(
-        [_draw(substream(seed, j), ranks[j : j + 1], delta, 1) for j in range(params.n)]
-    )
-    _check_open_disc(gamma, ranks)
+    """Ensemble sample 0 of ``seed``: the vector ``sample_ensemble_batch``
+    and the CLI draw first."""
+    gamma = ensemble_gammas(params, substream(seed, 0))
     return DeformedVerblunskySample(gamma=gamma, seed=seed, params=params)
 
 

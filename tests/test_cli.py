@@ -9,6 +9,8 @@ import pytest
 
 import circjacobi
 from circjacobi import cli, ldp, sampler, verification
+from circjacobi.asymptotics import EnsembleParams
+from circjacobi.process import PATH_ROW, log_path
 
 
 def run(tmp_path, name, args):
@@ -54,6 +56,20 @@ class TestSampleCommand:
         )
         assert rc == 0
         assert len(text.splitlines()) == 1 + 4 * 65
+
+    def test_rows_follow_sample_ensemble(self, tmp_path):
+        # the one randomness contract: sample 0 of the seed in both places
+        cases = (
+            (7, ["--delta-re", "0.5", "--delta-im", "0.2"], {"delta": 0.5 + 0.2j}),
+            (0x2A, ["--scaled-d-re", "0.5"], {"scaled_d": 0.5}),
+        )
+        for seed, flags, kw in cases:
+            args = ["sample", "--n", "16", "--beta", "2", *flags, "--samples", "1", "--seed", str(seed)]
+            rc, text = run(tmp_path, f"{seed}.csv", args)
+            assert rc == 0
+            path = log_path(sampler.sample_ensemble(EnsembleParams(16, 2.0, **kw), seed))
+            expected = ["0," + PATH_ROW % row for row in path.rows()]
+            assert text.splitlines()[1:] == expected
 
     def test_removed_flags_fail(self, tmp_path):
         base = ["sample", "--n", "8", "--beta", "2", "--out", str(tmp_path / "x.csv")]
@@ -235,6 +251,38 @@ class TestUsageErrors:
         out = tmp_path / "c.csv"
         assert cli.main(["clt"] + args + ["--format", "csv", "--out", str(out)]) == 3
         assert not out.exists()
+
+    def _rejected(self, tmp_path, capsys, args):
+        out = tmp_path / "x.out"
+        assert cli.main(args + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+        return err[0]
+
+    def test_equilibrium_negative_samples(self, tmp_path, capsys):
+        args = ["equilibrium", "--scaled-d-re", "0.5", "--samples", "-1"]
+        err = self._rejected(tmp_path, capsys, args)
+        assert err == "error: --samples must be at least 1, got -1"
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_sample_needs_a_sample(self, count, tmp_path, capsys):
+        args = ["sample", "--n", "8", "--beta", "2", "--samples", count]
+        err = self._rejected(tmp_path, capsys, args)
+        assert err == f"error: --samples must be at least 1, got {count}"
+
+    def test_clt_json_needs_two_samples(self, tmp_path, capsys):
+        args = ["clt", "--n", "16", "--beta", "2", "--samples", "1"]
+        err = self._rejected(tmp_path, capsys, args + ["--format", "json"])
+        assert err == "error: --samples must be at least 2, got 1"
+        assert cli.main(args + ["--format", "csv", "--out", str(tmp_path / "c.csv")]) == 0
+
+    def test_clt_needs_two_coefficients(self, tmp_path, capsys):
+        args = ["clt", "--n", "1", "--beta", "2", "--samples", "4", "--format", "csv"]
+        err = self._rejected(tmp_path, capsys, args)
+        assert err == "error: --n must be at least 2, got 1"
 
     def test_both_regimes_rejected(self, tmp_path):
         rc = cli.main(

@@ -65,6 +65,13 @@ class TestDiscSampler:
         assert isinstance(v, complex)
         assert abs(v) < 1.0
 
+    def test_generator_required(self):
+        # a seed is not a generator: substream(seed, i) makes one
+        with pytest.raises(TypeError, match="numpy Generator"):
+            sp.sample_gamma_disc(2.0, 0.3, 5)
+        with pytest.raises(TypeError, match="numpy Generator"):
+            sp.sample_gamma_circle(0.3, 5, size=4)
+
 
 class TestCircleSampler:
     def test_support(self):
@@ -102,13 +109,22 @@ class TestEnsemble:
         assert not np.array_equal(a, c)
 
     def test_substream_contract(self):
-        # coefficient j depends only on (seed, j): changing n shifts ranks
-        # but the terminal circle coefficient at the same substream differs;
-        # identical (seed, path) generators must collide exactly.
+        # sample i depends only on (seed, i): identical (seed, path)
+        # generators collide exactly, and neighbouring paths differ
         g1 = sp.substream(55, 3).random(4)
         g2 = sp.substream(55, 3).random(4)
         assert np.array_equal(g1, g2)
         assert not np.array_equal(g1, sp.substream(55, 4).random(4))
+
+    def test_sample_ensemble_is_sample_zero(self):
+        for kw in ({"delta": 0.0}, {"delta": 0.5}, {"delta": 0.5 + 0.3j}, {"scaled_d": 0.5}):
+            p = EnsembleParams(16, 2.0, **kw)
+            for seed in (0, 9, 0x2A):
+                s = sp.sample_ensemble(p, seed)
+                batch = sp.sample_ensemble_batch(p, seed, 3)
+                assert s.gamma.tobytes() == batch[0].tobytes()
+                direct = sp.ensemble_gammas(p, sp.substream(seed, 0))
+                assert s.gamma.tobytes() == direct.tobytes()
 
     def test_batch_matches_batch(self):
         p = EnsembleParams(16, 2.0, delta=0.5)
