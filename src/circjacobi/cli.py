@@ -238,7 +238,8 @@ def _cmd_clt(args) -> int:
     n = _at_least("--n", params.n, 2)  # theta divides by sqrt(log n)
     # the JSON summary takes sample variances
     count = _at_least("--samples", args.samples, 2 if args.format == "json" else 1)
-    sums = _log_sums(params, args.seed, count, args.workers)
+    workers = _at_least("--workers", args.workers, 1)
+    sums = _log_sums(params, args.seed, count, workers)
     delta = params.effective_delta
     shift = (delta / params.beta_prime) * math.log(n)
     theta = (sums - shift) / math.sqrt(math.log(n))

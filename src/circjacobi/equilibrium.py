@@ -19,13 +19,14 @@ on [-b, b] with b = 2 sqrt(1+r)/r.  The integral-transform route
 form; ``cayley_check`` verifies the pullback against mu_{r/2}.
 
 Quadrature policy: single integrals use adaptive QUADPACK (the endpoint
-square-root singularities are within its extrapolation class); the
-double log-energy integral uses a nested adaptive rule split at the
-diagonal, targeted at 1e-4 absolute, and exists as an independent check
-on the single-integral identities rather than as the fast route.  The
-integral transform in ``lubinsky_saff_density`` is a fixed Gauss-Legendre
-rule whose nodes come from the cache in ``specfun``; its integrand is
-evaluated at all nodes as one array expression.
+square-root singularities are within its extrapolation class).  The log
+energy is the Fourier sum Sigma(mu) = -sum_k |c_k|^2 / k with c_k =
+int e^{ik th} d mu, from log|e^{ith} - e^{ith'}| = -sum_k cos(k (th - th'))/k
+(Saff & Totik 1997); the c_k use a composite Gauss-Legendre rule in u with
+th = mid - half cos u, which makes square-root edges smooth.  The transform
+in ``lubinsky_saff_density`` is a fixed Gauss-Legendre rule too.  Both take
+their nodes from the cache in ``specfun`` and evaluate their integrand at
+all nodes as one array expression.
 """
 
 from __future__ import annotations
@@ -66,25 +67,23 @@ class RadonMeasure1D:
     density: Callable[[np.ndarray], np.ndarray]
     support: Tuple[float, float]
 
-    def integrate(
-        self, f: Callable[[float], float], tol: float = 1e-10
-    ) -> float:
+    def integrate(self, f: Callable[[float], float]) -> float:
         """Integral of f against the measure over its support."""
         lo, hi = self.support
         val, err = integrate.quad(
             lambda x: f(x) * float(self.density(x)),
             lo,
             hi,
-            epsabs=tol,
-            epsrel=tol,
+            epsabs=1e-10,
+            epsrel=1e-10,
             limit=400,
         )
         if err > 1e-6 * max(1.0, abs(val)):
             raise QuadratureError("measure integral did not converge", err)
         return val
 
-    def mass(self, tol: float = 1e-10) -> float:
-        return self.integrate(lambda x: 1.0, tol=tol)
+    def mass(self) -> float:
+        return self.integrate(lambda x: 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def mu_a_measure(a: float) -> RadonMeasure1D:
     return RadonMeasure1D(density=density, support=(theta_a, 2.0 * math.pi - theta_a))
 
 
-def circle_log_moments(a: float, tol: float = 1e-10) -> Tuple[float, float]:
+def circle_log_moments(a: float) -> Tuple[float, float]:
     """(log-modulus moment, argument moment) of 1 - z under mu_a.
 
     The log-modulus moment equals the entropy-difference combination
@@ -128,43 +127,36 @@ def circle_log_moments(a: float, tol: float = 1e-10) -> Tuple[float, float]:
     here, the closed forms being the test targets.
     """
     mu = mu_a_measure(a)
-    logmod = mu.integrate(lambda th: math.log(2.0 * math.sin(th / 2.0)), tol=tol)
-    argmom = mu.integrate(lambda th: 0.5 * (th - math.pi), tol=tol)
+    logmod = mu.integrate(lambda th: math.log(2.0 * math.sin(th / 2.0)))
+    argmom = mu.integrate(lambda th: 0.5 * (th - math.pi))
     return logmod, argmom
 
 
-def _log_kernel_inner(mu: RadonMeasure1D, theta: float, tol: float) -> float:
-    """Integral of log|e^{i theta} - e^{i theta'}| d mu(theta')."""
+# Log-energy rule: Gauss-Legendre panels in u on [0, pi], about three nodes
+# per Fourier term.  One rule of 1,024 nodes takes 18 MB to build, and one
+# of 400-600 nodes aliases.
+_ENERGY_PANELS, _ENERGY_ORDER, _ENERGY_TERMS = 40, 64, 800
+
+
+def _log_energy_circle(mu: RadonMeasure1D) -> float:
+    """Sigma(mu), the double integral of log|z - z'| d mu d mu', as
+    -sum_k |c_k|^2 / k; QuadratureError when terms 401..800 exceed 1e-6."""
     lo, hi = mu.support
-
-    def f(tp):
-        d = abs(math.sin(0.5 * (theta - tp)))
-        if d == 0.0:
-            return 0.0  # integrable log singularity; measure-zero node
-        return math.log(2.0 * d) * float(mu.density(tp))
-
-    pts = [theta] if lo < theta < hi else None
-    val, _ = integrate.quad(
-        f, lo, hi, points=pts, epsabs=tol, epsrel=tol, limit=300
-    )
-    return val
-
-
-def _log_energy_circle(mu: RadonMeasure1D, tol: float = 1e-7) -> float:
-    """Double integral of log|z - z'| d mu d mu' (nested quadrature,
-    diagonal-aware; targeted at 1e-4 absolute or better)."""
-    lo, hi = mu.support
-    val, err = integrate.quad(
-        lambda th: float(mu.density(th)) * _log_kernel_inner(mu, th, tol),
-        lo,
-        hi,
-        epsabs=tol * 10,
-        epsrel=tol * 10,
-        limit=200,
-    )
-    if err > 1e-4:
-        raise QuadratureError("log-energy outer quadrature too loose", err)
-    return val
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x, w = _gauss_nodes(_ENERGY_ORDER)
+    h = 0.5 * math.pi / _ENERGY_PANELS  # half-width of a panel in u
+    u = (h * (2 * np.arange(_ENERGY_PANELS) + 1))[:, None] + h * x
+    theta = (mid - half * np.cos(u)).ravel()
+    c = (h * half * w * np.sin(u)).ravel() * mu.density(theta) + 0j
+    step = np.exp(1j * theta)
+    terms = np.empty(_ENERGY_TERMS)
+    for k in range(1, _ENERGY_TERMS + 1):
+        c *= step  # e^{ik theta} d mu at the nodes
+        terms[k - 1] = abs(c.sum()) ** 2 / k
+    tail = float(np.sum(terms[_ENERGY_TERMS // 2 :]))
+    if tail > 1e-6:
+        raise QuadratureError("log-energy Fourier series did not converge", tail)
+    return -float(np.sum(terms))
 
 
 def field_Qd(d: complex) -> Callable[[float], float]:
@@ -197,7 +189,7 @@ def constant_B(d: complex) -> float:
     )
 
 
-def constant_B_integral(d: complex, tol: float = 1e-11) -> float:
+def constant_B_integral(d: complex) -> float:
     """The same constant by direct quadrature of its defining integral:
     int_0^1 [(x+2Re d) log(x+2Re d) - 2 Re((x+d) log(x+d))] dx
     + int_0^1 x log x dx."""
@@ -210,9 +202,10 @@ def constant_B_integral(d: complex, tol: float = 1e-11) -> float:
         second = 2.0 * (zx * np.log(zx)).real if zx != 0 else 0.0
         return first - second
 
-    v1, _ = integrate.quad(f, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
+    v1, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200)
     v2, _ = integrate.quad(
-        lambda x: x * math.log(x) if x > 0 else 0.0, 0.0, 1.0, epsabs=tol, epsrel=tol
+        lambda x: x * math.log(x) if x > 0 else 0.0, 0.0, 1.0,
+        epsabs=1e-11, epsrel=1e-11,
     )
     return v1 + v2
 
@@ -226,7 +219,7 @@ def energy_rate(mu: RadonMeasure1D, d: complex) -> EnergyReport:
     d = complex(d)
     sigma = _log_energy_circle(mu)
     q = field_Qd(d)
-    q_int = mu.integrate(q, tol=1e-10) if d != 0 else 0.0
+    q_int = mu.integrate(q) if d != 0 else 0.0
     b = constant_B(d)
     return EnergyReport(sigma=sigma, rate=-sigma + q_int + b, constant=b)
 
@@ -238,15 +231,15 @@ def line_edge(r: float) -> float:
     return 2.0 * math.sqrt(1.0 + r) / r
 
 
-def edge_equation_residual(r: float, b: float, tol: float = 1e-12) -> float:
+def edge_equation_residual(r: float, b: float) -> float:
     """Residual of the endpoint equation
     int_0^1 dt / ((1 + b^2 t^2) sqrt(1 - t^2)) = pi r / (2 (2 + r))."""
     val, _ = integrate.quad(
         lambda u: 1.0 / (1.0 + (b * math.sin(u)) ** 2),
         0.0,
         0.5 * math.pi,
-        epsabs=tol,
-        epsrel=tol,
+        epsabs=1e-12,
+        epsrel=1e-12,
     )
     return val - math.pi * r / (2.0 * (2.0 + r))
 
@@ -284,7 +277,7 @@ def _scaled_field_sfprime(r: float, b: float) -> Callable[[float], float]:
     return sfp
 
 
-def lubinsky_saff_density(r: float, t: float, order: int = 400) -> float:
+def lubinsky_saff_density(r: float, t: float) -> float:
     """Equilibrium density on the rescaled support via the integral
     transform of the field derivative:
 
@@ -301,7 +294,7 @@ def lubinsky_saff_density(r: float, t: float, order: int = 400) -> float:
     b = line_edge(r)
     sfp = _scaled_field_sfprime(r, b)
 
-    x, w = _gauss_nodes(order)
+    x, w = _gauss_nodes(400)
     u = 0.25 * math.pi * (x + 1.0)  # s = sin(u), u on (0, pi/2)
     s = np.sin(u)
     h = 1e-5
@@ -322,26 +315,27 @@ def lubinsky_saff_density(r: float, t: float, order: int = 400) -> float:
     return main + bf / (math.pi * math.sqrt(1.0 - t * t))
 
 
-def lubinsky_saff_Bf(r: float, tol: float = 1e-12) -> float:
+def lubinsky_saff_Bf(r: float) -> float:
     """Mass defect B_f = 1 - (1/pi) int_-1^1 s f'(s)/sqrt(1-s^2) ds;
     zero for this field (that is the endpoint equation)."""
-    return _mass_defect(r, tol)
+    return _mass_defect(r)
 
 
 @functools.lru_cache(maxsize=64)
-def _mass_defect(r: float, tol: float) -> float:
+def _mass_defect(r: float) -> float:
     # depends on r alone, so each density table pays for one quadrature
     b = line_edge(r)
     sfp = _scaled_field_sfprime(r, b)
     val, _ = integrate.quad(
-        lambda u: sfp(math.sin(u)), 0.0, 0.5 * math.pi, epsabs=tol, epsrel=tol
+        lambda u: sfp(math.sin(u)), 0.0, 0.5 * math.pi, epsabs=1e-12, epsrel=1e-12
     )
     return 1.0 - 2.0 * val / math.pi
 
 
-def cayley_check(r: float, n_points: int = 50, tol: float = 1e-6) -> CayleyReport:
+def cayley_check(r: float) -> CayleyReport:
     """Pull the line equilibrium back to the circle and compare with
-    mu_{r/2} pointwise; verify the endpoint identity and mass.
+    mu_{r/2} at 50 angles (QuadratureError beyond 1e-6 relative); verify
+    the endpoint identity and mass.
 
     The transform is z = (lambda + i)/(lambda - i), i.e. lambda =
     cot(theta/2); densities then relate by g_b(cot(theta/2)) /
@@ -353,7 +347,7 @@ def cayley_check(r: float, n_points: int = 50, tol: float = 1e-6) -> CayleyRepor
     mu = mu_a_measure(a)
     g = line_equilibrium(r)
     theta_a = mu.support[0]
-    thetas = np.linspace(theta_a + 1e-4, 2.0 * math.pi - theta_a - 1e-4, n_points)
+    thetas = np.linspace(theta_a + 1e-4, 2.0 * math.pi - theta_a - 1e-4, 50)
     worst = 0.0
     worst_theta = None
     for th in thetas:
@@ -364,7 +358,7 @@ def cayley_check(r: float, n_points: int = 50, tol: float = 1e-6) -> CayleyRepor
         if rel > worst:
             worst, worst_theta = rel, th
     mass = g.mass()
-    if worst > tol:
+    if worst > 1e-6:
         raise QuadratureError(
             f"Cayley pullback mismatch at theta={worst_theta}", worst
         )

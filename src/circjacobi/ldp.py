@@ -72,6 +72,8 @@ class Branch(enum.Enum):
 class SolverError(RuntimeError):
     """Root finding for the rate multipliers did not converge."""
 
+    __slots__ = ("residual",)
+
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
@@ -103,7 +105,7 @@ class RatePoint:
             raise DomainError("T = 1 requires Re d > 0 (tightness boundary)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarginalRateResult:
     """Rate value with its branch; Lagrange multipliers (gamma, rho) are
     present on the interior branch only."""
@@ -164,7 +166,6 @@ def _ascend(
     start: Tuple[float, float],
     floor: float,
     tol: float,
-    max_iter: int = 300,
 ) -> Tuple[Tuple[float, float], float, float, str]:
     """Damped Newton ascent of the concave Legendre-dual objective
     p . target - f(p) over {p[0] > floor}, for a convex f with gradient
@@ -176,13 +177,13 @@ def _ascend(
     status): residual is |target - grad_f| at the last point evaluated,
     status is ``converged`` (residual < tol), ``flat`` (no step raises the
     objective at working precision) or ``diverged`` (the iterates or the
-    value passed 1e8, or max_iter ran out).
+    value passed 1e8, or 300 steps ran out).
     """
     xi, eta = target
     x, y = start
     val = x * xi + y * eta - f(x, y)
     res = math.inf
-    for _ in range(max_iter):
+    for _ in range(300):
         gx, gy = grad_f(x, y)
         rx, ry = xi - gx, eta - gy
         res = math.hypot(rx, ry)
@@ -214,13 +215,14 @@ def _ascend(
 
 
 def legendre_numeric(
-    xi: float, eta: float, tol: float = 1e-9, max_iter: int = 300
+    xi: float, eta: float
 ) -> Tuple[float, Optional[Tuple[float, float]]]:
     """Legendre transform sup_{X > -1, Y} [X xi + Y eta - L(X, Y)].
 
     Ascent seeded at the closed-form stationary point when the target is
-    admissible; returns (value, argmax), or (inf, None) when the iterates
-    diverge (inadmissible target).
+    admissible, converged to a gradient residual of 1e-9; returns (value,
+    argmax), or (inf, None) when the iterates diverge (inadmissible
+    target).
     """
     start = (0.0, 0.0)
     denom = math.cos(eta) - 0.5 * math.exp(xi) if abs(eta) < 0.5 * math.pi else 0.0
@@ -229,7 +231,7 @@ def legendre_numeric(
         if x0 > -1.0:
             start = (x0, math.sin(eta) / denom)
     point, value, _, status = _ascend(
-        (xi, eta), lagrangian_L, _grad_L, _hess_L, start, -1.0, tol, max_iter
+        (xi, eta), lagrangian_L, _grad_L, _hess_L, start, -1.0, 1e-9
     )
     if status == "diverged":
         return math.inf, None
@@ -301,7 +303,6 @@ def path_functional_Lambda0(
     T: float,
     x: Callable[[float], float],
     y: Callable[[float], float],
-    tol: float = 1e-11,
 ) -> float:
     """Path-level cgf: integral over [0, T] of
     J(1-tau+x) - 2 Re J(1-tau+z) + J(1-tau), 2z = x + i y.
@@ -320,8 +321,8 @@ def path_functional_Lambda0(
         z = complex(c + 0.5 * xv, 0.5 * yv)
         return entropy_J(c + xv) - 2.0 * (entropy_J(z)).real + entropy_J(c)
 
-    val, err = integrate.quad(integrand, 0.0, T, epsabs=tol, epsrel=tol, limit=400)
-    if err > 100 * max(tol, abs(val) * tol):
+    val, err = integrate.quad(integrand, 0.0, T, epsabs=1e-11, epsrel=1e-11, limit=400)
+    if err > 100 * max(1e-11, abs(val) * 1e-11):
         raise QuadratureError("path functional quadrature too loose", err)
     return val
 
@@ -333,7 +334,6 @@ def path_action(
     phi_atoms: Sequence[Tuple[float, float]] = (),
     psi_has_singular_part: bool = False,
     d: complex = 0j,
-    tol: float = 1e-10,
 ) -> float:
     """Action of an absolutely continuous path with optional negative
     atoms in the real component.
@@ -361,15 +361,16 @@ def path_action(
             raise _Infinite
         return (1.0 - tau) * h
 
+    quad = partial(integrate.quad, a=0.0, b=T, epsabs=1e-10, epsrel=1e-10, limit=400)
     try:
-        val, _ = integrate.quad(integrand, 0.0, T, epsabs=tol, epsrel=tol, limit=400)
+        val, _ = quad(integrand)
     except _Infinite:
         return math.inf
     val += sum((1.0 - loc) * (-mass) for loc, mass in phi_atoms)
     d = complex(d)
     if d != 0:
-        phi_T, _ = integrate.quad(phi_dot, 0.0, T, epsabs=tol, epsrel=tol, limit=400)
-        psi_T, _ = integrate.quad(psi_dot, 0.0, T, epsabs=tol, epsrel=tol, limit=400)
+        phi_T, _ = quad(phi_dot)
+        psi_T, _ = quad(psi_dot)
         phi_T += sum(mass for _, mass in phi_atoms)
         val += -2.0 * d.real * phi_T - 2.0 * d.imag * psi_T - shift_constant(T, d)
     return val

@@ -135,6 +135,19 @@ def _stirling_log_gamma(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shift_up(w: np.ndarray, term: Callable) -> Tuple[np.ndarray, np.ndarray]:
+    """Add 1 to each entry of w (in place) until Re w >= _SHIFT_RE.
+    Returns the shifted w and, per entry, the sum of ``term`` over the
+    values it took below the threshold."""
+    acc = np.zeros_like(w)
+    mask = w.real < _SHIFT_RE
+    while np.any(mask):
+        acc[mask] += term(w[mask])
+        w[mask] += 1.0
+        mask = w.real < _SHIFT_RE
+    return w, acc
+
+
 def log_gamma(z):
     """Principal log Gamma: holomorphic on C \\ R_-, real on (0, inf).
 
@@ -143,13 +156,7 @@ def log_gamma(z):
     """
     arr, scalar = _as_complex_array(z)
     _check_off_cut(arr, "log_gamma")
-    acc = np.zeros_like(arr)
-    w = arr
-    mask = w.real < _SHIFT_RE
-    while np.any(mask):
-        acc[mask] += np.log(w[mask])
-        w[mask] += 1.0
-        mask = w.real < _SHIFT_RE
+    w, acc = _shift_up(arr, np.log)
     out = _stirling_log_gamma(w) - acc
     if not np.all(np.isfinite(out)):
         raise OverflowError("log_gamma overflow: argument magnitude too large")
@@ -163,13 +170,7 @@ def digamma(z):
     """
     arr, scalar = _as_complex_array(z)
     _check_off_poles(arr, "digamma")
-    acc = np.zeros_like(arr)
-    w = arr
-    mask = w.real < _SHIFT_RE
-    while np.any(mask):
-        acc[mask] += 1.0 / w[mask]
-        w[mask] += 1.0
-        mask = w.real < _SHIFT_RE
+    w, acc = _shift_up(arr, lambda v: 1.0 / v)
     out = np.log(w) - 0.5 / w
     w2 = w * w
     term = 1.0 / w2
@@ -194,13 +195,7 @@ def polygamma(q: int, z):
     _check_off_poles(arr, "polygamma")
     sign = 1.0 if q % 2 == 1 else -1.0  # (-1)^(q+1)
     fact = math.factorial(q)
-    acc = np.zeros_like(arr)
-    w = arr
-    mask = w.real < _SHIFT_RE
-    while np.any(mask):
-        acc[mask] += sign * fact * w[mask] ** (-(q + 1))
-        w[mask] += 1.0
-        mask = w.real < _SHIFT_RE
+    w, acc = _shift_up(arr, lambda v: sign * fact * v ** (-(q + 1)))
     w2 = w * w
     if q == 1:
         out = 1.0 / w + 0.5 / w2
@@ -376,8 +371,9 @@ def _refined_quad(f: Callable, breaks, tol: float, what: str) -> complex:
     raise QuadratureError(f"{what} did not converge", err)
 
 
-def _segment_breaks(a: float, b: float, max_len: float = 8.0):
-    count = max(1, int(math.ceil((b - a) / max_len)))
+def _segment_breaks(a: float, b: float):
+    """Panel breaks of at most 8 units each on [a, b]."""
+    count = max(1, int(math.ceil((b - a) / 8.0)))
     return np.linspace(a, b, count + 1)
 
 

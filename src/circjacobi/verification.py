@@ -505,8 +505,9 @@ def check_equilibrium_line() -> CheckResult:
 
 
 def check_energy_duality() -> CheckResult:
-    """13. The double-quadrature log energy of mu_a equals the closed
-    rate value with multiplier 2a, within 1e-4, for a in {0.5, 1}."""
+    """13. The log energy of mu_a (the Fourier sum of
+    ``equilibrium._log_energy_circle``) equals the closed rate value with
+    multiplier 2a, within 1e-9 and in under 1 s, for a in {0.5, 1}."""
     t0 = time.perf_counter()
     worst = 0.0
     for a in (0.5, 1.0):
@@ -525,10 +526,10 @@ def check_energy_duality() -> CheckResult:
         worst = max(worst, abs(-sigma - closed))
     return _result(
         "energy / rate duality",
-        worst < 1e-4 and time.perf_counter() - t0 < 60.0,
+        worst < 1e-9 and time.perf_counter() - t0 < 1.0,
         f"max dev {worst:.2e}",
         "0",
-        "1e-4, < 60 s",
+        "1e-9, < 1 s",
         t0,
     )
 

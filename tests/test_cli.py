@@ -279,6 +279,12 @@ class TestUsageErrors:
         assert err == "error: --samples must be at least 2, got 1"
         assert cli.main(args + ["--format", "csv", "--out", str(tmp_path / "c.csv")]) == 0
 
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_clt_needs_a_worker(self, workers, tmp_path, capsys):
+        args = ["clt", "--n", "8", "--beta", "2", "--samples", "3", "--format", "csv"]
+        err = self._rejected(tmp_path, capsys, args + ["--workers", workers])
+        assert err == f"error: --workers must be at least 1, got {workers}"
+
     def test_clt_needs_two_coefficients(self, tmp_path, capsys):
         args = ["clt", "--n", "1", "--beta", "2", "--samples", "4", "--format", "csv"]
         err = self._rejected(tmp_path, capsys, args)

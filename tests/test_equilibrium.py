@@ -7,6 +7,7 @@ from scipy import integrate
 from circjacobi import equilibrium as eq
 from circjacobi import specfun as sf
 from circjacobi.asymptotics import limit_mean_functions
+from oracles import nested_log_energy
 
 
 def entropy_combination(a):
@@ -16,6 +17,31 @@ def entropy_combination(a):
         - sf.entropy_J(2 * a)
         + sf.entropy_J(a)
     )
+
+
+def closed_neg_energy(a):
+    """-Sigma(mu_a): the closed rate value with multiplier 2a."""
+    gamma = 2 * a
+    xi, _ = eq.circle_log_moments(a)
+    return (
+        gamma * xi
+        - sf.entropy_F(1 + gamma)
+        + sf.entropy_F(gamma)
+        + 2 * sf.entropy_F(1 + 0.5 * gamma)
+        - 2 * sf.entropy_F(0.5 * gamma)
+        - sf.entropy_F(1.0)
+    )
+
+
+def semicircle_arc(lo=0.7, hi=2 * math.pi - 0.7):
+    # a semicircle-law density on an arc: not a constrained minimiser
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def density(th):
+        th = np.asarray(th, dtype=float)
+        return 2 / (math.pi * rad**2) * np.sqrt(np.maximum(rad**2 - (th - mid) ** 2, 0.0))
+
+    return eq.RadonMeasure1D(density=density, support=(lo, hi))
 
 
 class TestCircleMeasure:
@@ -70,7 +96,7 @@ class TestEnergies:
     def test_rate_vanishes_at_minimizer(self):
         for a in (0.5, 1.0):
             rep = eq.energy_rate(eq.mu_a_measure(a), complex(a))
-            assert abs(rep.rate) < 1e-4
+            assert abs(rep.rate) < 1e-8
 
     def test_constant_forms_agree(self):
         for d in (0.3, 1.0, 0.5 + 0.5j):
@@ -80,17 +106,41 @@ class TestEnergies:
         # -Sigma(mu_a) equals the closed rate value with multiplier 2a
         a = 0.5
         sigma = eq._log_energy_circle(eq.mu_a_measure(a))
-        gamma = 2 * a
-        xi, _ = eq.circle_log_moments(a)
-        closed = (
-            gamma * xi
-            - sf.entropy_F(1 + gamma)
-            + sf.entropy_F(gamma)
-            + 2 * sf.entropy_F(1 + 0.5 * gamma)
-            - 2 * sf.entropy_F(0.5 * gamma)
-            - sf.entropy_F(1.0)
+        assert abs(-sigma - closed_neg_energy(a)) < 1e-9
+
+    @pytest.mark.parametrize("a", [0.02, 0.25, 0.5, 1.0, 2.0, 20.0])
+    def test_closed_form_across_a(self, a):
+        sigma = eq._log_energy_circle(eq.mu_a_measure(a))
+        assert abs(-sigma - closed_neg_energy(a)) < 1e-8
+
+    def test_fourier_sum_matches_nested_quadrature(self):
+        mu = semicircle_arc()
+        assert mu.mass() == pytest.approx(1.0, abs=1e-12)
+        assert abs(eq._log_energy_circle(mu) - nested_log_energy(mu)) < 1e-8
+
+    def test_interior_singularity_raises(self):
+        # inverse-square-root peak at theta = pi: the series decays like 1/k
+        singular = eq.RadonMeasure1D(
+            density=lambda th: 1
+            / (4 * math.sqrt(math.pi) * np.sqrt(np.abs(np.asarray(th, dtype=float) - math.pi))),
+            support=(0.0, 2 * math.pi),
         )
-        assert abs(-sigma - closed) < 1e-4
+        with pytest.raises(sf.QuadratureError):
+            eq._log_energy_circle(singular)
+
+    def test_warm_call_builds_no_nodes(self, monkeypatch):
+        mu = eq.mu_a_measure(1.0)
+        sigma = eq._log_energy_circle(mu)
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(order):
+            calls.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        assert eq._log_energy_circle(mu) == sigma
+        assert calls == []
 
 
 class TestLineEquilibrium:
