@@ -59,9 +59,7 @@ from .sampler import (
     sample_gamma_disc,
 )
 from .specfun import (
-    HolomorphicSummand,
     abel_plana_sum,
-    binet_f,
     digamma,
     entropy_F,
     entropy_J,

@@ -24,7 +24,6 @@ import numpy as np
 
 from .specfun import (
     DomainError,
-    HolomorphicSummand,
     abel_plana_sum,
     digamma,
     entropy_J,
@@ -136,12 +135,7 @@ def _rank_sum(
         lo = 2
         if hi < lo:
             return first
-    g = HolomorphicSummand(
-        evaluator=ev,
-        strip=(float(lo - 1), float(hi)),
-        antiderivative=anti,
-    )
-    return first + abel_plana_sum(g, lo - 1, hi, tol=1e-13)
+    return first + abel_plana_sum(ev, anti, lo - 1, hi)
 
 
 def _mean_sum(params: EnsembleParams, lo: int, hi: int, accelerated: bool) -> complex:

@@ -75,8 +75,12 @@ class SolverError(RuntimeError):
     __slots__ = ("residual",)
 
     def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
+        # both arguments stay in args, so the error survives pickling
+        super().__init__(message, residual)
         self.residual = residual
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (residual {self.residual:.3e})"
 
 
 @dataclass(frozen=True)

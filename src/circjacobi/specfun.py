@@ -1,4 +1,4 @@
-"""Complex special functions and a holomorphic summation engine.
+"""Complex special functions and the Abel-Plana summation engine.
 
 This module is the numeric substrate for the rest of the package:
 
@@ -6,40 +6,34 @@ This module is the numeric substrate for the rest of the package:
   plane C \\ R_- and real on the positive reals,
 * ``digamma`` / ``polygamma`` -- its first and higher logarithmic
   derivatives (orders 1..3),
-* ``binet_f`` -- the exponential-kernel remainder appearing in the
-  integral representation of log Gamma,
 * ``entropy_J`` / ``entropy_F`` -- the entropy function
   J(u) = u log u - u + 1 and its primitive F,
-* ``abel_plana_sum`` -- converts sums of holomorphic summands into an
-  integral, a midpoint correction and a boundary integral along the
-  imaginary directions.
+* ``abel_plana_sum`` -- converts a sum of a holomorphic summand with a
+  closed primitive into the primitive's increment, a midpoint correction
+  and a boundary integral along the imaginary directions.
 
-The summation engine integrates by composite Gauss-Legendre rules whose
-order doubles until two levels agree.  Nodes come from one cache
-(``_gauss_nodes``, shared with the equilibrium quadrature), and each
-refinement level calls the integrand once, at the nodes of all panels
-together (a long segment integral, in blocks of 2^16 nodes); the
-boundary integrand evaluates its four lines m +- iy and n +- iy in that
-one call.  A summand that accepts only scalars is evaluated point by
-point instead.
+The boundary integral is one composite Gauss-Legendre rule over fixed
+panels whose order doubles until two levels agree.  Nodes come from one
+cache (``_gauss_nodes``, shared with the equilibrium quadrature), and each
+level calls the summand once, on the four lines m +- iy and n +- iy of
+all panels together.
 
 All functions accept scalars or numpy arrays and are pure and stateless,
 so they are safe for unrestricted concurrent use.
 
-Production evaluation of log Gamma and its derivatives shifts the
-argument up by the standard recurrences until the real part reaches a
-threshold where the asymptotic (Stirling-type) series with Bernoulli
-coefficients is accurate to full double precision.  The independent
-integral-representation route is exercised by the test suite only.
+Evaluation of log Gamma and its derivatives shifts the argument up by the
+standard recurrences until the real part reaches a threshold where the
+asymptotic (Stirling-type) series with Bernoulli coefficients is accurate
+to full double precision.  The test suite checks them against independent
+oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -47,11 +41,9 @@ __all__ = [
     "DomainError",
     "PoleError",
     "QuadratureError",
-    "HolomorphicSummand",
     "log_gamma",
     "digamma",
     "polygamma",
-    "binet_f",
     "entropy_J",
     "entropy_F",
     "abel_plana_sum",
@@ -70,8 +62,12 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
     def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
+        # both arguments stay in args, so the error survives pickling
+        super().__init__(message, achieved)
         self.achieved = achieved
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (achieved tolerance {self.achieved:.3e})"
 
 
 # Bernoulli numbers B_2, B_4, ..., B_30.
@@ -98,10 +94,21 @@ _BERNOULLI = (
 _SHIFT_RE = 10.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Coefficients of the log-gamma series: B_2n / (2n (2n-1)).
+# Coefficients of the asymptotic series, from b = B_2n for n = 1..15:
+# log Gamma b / (2n (2n-1)); digamma -b / (2n); polygamma of order 1, 2
+# and 3 b, -(2n+1) b and (2n+1)(2n+2) b.  Adding a negated coefficient
+# gives the same bits as subtracting the positive one.
 _LG_COEFFS = tuple(
     b / ((2 * n) * (2 * n - 1)) for n, b in enumerate(_BERNOULLI, start=1)
 )
+_DG_COEFFS = tuple(-(b / (2 * n)) for n, b in enumerate(_BERNOULLI, start=1))
+_PG_COEFFS = {
+    1: _BERNOULLI,
+    2: tuple(-((2 * n + 1) * b) for n, b in enumerate(_BERNOULLI, start=1)),
+    3: tuple(
+        (2 * n + 1) * (2 * n + 2) * b for n, b in enumerate(_BERNOULLI, start=1)
+    ),
+}
 
 
 def _as_complex_array(z) -> Tuple[np.ndarray, bool]:
@@ -124,15 +131,18 @@ def _check_off_poles(z: np.ndarray, what: str) -> None:
         raise PoleError(f"{what} has a pole at {bad}")
 
 
+def _series(out: np.ndarray, term: np.ndarray, w2: np.ndarray, coeffs) -> np.ndarray:
+    """out + sum_i coeffs[i] * term / w2**i, added term by term."""
+    for c in coeffs:
+        out = out + c * term
+        term = term / w2
+    return out
+
+
 def _stirling_log_gamma(w: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         out = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI
-        term = 1.0 / w
-        w2 = w * w
-        for c in _LG_COEFFS:
-            out = out + c * term
-            term = term / w2
-    return out
+        return _series(out, 1.0 / w, w * w, _LG_COEFFS)
 
 
 def _shift_up(w: np.ndarray, term: Callable) -> Tuple[np.ndarray, np.ndarray]:
@@ -171,13 +181,8 @@ def digamma(z):
     arr, scalar = _as_complex_array(z)
     _check_off_poles(arr, "digamma")
     w, acc = _shift_up(arr, lambda v: 1.0 / v)
-    out = np.log(w) - 0.5 / w
     w2 = w * w
-    term = 1.0 / w2
-    for n, b in enumerate(_BERNOULLI, start=1):
-        out = out - (b / (2 * n)) * term
-        term = term / w2
-    out = out - acc
+    out = _series(np.log(w) - 0.5 / w, 1.0 / w2, w2, _DG_COEFFS) - acc
     if not np.all(np.isfinite(out)):
         raise OverflowError("digamma overflow")
     return complex(out[0]) if scalar else out
@@ -198,60 +203,15 @@ def polygamma(q: int, z):
     w, acc = _shift_up(arr, lambda v: sign * fact * v ** (-(q + 1)))
     w2 = w * w
     if q == 1:
-        out = 1.0 / w + 0.5 / w2
-        term = 1.0 / (w2 * w)
-        for n, b in enumerate(_BERNOULLI, start=1):
-            out = out + b * term
-            term = term / w2
+        out, term = 1.0 / w + 0.5 / w2, 1.0 / (w2 * w)
     elif q == 2:
-        out = -1.0 / w2 - 1.0 / (w2 * w)
-        term = 1.0 / (w2 * w2)
-        for n, b in enumerate(_BERNOULLI, start=1):
-            out = out - (2 * n + 1) * b * term
-            term = term / w2
+        out, term = -1.0 / w2 - 1.0 / (w2 * w), 1.0 / (w2 * w2)
     else:
-        out = 2.0 / (w2 * w) + 3.0 / (w2 * w2)
-        term = 1.0 / (w2 * w2 * w)
-        for n, b in enumerate(_BERNOULLI, start=1):
-            out = out + (2 * n + 1) * (2 * n + 2) * b * term
-            term = term / w2
-    out = out + acc
+        out, term = 2.0 / (w2 * w) + 3.0 / (w2 * w2), 1.0 / (w2 * w2 * w)
+    out = _series(out, term, w2, _PG_COEFFS[q]) + acc
     if not np.all(np.isfinite(out)):
         raise OverflowError("polygamma overflow")
     return complex(out[0]) if scalar else out
-
-
-# Taylor coefficients of binet_f at 0: B_2n / (2n)!.
-_BINET_SERIES = tuple(
-    _BERNOULLI[n - 1] / math.factorial(2 * n) for n in range(1, 9)
-)
-
-
-def binet_f(s):
-    """Remainder kernel f(s) = (1/2 - 1/s + 1/(e^s - 1)) / s.
-
-    Continuous at 0 with f(0) = 1/12; satisfies 0 < f <= 1/12 and
-    0 < s f(s) + 1/2 < 1 on [0, inf).  A Taylor series is used below
-    s = 0.7 where the closed form loses digits to cancellation.
-    """
-    arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    scalar = np.ndim(s) == 0
-    out = np.empty_like(arr)
-    small = np.abs(arr) < 0.7
-    if np.any(small):
-        x = arr[small]
-        x2 = x * x
-        acc = np.zeros_like(x)
-        term = np.ones_like(x)
-        for c in _BINET_SERIES:
-            acc = acc + c * term
-            term = term * x2
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        x = arr[big]
-        out[big] = (0.5 - 1.0 / x + 1.0 / np.expm1(x)) / x
-    return float(out[0]) if scalar else out
 
 
 def entropy_J(u):
@@ -292,23 +252,6 @@ def entropy_F(t):
     return 0.5 * t * t * math.log(t) - 0.75 * t * t + t
 
 
-@dataclass(frozen=True)
-class HolomorphicSummand:
-    """A summand g suitable for Abel-Plana summation.
-
-    ``evaluator`` must be finite and holomorphic on the strip
-    ``strip[0] <= Re t <= strip[1]`` and, as certified by the caller via
-    ``subexponential``, grow slower than exp(2 pi |Im t|) in the
-    imaginary directions.  ``antiderivative``, when given, is used for
-    the segment integral instead of quadrature.
-    """
-
-    evaluator: Callable[[complex], complex]
-    strip: Tuple[float, float]
-    subexponential: bool = True
-    antiderivative: Optional[Callable[[complex], complex]] = None
-
-
 @lru_cache(maxsize=32)
 def _gauss_nodes(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only because
@@ -319,114 +262,62 @@ def _gauss_nodes(order: int):
     return x, w
 
 
-def _eval_many(f: Callable, pts: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(pts), dtype=np.complex128)
-        if out.shape == pts.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(p) for p in pts], dtype=np.complex128)
+# Panels of the boundary integral on [0, 20]: exp(-2 pi * 20) ~ 2.6e-55,
+# so the tail beyond is negligible.
+_AP_BREAKS = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0])
+_AP_TOL = 1e-13
 
 
-# Most nodes per integrand call: a long segment integral (no antiderivative)
-# is taken in blocks of panels so that its memory stays bounded.
-_NODES_PER_CALL = 1 << 16
-
-
-def _gauss_panels(f: Callable, breaks: np.ndarray, order: int) -> complex:
-    """Composite Gauss-Legendre rule with ``order`` nodes on each panel
-    [breaks[i], breaks[i+1]].  ``f`` is called on the nodes of all panels
-    at once as one flat array (of a block of panels when there are more
-    than ``_NODES_PER_CALL`` nodes); each panel's weighted sum is taken
-    separately and the panels are added in order."""
-    x, w = _gauss_nodes(order)
-    total = 0
-    step = max(1, _NODES_PER_CALL // order)
-    lo, hi = breaks[:-1], breaks[1:]
-    for i in range(0, lo.size, step):
-        a, b = lo[i : i + step], hi[i : i + step]
-        half = 0.5 * (b - a)
-        nodes = (0.5 * (a + b))[:, None] + half[:, None] * x
-        vals = f(nodes.ravel()).reshape(nodes.shape)
-        total = sum((half * np.sum(w * vals, axis=1)).tolist(), total)
-    return total
-
-
-def _refined_quad(f: Callable, breaks, tol: float, what: str) -> complex:
-    """Composite Gauss-Legendre over the panels in ``breaks``, doubling the
-    order until two consecutive refinements agree to ``tol``; each level
-    is one pass of ``_gauss_panels``."""
-    breaks = np.asarray(breaks, dtype=np.float64)
+def _boundary_quad(f: Callable) -> complex:
+    """Composite Gauss-Legendre over the panels ``_AP_BREAKS``, doubling
+    the order per panel from 16 until two levels agree to ``_AP_TOL``
+    relative; QuadratureError when order 512 does not.  Each level calls
+    ``f`` once on the nodes of all panels as one flat array; each panel's
+    weighted sum is taken separately and the panels are added in order."""
+    lo, hi = _AP_BREAKS[:-1], _AP_BREAKS[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
     prev = None
     order = 16
     while order <= 512:
-        cur = _gauss_panels(f, breaks, order)
+        x, w = _gauss_nodes(order)
+        nodes = mid[:, None] + half[:, None] * x
+        vals = f(nodes.ravel()).reshape(nodes.shape)
+        cur = sum((half * np.sum(w * vals, axis=1)).tolist(), 0)
         if prev is not None:
             err = abs(cur - prev) / max(1.0, abs(cur))
-            if err <= tol:
+            if err <= _AP_TOL:
                 return cur
         prev = cur
         order *= 2
-    raise QuadratureError(f"{what} did not converge", err)
+    raise QuadratureError("Abel-Plana boundary integral did not converge", err)
 
 
-def _segment_breaks(a: float, b: float):
-    """Panel breaks of at most 8 units each on [a, b]."""
-    count = max(1, int(math.ceil((b - a) / 8.0)))
-    return np.linspace(a, b, count + 1)
-
-
-_AP_YMAX = 20.0  # exp(-2 pi * 20) ~ 2.6e-55: boundary tail is negligible
-
-
-def abel_plana_sum(g, m: int, n: int, tol: float = 1e-12) -> complex:
+def abel_plana_sum(g: Callable, primitive: Callable, m: int, n: int) -> complex:
     """Sum g(m+1) + ... + g(n) through the Abel-Plana representation.
 
-    The sum is evaluated as the segment integral of g over [m, n], plus
-    the midpoint correction (g(n) - g(m))/2, plus the boundary integral
+    The sum is primitive(n) - primitive(m), plus the midpoint correction
+    (g(n) - g(m))/2, plus the boundary integral
 
         i * int_0^inf [g(m+iy) - g(n+iy) - g(m-iy) + g(n-iy)]
                       / (e^(2 pi y) - 1) dy.
 
-    ``g`` may be a bare callable (assumed valid on the strip [m, n]) or a
-    :class:`HolomorphicSummand`.  Agrees with direct summation to 1e-10
-    relative for smooth subexponential summands.
+    ``g`` must take and return complex numpy arrays, be holomorphic on the
+    strip m <= Re t <= n and grow slower than exp(2 pi |Im t|) there;
+    ``primitive`` is an antiderivative of g, called on the scalars m and n.
     """
-    if not isinstance(g, HolomorphicSummand):
-        g = HolomorphicSummand(evaluator=g, strip=(float(m), float(n)))
     if not m < n:
         raise DomainError(f"abel_plana_sum needs m < n, got {m}, {n}")
-    if g.strip[0] > m or g.strip[1] < n:
-        raise DomainError(
-            f"summand declared valid on {g.strip}, asked to sum over [{m}, {n}]"
-        )
-    if not g.subexponential:
-        raise DomainError("summand does not certify subexponential growth")
-
-    ev = g.evaluator
-    if g.antiderivative is not None:
-        integral = complex(g.antiderivative(n)) - complex(g.antiderivative(m))
-    else:
-        integral = _refined_quad(
-            lambda t: _eval_many(ev, np.asarray(t, dtype=np.complex128)),
-            _segment_breaks(float(m), float(n)),
-            tol,
-            "Abel-Plana segment integral",
-        )
-    g_n, g_m = _eval_many(ev, np.array([n, m], dtype=np.complex128)).tolist()
+    integral = complex(primitive(n)) - complex(primitive(m))
+    g_n, g_m = g(np.array([n, m], dtype=np.complex128)).tolist()
     edge = 0.5 * (g_n - g_m)
 
     def boundary_integrand(y):
-        # the four lines m+iy, n+iy, m-iy, n-iy in one evaluator call
+        # the four lines m+iy, n+iy, m-iy, n-iy in one call of g
         iy = 1j * y
-        g_mp, g_np, g_mm, g_nm = _eval_many(
-            ev, np.concatenate([m + iy, n + iy, m - iy, n - iy])
+        g_mp, g_np, g_mm, g_nm = g(
+            np.concatenate([m + iy, n + iy, m - iy, n - iy])
         ).reshape(4, -1)
         return 1j * (g_mp - g_np - g_mm + g_nm) / np.expm1(2.0 * math.pi * y)
 
-    breaks = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, _AP_YMAX]
-    boundary = _refined_quad(
-        boundary_integrand, breaks, tol, "Abel-Plana boundary integral"
-    )
-    return integral + edge + boundary
+    return integral + edge + _boundary_quad(boundary_integrand)
