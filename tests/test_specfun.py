@@ -199,6 +199,18 @@ class TestAbelPlana:
         val = sf.abel_plana_sum(lambda t: t * t, lambda t: t**3 / 3.0, 0, 10)
         assert abs(val - 385.0) < 1e-11
 
+    def test_antiderivative_route(self):
+        # the integral term comes from the primitive at the two endpoints only
+        points = []
+
+        def primitive(t):
+            points.append(t)
+            return t**3 / 3.0
+
+        val = sf.abel_plana_sum(lambda t: t * t, primitive, 0, 10)
+        assert abs(val - 385.0) < 1e-11
+        assert sorted(points) == [0, 10]
+
     def test_constant(self):
         val = sf.abel_plana_sum(lambda t: 3.0 + 0.0 * t, lambda t: 3.0 * t, 2, 9)
         assert abs(val - 21.0) < 1e-12
