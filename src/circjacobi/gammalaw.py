@@ -72,13 +72,15 @@ class CumulantSet:
         return float(self.covariance[0, 1])
 
 
-def _require_positive_re(value: complex, label: str) -> complex:
-    value = complex(value)
-    if value.real <= 0.0:
-        raise DomainError(
-            f"Gamma argument {label} = {value} must have positive real part"
-        )
-    return value
+def _log_gammas(*args) -> list:
+    """log Gamma of each (value, label) pair, in one call, as Python
+    complexes; a DomainError names the first value whose real part is not
+    positive."""
+    values = [complex(value) for value, _ in args]
+    for value, (_, label) in zip(values, args):
+        if value.real <= 0.0:
+            raise DomainError(f"Gamma argument {label} = {value} must have positive real part")
+    return log_gamma(np.array(values)).tolist()
 
 
 def disc_weight_integral(l: complex, s: complex, t: complex) -> complex:
@@ -87,13 +89,11 @@ def disc_weight_integral(l: complex, s: complex, t: complex) -> complex:
     Equals pi * G(l) G(l+1+s+t) / (G(l+1+s) G(l+1+t)), evaluated through
     log-gamma so large parameters do not overflow.
     """
-    l = _require_positive_re(l, "l")
-    a1 = _require_positive_re(l + 1 + s + t, "l+1+s+t")
-    a2 = _require_positive_re(l + 1 + s, "l+1+s")
-    a3 = _require_positive_re(l + 1 + t, "l+1+t")
-    return math.pi * np.exp(
-        log_gamma(l) + log_gamma(a1) - log_gamma(a2) - log_gamma(a3)
+    l = complex(l)
+    g = _log_gammas(
+        (l, "l"), (l + 1 + s + t, "l+1+s+t"), (l + 1 + s, "l+1+s"), (l + 1 + t, "l+1+t")
     )
+    return math.pi * np.exp(g[0] + g[1] - g[2] - g[3])
 
 
 def normalization_c(law: CoefficientLaw) -> float:
@@ -106,15 +106,11 @@ def normalization_c(law: CoefficientLaw) -> float:
     d = complex(law.delta)
     two_re = 2.0 * d.real
     if law.r > 0:
-        val = math.exp(
-            2.0 * log_gamma(law.r + 1 + d).real
-            - log_gamma(law.r).real
-            - log_gamma(law.r + 1 + two_re).real
-        ) / math.pi
+        g = log_gamma(np.array([law.r + 1 + d, law.r, law.r + 1 + two_re])).real
+        val = math.exp(2.0 * g[0] - g[1] - g[2]) / math.pi
     else:
-        val = math.exp(
-            2.0 * log_gamma(1 + d).real - log_gamma(1 + two_re).real
-        ) / (2.0 * math.pi)
+        g = log_gamma(np.array([1 + d, 1 + two_re])).real
+        val = math.exp(2.0 * g[0] - g[1]) / (2.0 * math.pi)
     return val
 
 
@@ -127,18 +123,15 @@ def mellin_fourier(law: CoefficientLaw, a: complex, b: complex) -> complex:
     """
     r, d = law.r, complex(law.delta)
     db = d.conjugate()
-    args = [
+    g = _log_gammas(
         (r + 1 + d + db + a + b, "r+1+delta+conj(delta)+a+b"),
         (r + 1 + db, "r+1+conj(delta)"),
         (r + 1 + d, "r+1+delta"),
         (r + 1 + d + db, "r+1+delta+conj(delta)"),
         (r + 1 + db + a, "r+1+conj(delta)+a"),
         (r + 1 + d + b, "r+1+delta+b"),
-    ]
-    vals = [_require_positive_re(v, label) for v, label in args]
-    num = log_gamma(vals[0]) + log_gamma(vals[1]) + log_gamma(vals[2])
-    den = log_gamma(vals[3]) + log_gamma(vals[4]) + log_gamma(vals[5])
-    return complex(np.exp(num - den))
+    )
+    return complex(np.exp(g[0] + g[1] + g[2] - (g[3] + g[4] + g[5])))
 
 
 def cgf_Lambda(law: CoefficientLaw, s: float, t: float) -> float:
@@ -149,17 +142,13 @@ def cgf_Lambda(law: CoefficientLaw, s: float, t: float) -> float:
     """
     r, d = law.r, complex(law.delta)
     two_re = 2.0 * d.real
-    x1 = _require_positive_re(r + 1 + two_re + 2 * s, "r+1+2Re(delta)+2s")
-    x2 = _require_positive_re(r + 1 + two_re, "r+1+2Re(delta)")
-    zc = _require_positive_re(r + 1 + d + s + 1j * t, "r+1+delta+s+it")
-    zd = _require_positive_re(r + 1 + d, "r+1+delta")
-    val = (
-        log_gamma(x1).real
-        - log_gamma(x2).real
-        - 2.0 * log_gamma(zc).real
-        + 2.0 * log_gamma(zd).real
+    g = _log_gammas(
+        (r + 1 + two_re + 2 * s, "r+1+2Re(delta)+2s"),
+        (r + 1 + two_re, "r+1+2Re(delta)"),
+        (r + 1 + d + s + 1j * t, "r+1+delta+s+it"),
+        (r + 1 + d, "r+1+delta"),
     )
-    return float(val)
+    return float(g[0].real - g[1].real - 2.0 * g[2].real + 2.0 * g[3].real)
 
 
 def cumulants(law: CoefficientLaw) -> CumulantSet:
@@ -177,15 +166,15 @@ def cumulants(law: CoefficientLaw) -> CumulantSet:
     """
     r, d = law.r, complex(law.delta)
     two_re = 2.0 * d.real
-    mean = digamma(r + 1 + two_re) - digamma(r + 1 + d.conjugate())
-    p1_sym = polygamma(1, r + 1 + two_re).real
-    p1 = polygamma(1, r + 1 + d)
-    var_re = p1_sym - 0.5 * p1.real
+    dg = digamma(np.array([r + 1 + two_re, r + 1 + d.conjugate()])).tolist()
+    mean = dg[0] - dg[1]
+    args = np.array([r + 1 + two_re, r + 1 + d])
+    p1_sym, p1 = polygamma(1, args).tolist()
+    p3_sym, p3 = polygamma(3, args).tolist()
+    var_re = p1_sym.real - 0.5 * p1.real
     var_im = 0.5 * p1.real
     cov = 0.5 * p1.imag
-    p3_sym = polygamma(3, r + 1 + two_re).real
-    p3 = polygamma(3, r + 1 + d)
-    k4_re = p3_sym - 0.125 * p3.real
+    k4_re = p3_sym.real - 0.125 * p3.real
     k4_im = -0.125 * p3.real
     bound = 24.0 * (var_re**2 + var_im**2) + 8.0 * (abs(k4_re) + abs(k4_im))
     covariance = np.array([[var_re, cov], [cov, var_im]], dtype=float)

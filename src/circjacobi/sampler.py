@@ -336,12 +336,8 @@ def sample_ensemble_batch(
 def _log_angle_normaliser(m: float, b: float) -> float:
     """log of the integral of cos^(2m)(phi) e^(2 b phi) over (-pi/2, pi/2),
     which is pi Gamma(2m+1) / (4^m |Gamma(m+1+ib)|^2)."""
-    return (
-        math.log(math.pi)
-        + log_gamma(2.0 * m + 1.0).real
-        - 2.0 * m * math.log(2.0)
-        - 2.0 * log_gamma(complex(m + 1.0, b)).real
-    )
+    g = log_gamma(np.array([2.0 * m + 1.0, complex(m + 1.0, b)])).real
+    return math.log(math.pi) + g[0] - 2.0 * m * math.log(2.0) - 2.0 * g[1]
 
 
 def disc_acceptance_rate(r: float, delta: complex) -> float:

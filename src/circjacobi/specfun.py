@@ -21,11 +21,14 @@ all panels together.
 All functions accept scalars or numpy arrays and are pure and stateless,
 so they are safe for unrestricted concurrent use.
 
-Evaluation of log Gamma and its derivatives shifts the argument up by the
-standard recurrences until the real part reaches a threshold where the
-asymptotic (Stirling-type) series with Bernoulli coefficients is accurate
-to full double precision.  The test suite checks them against independent
-oracles (``tests/oracles.py``).
+``log_gamma`` and ``digamma`` are ``scipy.special.loggamma`` and ``psi``
+behind this module's domain checks.  ``polygamma`` reflects Re z < 1/2
+to the right, shifts every entry below Re z = 10 up in one step of at
+most 10 recurrence terms, and sums the asymptotic Bernoulli series by
+Horner's rule, so each call is a fixed handful of whole-array operations
+whatever its argument.  An entry's value does not depend on the array it
+comes in.  The test suite checks all three against independent oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "DomainError",
@@ -89,73 +93,48 @@ _BERNOULLI = (
     8615841276005.0 / 14322.0,
 )
 
-# Shift threshold: with Re z >= 10 the truncated Bernoulli series is
-# accurate well below 1e-15 relative.
+# Shift threshold: with Re w >= 10 the truncated Bernoulli series is
+# accurate well below 1e-15 relative.  After reflection Re w >= 1/2, so
+# no entry needs more than 10 shifts.
 _SHIFT_RE = 10.0
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_SHIFTS = np.arange(int(_SHIFT_RE))
 
-# Coefficients of the asymptotic series, from b = B_2n for n = 1..15:
-# log Gamma b / (2n (2n-1)); digamma -b / (2n); polygamma of order 1, 2
-# and 3 b, -(2n+1) b and (2n+1)(2n+2) b.  Adding a negated coefficient
-# gives the same bits as subtracting the positive one.
-_LG_COEFFS = tuple(
-    b / ((2 * n) * (2 * n - 1)) for n, b in enumerate(_BERNOULLI, start=1)
-)
-_DG_COEFFS = tuple(-(b / (2 * n)) for n, b in enumerate(_BERNOULLI, start=1))
+# Psi^(q)(w) ~ (a + (b + S(1/w^2) / w) / w) / w^q with (a, b) = _PG_LEAD[q]
+# and S's coefficients from b_n = B_2n: b_n, -(2n+1) b_n and
+# (2n+1)(2n+2) b_n for q = 1, 2, 3, highest order first for Horner's rule.
+_PG_LEAD = {1: (1.0, 0.5), 2: (-1.0, -1.0), 3: (2.0, 3.0)}
 _PG_COEFFS = {
-    1: _BERNOULLI,
-    2: tuple(-((2 * n + 1) * b) for n, b in enumerate(_BERNOULLI, start=1)),
-    3: tuple(
-        (2 * n + 1) * (2 * n + 2) * b for n, b in enumerate(_BERNOULLI, start=1)
-    ),
+    q: tuple(
+        (1, -(2 * n + 1), (2 * n + 1) * (2 * n + 2))[q - 1] * b
+        for n, b in enumerate(_BERNOULLI, start=1)
+    )[::-1]
+    for q in (1, 2, 3)
 }
 
 
 def _as_complex_array(z) -> Tuple[np.ndarray, bool]:
     scalar = np.ndim(z) == 0
-    arr = np.atleast_1d(np.asarray(z, dtype=np.complex128)).copy()
-    return arr, scalar
+    return np.atleast_1d(np.asarray(z, dtype=np.complex128)), scalar
 
 
-def _check_off_cut(z: np.ndarray, what: str) -> None:
-    on_cut = (z.imag == 0.0) & (z.real <= 0.0)
-    if np.any(on_cut):
-        bad = z[on_cut].flat[0]
-        raise DomainError(f"{what} is undefined on the cut (-inf, 0]: got {bad}")
+def _check_domain(z: np.ndarray, what: str, cut: bool) -> None:
+    """DomainError on the cut (-inf, 0] if ``cut``, else PoleError at the
+    poles 0, -1, -2, ..."""
+    if not (z.real <= 0.0).any():
+        return
+    bad = (z.imag == 0.0) & (z.real <= 0.0)
+    if not cut:
+        bad &= z.real == np.floor(z.real)
+    if bad.any():
+        if cut:
+            raise DomainError(f"{what} is undefined on the cut (-inf, 0]: got {z[bad][0]}")
+        raise PoleError(f"{what} has a pole at {z[bad][0]}")
 
 
-def _check_off_poles(z: np.ndarray, what: str) -> None:
-    on_pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
-    if np.any(on_pole):
-        bad = z[on_pole].flat[0]
-        raise PoleError(f"{what} has a pole at {bad}")
-
-
-def _series(out: np.ndarray, term: np.ndarray, w2: np.ndarray, coeffs) -> np.ndarray:
-    """out + sum_i coeffs[i] * term / w2**i, added term by term."""
-    for c in coeffs:
-        out = out + c * term
-        term = term / w2
-    return out
-
-
-def _stirling_log_gamma(w: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI
-        return _series(out, 1.0 / w, w * w, _LG_COEFFS)
-
-
-def _shift_up(w: np.ndarray, term: Callable) -> Tuple[np.ndarray, np.ndarray]:
-    """Add 1 to each entry of w (in place) until Re w >= _SHIFT_RE.
-    Returns the shifted w and, per entry, the sum of ``term`` over the
-    values it took below the threshold."""
-    acc = np.zeros_like(w)
-    mask = w.real < _SHIFT_RE
-    while np.any(mask):
-        acc[mask] += term(w[mask])
-        w[mask] += 1.0
-        mask = w.real < _SHIFT_RE
-    return w, acc
+def _finite(out: np.ndarray, scalar: bool, what: str):
+    if not np.isfinite(out).all():
+        raise OverflowError(f"{what} overflow: argument magnitude too large")
+    return complex(out[0]) if scalar else out
 
 
 def log_gamma(z):
@@ -165,12 +144,8 @@ def log_gamma(z):
     logarithm; relative accuracy is better than 1e-13 for |z| <= 1e8.
     """
     arr, scalar = _as_complex_array(z)
-    _check_off_cut(arr, "log_gamma")
-    w, acc = _shift_up(arr, np.log)
-    out = _stirling_log_gamma(w) - acc
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("log_gamma overflow: argument magnitude too large")
-    return complex(out[0]) if scalar else out
+    _check_domain(arr, "log_gamma", cut=True)
+    return _finite(special.loggamma(arr), scalar, "log_gamma")
 
 
 def digamma(z):
@@ -179,39 +154,76 @@ def digamma(z):
     Satisfies Psi(z+1) = Psi(z) + 1/z to better than 1e-12 relative.
     """
     arr, scalar = _as_complex_array(z)
-    _check_off_poles(arr, "digamma")
-    w, acc = _shift_up(arr, lambda v: 1.0 / v)
-    w2 = w * w
-    out = _series(np.log(w) - 0.5 / w, 1.0 / w2, w2, _DG_COEFFS) - acc
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("digamma overflow")
-    return complex(out[0]) if scalar else out
+    _check_domain(arr, "digamma", cut=False)
+    return _finite(special.psi(arr), scalar, "digamma")
+
+
+def _cot_derivative(q: int, z: np.ndarray) -> np.ndarray:
+    """-pi (d/dz)^q cot(pi z): pi^2 u, -2 pi^3 c u and 2 pi^4 u (3u - 2) for
+    q = 1, 2, 3, with c = cot(pi z) and u = 1 + c^2 after Re z is reduced
+    mod 1.  u = -4 e / (e - 1)^2 with e = exp(2 pi i sign(Im z) z), so
+    |e| <= 1 and nothing overflows; c = 1 / tan(pi z), or -tan(pi (z -+ 1/2))
+    for |Re z| > 1/4, which keeps its zero at Re z = +-1/2 sharp."""
+    x = z.real - np.round(z.real)
+    s = np.where(z.imag < 0.0, -1.0, 1.0)
+    arg = -2.0 * math.pi * np.abs(z.imag) + 2j * math.pi * (s * x)
+    u = -4.0 * np.exp(arg) / np.expm1(arg) ** 2
+    if q == 1:
+        return math.pi**2 * u
+    if q == 3:
+        return 2.0 * math.pi**4 * u * (3.0 * u - 2.0)
+    far = np.abs(x) > 0.25
+    t = np.tan(math.pi * (x - np.where(far, np.copysign(0.5, x), 0.0) + 1j * z.imag))
+    return -2.0 * math.pi**3 * np.divide(1.0, t, out=-t, where=~far) * u
+
+
+def _horner(u: np.ndarray, coeffs) -> np.ndarray:
+    """sum_i coeffs[-1-i] u^i.  Long arrays are updated in place to save
+    allocations; short ones are not, as numpy's in-place call costs more
+    than a small new array.  Same operations, so the same bits, either way."""
+    out = coeffs[0] * u
+    if u.size > 64:
+        for c in coeffs[1:-1]:
+            out += c
+            out *= u
+    else:
+        for c in coeffs[1:-1]:
+            out = (out + c) * u
+    return out + coeffs[-1]
 
 
 def polygamma(q: int, z):
-    """Polygamma Psi^(q) for q in {1, 2, 3}.
+    """Polygamma Psi^(q) for q in {1, 2, 3}; scipy's is real-only.
 
-    The argument is shifted into the asymptotic regime internally, so any
-    z off the poles is accepted.  Higher orders are out of scope.
+    Arguments with Re z < 1/2 are reflected,
+    Psi^(q)(z) = (-1)^q Psi^(q)(1-z) - pi (d/dz)^q cot(pi z).  Every entry
+    with Re w < 10 then moves up by the recurrence in one step, on a grid
+    of at most 10 columns, and the asymptotic Bernoulli series is summed
+    by Horner's rule in 1/w^2.  Higher orders are out of scope.
     """
     if q not in (1, 2, 3):
         raise DomainError(f"polygamma order must be 1, 2 or 3, got {q}")
     arr, scalar = _as_complex_array(z)
-    _check_off_poles(arr, "polygamma")
-    sign = 1.0 if q % 2 == 1 else -1.0  # (-1)^(q+1)
-    fact = math.factorial(q)
-    w, acc = _shift_up(arr, lambda v: sign * fact * v ** (-(q + 1)))
-    w2 = w * w
-    if q == 1:
-        out, term = 1.0 / w + 0.5 / w2, 1.0 / (w2 * w)
-    elif q == 2:
-        out, term = -1.0 / w2 - 1.0 / (w2 * w), 1.0 / (w2 * w2)
-    else:
-        out, term = 2.0 / (w2 * w) + 3.0 / (w2 * w2), 1.0 / (w2 * w2 * w)
-    out = _series(out, term, w2, _PG_COEFFS[q]) + acc
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("polygamma overflow")
-    return complex(out[0]) if scalar else out
+    _check_domain(arr, "polygamma", cut=False)
+    left = arr.real < 0.5
+    reflect = left.any()
+    w = np.where(left, 1.0 - arr, arr) if reflect else arr
+    # Psi^(q)(w) = Psi^(q)(w + k) + (-1)^(q+1) q! sum_{j<k} (w + j)^-(q+1)
+    low = w.real < _SHIFT_RE
+    shift_sum = 0.0
+    if low.any():
+        w_low = w[low]
+        k = np.ceil(_SHIFT_RE - w_low.real)
+        terms = np.where(_SHIFTS < k[:, None], (w_low[:, None] + _SHIFTS) ** (-q - 1), 0.0)
+        shift_sum = np.zeros_like(w)
+        shift_sum[low] = (-1.0) ** (q + 1) * math.factorial(q) * terms.sum(axis=1)
+        w = w.copy()
+        w[low] = w_low + k
+    a, b = _PG_LEAD[q]
+    out = (a + (b + _horner(1.0 / (w * w), _PG_COEFFS[q]) / w) / w) / w**q + shift_sum
+    if reflect:
+        out[left] = (-1.0) ** q * out[left] + _cot_derivative(q, arr[left])
+    return _finite(out, scalar, "polygamma")
 
 
 def entropy_J(u):

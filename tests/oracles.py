@@ -4,7 +4,8 @@ These deliberately avoid the production code paths: log-gamma through
 quadrature of its exponential-kernel integral representation, digamma
 through its partial-fraction series with an analytic tail, trigamma
 through direct series summation, the circle log energy through nested
-adaptive quadrature split at the diagonal.
+adaptive quadrature split at the diagonal, and polygamma and the exact
+moment sums through mpmath.
 """
 
 import math
@@ -174,3 +175,38 @@ def nested_log_energy(mu) -> float:
     if err > 1e-4:
         raise QuadratureError("log-energy outer quadrature too loose", err)
     return val
+
+
+def mpmath_polygamma(q: int, z: complex, dps: int = 40) -> complex:
+    """Psi^(q)(z) in mpmath.  Left of Re z = 1/2 it takes the reflection
+    Psi^(q)(z) = (-1)^q Psi^(q)(1-z) - pi (d/dz)^q cot(pi z), with the
+    derivative of cot from mpmath's numerical differentiation, because
+    mpmath's own polygamma did not finish within a minute at -1e4+0.5j."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        z = mp.mpc(z)
+        if z.real >= 0.5:
+            return complex(mp.polygamma(q, z))
+        cot_q = mp.diff(lambda x: mp.cot(mp.pi * x), z, q)
+        return complex((-1) ** q * mp.polygamma(q, 1 - z) - mp.pi * cot_q)
+
+
+def mpmath_moment_row(n: int, beta: float, delta: complex, m: int, dps: int = 30):
+    """(E log Phi_{m,n}(1), cov(Re, Im) of the centered value) as direct
+    mpmath sums of digamma and trigamma over the m highest rank weights
+    beta/2 (k-1), k = n-m+1..n."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        d = mp.mpc(delta)
+        mean, s_sym, s_del = mp.mpc(0), mp.mpf(0), mp.mpc(0)
+        for k in range(n - m + 1, n + 1):
+            x = mp.mpf(beta) / 2 * (k - 1) + 1
+            mean += mp.digamma(x + 2 * d.real) - mp.digamma(x + mp.conj(d))
+            s_sym += mp.psi(1, x + 2 * d.real)
+            s_del += mp.psi(1, x + d)
+        var_re = s_sym - s_del.real / 2
+        cov = s_del.imag / 2
+        var_im = s_del.real / 2
+        return complex(mean), np.array([[float(var_re), float(cov)], [float(cov), float(var_im)]])

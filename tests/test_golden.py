@@ -2,11 +2,16 @@
 17-significant-digit float formatting byte-for-byte, on deterministic
 commands."""
 
+import csv
+import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from circjacobi import cli
+
+from oracles import mpmath_moment_row
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -55,3 +60,26 @@ def test_golden_bytes(name, tmp_path):
     assert written == sorted(expected)
     for each in written:
         assert (tmp_path / each).read_bytes() == (GOLDEN / each).read_bytes()
+
+
+def _moments_n50_rows():
+    """(m, exact mean, exact covariance) of each row of both moments_n50
+    golden files."""
+    with open(GOLDEN / "moments_n50.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            cov = [[row["cov_xx"], row["cov_xy"]], [row["cov_xy"], row["cov_yy"]]]
+            mean = complex(float(row["exact_mean_re"]), float(row["exact_mean_im"]))
+            yield int(row["m"]), mean, np.array(cov, dtype=float)
+    for row in json.loads((GOLDEN / "moments_n50.json").read_text()):
+        yield row["m"], complex(*row["exact_mean"]), np.array(row["exact_cov"])
+
+
+def test_moments_n50_golden_values_match_mpmath_sums():
+    # the golden bytes are checked against something other than themselves
+    rows = list(_moments_n50_rows())
+    assert len(rows) == 10
+    for m, mean, cov in rows:
+        ref_mean, ref_cov = mpmath_moment_row(50, 2.0, 0.3 + 0.1j, m)
+        assert abs(mean.real - ref_mean.real) <= 1e-13 * abs(ref_mean.real)
+        assert abs(mean.imag - ref_mean.imag) <= 1e-13 * abs(ref_mean.imag)
+        assert np.all(np.abs(cov - ref_cov) <= 1e-13 * np.abs(ref_cov)), m

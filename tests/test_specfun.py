@@ -10,6 +10,7 @@ from circjacobi import specfun as sf
 
 from oracles import (
     EULER_GAMMA,
+    mpmath_polygamma,
     quadrature_log_gamma,
     series_digamma,
     series_trigamma_one,
@@ -150,6 +151,17 @@ class TestPolygamma:
         with pytest.raises(sf.PoleError):
             sf.polygamma(1, -2.0)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_mpmath_oracle_grid(self, q):
+        small = [0.05, 0.3 + 0.2j, 1e-3 + 1e-3j, 0.5 - 0.5j, 1.5, 2.5 + 1.2j, 9.99, 10.0]
+        strip = [0.01, 0.25 + 3j, 0.49, 0.5 + 1e-9j, 0.7 - 0.3j, 0.95 + 40j]
+        left = [-0.2 - 2j, -0.3 + 10j, -0.5 + 1e-3j, -3.5 + 0.4j, -7.5 + 1e-3j, -12.3 - 45.6j]
+        angles = np.linspace(-3.1, 3.1, 9)
+        large = [r * cmath.exp(1j * a) for r in (1e6, 1e8) for a in angles]
+        for z in small + strip + left + large:
+            ref = mpmath_polygamma(q, z)
+            assert abs(sf.polygamma(q, z) - ref) <= 1e-13 * abs(ref), z
+
     def test_derivative_consistency(self):
         # Psi' and Psi''' against central differences of Psi / Psi''
         h = 1e-5
@@ -158,6 +170,47 @@ class TestPolygamma:
             assert abs(d1 - sf.polygamma(1, z)) < 1e-8
             d3 = (sf.polygamma(2, z + h) - sf.polygamma(2, z - h)) / (2 * h)
             assert abs(d3 - sf.polygamma(3, z)) < 1e-7
+
+
+class TestFarLeft:
+    """Far into the left half-plane every function takes a bounded number
+    of steps: log_gamma and digamma reflect inside scipy, polygamma
+    reflects to Re z > 1/2 and shifts at most 10 times."""
+
+    POINTS = (-1e6 + 1j, -1e4 + 0.5j, -3.5 + 0.4j)
+
+    def test_log_gamma_and_digamma_against_mpmath(self):
+        import mpmath
+
+        for z in self.POINTS:
+            ref = complex(mpmath.loggamma(z))
+            assert abs(sf.log_gamma(z) - ref) <= 1e-13 * abs(ref)
+            ref = complex(mpmath.digamma(z))
+            assert abs(sf.digamma(z) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_polygamma_against_mpmath(self, q):
+        for z in self.POINTS:
+            ref = mpmath_polygamma(q, z)
+            assert abs(sf.polygamma(q, z) - ref) <= 1e-13 * abs(ref)
+
+
+def test_each_entry_alone_equals_its_entry_in_a_long_array():
+    # bit for bit: what makes batching the arguments of one law bit-neutral
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-40.0, 60.0, 10_000) + 1j * rng.uniform(-30.0, 30.0, 10_000)
+    z[::7] = rng.uniform(0.01, 50.0, z[::7].size)  # positive reals
+    z[::101] *= 1e5
+    functions = {
+        "log_gamma": sf.log_gamma,
+        "digamma": sf.digamma,
+        "polygamma1": lambda v: sf.polygamma(1, v),
+        "polygamma3": lambda v: sf.polygamma(3, v),
+    }
+    for name, f in functions.items():
+        together = f(z).tolist()
+        alone = [f(v) for v in z.tolist()]
+        assert alone == together, name
 
 
 class TestEntropy:
