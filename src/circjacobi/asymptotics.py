@@ -3,11 +3,13 @@ their large-n limits.
 
 ``exact_mean_logphi`` and ``exact_cov_zeta`` evaluate the exact digamma /
 trigamma sums for E log Phi_{m,n}(1) and cov(Re, Im) of the centered
-process.  Below the crossover size the sums are evaluated directly; for
-larger n they switch to an Abel-Plana representation whose segment
-integral has a closed antiderivative, leaving only a rapidly decaying
-boundary integral to quadrature.  The two routes agree to 1e-9 at the
-crossover, which the test suite pins.
+process, at one m or at an array of m in one pass.  Up to the crossover
+size a table is the prefix sum of the per-rank terms, which
+``mean_increments`` (and so the centred path) shares bit for bit.  Beyond
+it a row is A(n) - A(n-m) for an Abel-Plana endpoint function A, whose
+boundary integral is done once per distinct endpoint.  Either way a row of
+a table equals its one-row call bit for bit, and the two routes agree to
+1e-9 at the crossover, which the test suite pins.
 
 ``limit_mean_functions`` and ``limit_covariance`` evaluate the
 deterministic drift-regime limits: the entropy-difference mean profiles,
@@ -17,6 +19,8 @@ closed-form time integral.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -62,19 +66,16 @@ class EnsembleParams:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"need n >= 1, got {self.n}")
-        if self.beta <= 0:
-            raise DomainError(f"need beta > 0, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise DomainError(f"need finite beta > 0, got {self.beta}")
         if self.delta is not None and self.scaled_d is not None:
             raise DomainError("give either delta or scaled_d, not both")
-        if self.scaled_d is not None:
-            if complex(self.scaled_d).real <= 0:
-                raise DomainError(
-                    f"scaled drift needs Re d > 0, got {self.scaled_d}"
-                )
-        else:
-            d = complex(self.delta) if self.delta is not None else 0j
-            if d.real <= -0.5:
-                raise DomainError(f"need Re delta > -1/2, got {d}")
+        if not (cmath.isfinite(self.delta or 0) and cmath.isfinite(self.scaled_d or 0)):
+            raise DomainError(f"need finite delta and scaled_d, got {self.delta}, {self.scaled_d}")
+        if self.scaled_d is not None and complex(self.scaled_d).real <= 0:
+            raise DomainError(f"scaled drift needs Re d > 0, got {self.scaled_d}")
+        if self.delta is not None and complex(self.delta).real <= -0.5:
+            raise DomainError(f"need Re delta > -1/2, got {complex(self.delta)}")
 
     @property
     def beta_prime(self) -> float:
@@ -96,96 +97,85 @@ class EnsembleParams:
         return self.beta_prime * (self.n - 1 - j)
 
 
-def _check_m(params: EnsembleParams, m: int) -> None:
-    if not 1 <= m <= params.n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={params.n}")
+def _mean_summand(params: EnsembleParams):
+    """The mean's term Psi(x+1+2 Re d) - Psi(x+1+conj(d)) at rank weight x,
+    and its primitive in x."""
+    d = params.effective_delta
+    a_sym, a_con = 1 + 2 * d.real, 1 + d.conjugate()
+    return (
+        lambda x: digamma(x + a_sym) - digamma(x + a_con),
+        lambda x: log_gamma(x + a_sym) - log_gamma(x + a_con),
+    )
+
+
+def _cov_summand(params: EnsembleParams):
+    """The covariance's terms Psi'(x+1+2 Re d) and Psi'(x+1+d), stacked on
+    a leading axis, and their primitive in x."""
+    d = params.effective_delta
+    alpha = np.array([[2 * d.real], [d]])
+    return lambda x: polygamma(1, x + 1 + alpha), lambda x: digamma(x + 1 + alpha)
 
 
 def mean_increments(params: EnsembleParams) -> np.ndarray:
     """E log(1-gamma_j) for j = 0..n-1, as a complex array."""
-    r = params.coefficient_ranks()
-    d = params.effective_delta
-    return digamma(r + 1 + 2 * d.real) - digamma(r + 1 + d.conjugate())
+    return _mean_summand(params)[0](params.coefficient_ranks())
 
 
-def _rank_sum(
-    params: EnsembleParams, term, primitive, lo: int, hi: int, accelerated: bool
-) -> complex:
-    """Sum term(x) over x = beta' (k-1), k = lo..hi, directly or by
-    Abel-Plana, where primitive(x) is an antiderivative of term in x.
-
-    The Abel-Plana route splits off the k = 1 term when lo = 1, because
-    the summand may have poles with real part < 1 in k."""
-    bp = params.beta_prime
-    if not accelerated:
-        k = np.arange(lo, hi + 1, dtype=float)
-        return complex(np.sum(term(bp * (k - 1))))
-
-    def ev(t):
-        return term(bp * (np.asarray(t, dtype=complex) - 1))
-
-    def anti(t):
-        return primitive(bp * (complex(t) - 1)) / bp
-
-    if lo < 1:
-        raise DomainError("accelerated sum needs lo >= 1")
-    first = 0j
-    if lo == 1:
-        first = complex(ev(1.0 + 0j))
-        lo = 2
-        if hi < lo:
-            return first
-    return first + abel_plana_sum(ev, anti, lo - 1, hi)
+def _direct_sums(params: EnsembleParams, ms: np.ndarray, summand) -> np.ndarray:
+    """Row i sums the summand's term over the ms[i] highest rank weights,
+    as a prefix sum from the highest rank down."""
+    ranks = params.coefficient_ranks()[: ms.max(initial=0)]
+    return np.cumsum(summand[0](ranks), axis=-1)[..., ms - 1]
 
 
-def _mean_sum(params: EnsembleParams, lo: int, hi: int, accelerated: bool) -> complex:
-    """Sum over k = lo..hi of Psi(b'(k-1)+1+d+conj(d)) - Psi(b'(k-1)+1+conj(d))."""
-    d = params.effective_delta
-    a_sym = 1 + 2 * d.real
-    a_con = 1 + d.conjugate()
-    return _rank_sum(
-        params,
-        lambda x: digamma(x + a_sym) - digamma(x + a_con),
-        lambda x: log_gamma(x + a_sym) - log_gamma(x + a_con),
-        lo, hi, accelerated,
-    )
+def _abel_plana_sums(params: EnsembleParams, ms: np.ndarray, summand) -> np.ndarray:
+    """The rows of ``_direct_sums`` in one Abel-Plana pass over k, where the
+    rank weight is beta' (k-1), k = n-m+1..n.  The k = 1 term is split off
+    where m = n, as the summand may have poles with real part < 1 in k."""
+    term, primitive = summand
+    n, bp = params.n, params.beta_prime
+
+    def g(k):
+        return term(bp * (k - 1))
+
+    def anti(k):
+        return primitive(bp * (k - 1)) / bp
+
+    full = ms == n
+    sums = abel_plana_sum(g, anti, np.where(full, 1, n - ms), n)
+    if full.any():
+        sums = sums + np.where(full, g(np.ones(1, dtype=np.complex128)), 0.0)
+    return sums
 
 
-def exact_mean_logphi(params: EnsembleParams, m: int) -> complex:
-    """Exact E log Phi_{m,n}(1): the digamma sum over the m highest ranks.
-
-    Direct summation up to the crossover size, Abel-Plana beyond it.
-    """
-    _check_m(params, m)
-    n = params.n
-    return _mean_sum(params, n - m + 1, n, accelerated=n > CROSSOVER_N)
-
-
-def _trigamma_sum(
-    params: EnsembleParams, alpha: complex, lo: int, hi: int, accelerated: bool
-) -> complex:
-    """Sum over k = lo..hi of Psi'(b'(k-1)+1+alpha)."""
-    return _rank_sum(
-        params,
-        lambda x: polygamma(1, x + 1 + alpha),
-        lambda x: digamma(x + 1 + alpha),
-        lo, hi, accelerated,
-    )
+def _moment_sums(params: EnsembleParams, m, summand) -> np.ndarray:
+    """The summand's sums over the m highest ranks, one per entry of m:
+    direct up to the crossover size, by Abel-Plana beyond it."""
+    ms = np.atleast_1d(m)
+    if ms.dtype.kind not in "iu":
+        raise DomainError(f"m must be an integer, got {m!r}")
+    bad = ms[(ms < 1) | (ms > params.n)]
+    if bad.size:
+        raise DomainError(f"need 1 <= m <= n, got m={bad[0]}, n={params.n}")
+    route = _direct_sums if params.n <= CROSSOVER_N else _abel_plana_sums
+    return route(params, ms, summand)
 
 
-def exact_cov_zeta(params: EnsembleParams, m: int) -> np.ndarray:
+def exact_mean_logphi(params: EnsembleParams, m):
+    """Exact E log Phi_{m,n}(1): the digamma sum over the m highest ranks;
+    a complex for an int m, one per entry for an int array of m."""
+    rows = _moment_sums(params, m, _mean_summand(params))
+    return complex(rows[0]) if np.ndim(m) == 0 else rows
+
+
+def exact_cov_zeta(params: EnsembleParams, m) -> np.ndarray:
     """Exact covariance matrix of (Re, Im) of the centered process at
-    index m, summed from the per-coefficient trigamma covariances."""
-    _check_m(params, m)
-    n = params.n
-    d = params.effective_delta
-    accelerated = n > CROSSOVER_N
-    s_sym = _trigamma_sum(params, 2 * d.real, n - m + 1, n, accelerated).real
-    s_del = _trigamma_sum(params, d, n - m + 1, n, accelerated)
-    var_re = s_sym - 0.5 * s_del.real
-    var_im = 0.5 * s_del.real
-    cov = 0.5 * s_del.imag
-    return np.array([[var_re, cov], [cov, var_im]], dtype=float)
+    index m, summed from the per-coefficient trigamma covariances; a 2x2
+    array for an int m, one per entry for an int array of m."""
+    s_sym, s_del = _moment_sums(params, m, _cov_summand(params))
+    var_im, cov = 0.5 * s_del.real, 0.5 * s_del.imag
+    rows = np.stack([s_sym.real - var_im, cov, cov, var_im], axis=-1).reshape(-1, 2, 2)
+    return rows[0] if np.ndim(m) == 0 else rows
 
 
 def limit_mean_functions(d: complex, t: float) -> Tuple[complex, complex]:

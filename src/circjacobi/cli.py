@@ -68,6 +68,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"grid must be 'a:b:step', got {spec!r}"
         ) from exc
+    if not all(map(math.isfinite, (a, b, step))):
+        raise argparse.ArgumentTypeError(f"grid parts must be finite, got {spec!r}")
     if step <= 0 or b < a:
         raise argparse.ArgumentTypeError(f"bad grid bounds {spec!r}")
     count = int(math.floor((b - a) / step + 1e-9)) + 1
@@ -78,9 +80,9 @@ def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="matrix size")
     p.add_argument("--beta", type=float, required=True, help="inverse temperature")
     p.add_argument("--delta-re", type=float, default=None)
-    p.add_argument("--delta-im", type=float, default=0.0)
+    p.add_argument("--delta-im", type=float, default=None)
     p.add_argument("--scaled-d-re", type=float, default=None)
-    p.add_argument("--scaled-d-im", type=float, default=0.0)
+    p.add_argument("--scaled-d-im", type=float, default=None)
 
 
 def _at_least(flag: str, value: int, least: int) -> int:
@@ -91,12 +93,14 @@ def _at_least(flag: str, value: int, least: int) -> int:
 
 def _params_from_args(args) -> EnsembleParams:
     if args.scaled_d_re is not None:
-        if args.delta_re is not None:
-            raise DomainError("give either --delta-re or --scaled-d-re, not both")
+        if args.delta_re is not None or args.delta_im is not None:
+            raise DomainError("give either --delta-re/--delta-im or --scaled-d-re, not both")
         return EnsembleParams(
-            args.n, args.beta, scaled_d=complex(args.scaled_d_re, args.scaled_d_im)
+            args.n, args.beta, scaled_d=complex(args.scaled_d_re, args.scaled_d_im or 0.0)
         )
-    delta = complex(args.delta_re or 0.0, args.delta_im)
+    if args.scaled_d_im is not None:
+        raise DomainError("--scaled-d-im needs --scaled-d-re")
+    delta = complex(args.delta_re or 0.0, args.delta_im or 0.0)
     return EnsembleParams(args.n, args.beta, delta=delta)
 
 
@@ -179,12 +183,10 @@ def _moment_rows(params: EnsembleParams, grid: np.ndarray) -> Iterator[tuple]:
     """(t, m, exact mean, asymptotic mean, exact cov, limit cov) for each
     time of the grid that falls on a rank m in 1..n."""
     n = params.n
-    for t in grid:
-        m = int(math.floor(n * t + 1e-9))
-        if not 1 <= m <= n:
-            continue
-        mean = exact_mean_logphi(params, m)
-        cov = exact_cov_zeta(params, m)
+    ms = np.floor(n * grid + 1e-9).astype(int)
+    ms = ms[(ms >= 1) & (ms <= n)]
+    means, covs = exact_mean_logphi(params, ms), exact_cov_zeta(params, ms)
+    for m, mean, cov in zip(ms.tolist(), means.tolist(), covs):
         t_n = m / n
         if params.regime == "scaled":
             e_val, f_val = limit_mean_functions(params.scaled_d, t_n)
@@ -205,7 +207,7 @@ def _moment_rows(params: EnsembleParams, grid: np.ndarray) -> Iterator[tuple]:
 
 def _cmd_moments(args) -> int:
     params = _params_from_args(args)
-    rows = _moment_rows(params, _parse_grid(args.t_grid))
+    rows = _moment_rows(params, args.t_grid)
     if args.format == "json":
         chunks = _json([
             {
@@ -286,9 +288,8 @@ def _rate_rows(T: float, d: complex, xi_grid, eta_grid) -> Iterator[tuple]:
 
 def _cmd_ldp(args) -> int:
     d = complex(args.scaled_d_re or 0.0, args.scaled_d_im)
-    xi_grid = _parse_grid(args.xi_grid)
-    eta_grid = _parse_grid(args.eta_grid) if args.eta_grid else np.array([0.0])
-    rows = _rate_rows(args.T, d, xi_grid, eta_grid)
+    eta_grid = np.array([0.0]) if args.eta_grid is None else args.eta_grid
+    rows = _rate_rows(args.T, d, args.xi_grid, eta_grid)
     _write(args.out, _table(
         "T,xi,eta,d_re,d_im,h,branch,gamma,rho", "%.17g," * 6 + "%s,%s", rows
     ))
@@ -302,8 +303,8 @@ def _density_rows(measure, npts: int) -> List[tuple]:
 
 def _cmd_equilibrium(args) -> int:
     a = args.scaled_d_re
-    if a is None or a <= 0:
-        raise DomainError("equilibrium needs --scaled-d-re > 0 (the drift a)")
+    if not 0 < a < math.inf:
+        raise DomainError("equilibrium needs a finite --scaled-d-re > 0 (the drift a)")
     npts = _at_least("--samples", args.samples, 1)
     r = 2.0 * a
     mu = mu_a_measure(a)
@@ -386,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="exact vs asymptotic moment table")
     _add_ensemble_flags(p)
-    p.add_argument("--t-grid", default="0.1:1.0:0.1")
+    p.add_argument("--t-grid", type=_parse_grid, default="0.1:1.0:0.1")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_moments)
@@ -402,8 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ldp", help="marginal rate surface export")
     p.add_argument("--T", type=float, required=True)
-    p.add_argument("--xi-grid", required=True)
-    p.add_argument("--eta-grid", default=None)
+    p.add_argument("--xi-grid", type=_parse_grid, required=True)
+    p.add_argument("--eta-grid", type=_parse_grid, default=None)
     p.add_argument("--scaled-d-re", type=float, default=None)
     p.add_argument("--scaled-d-im", type=float, default=0.0)
     p.add_argument("--out", default=None)

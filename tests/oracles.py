@@ -5,7 +5,7 @@ quadrature of its exponential-kernel integral representation, digamma
 through its partial-fraction series with an analytic tail, trigamma
 through direct series summation, the circle log energy through nested
 adaptive quadrature split at the diagonal, and polygamma and the exact
-moment sums through mpmath.
+moment sums through mpmath, at beta = 2 also in closed form.
 """
 
 import math
@@ -206,6 +206,34 @@ def mpmath_moment_row(n: int, beta: float, delta: complex, m: int, dps: int = 30
             mean += mp.digamma(x + 2 * d.real) - mp.digamma(x + mp.conj(d))
             s_sym += mp.psi(1, x + 2 * d.real)
             s_del += mp.psi(1, x + d)
+        var_re = s_sym - s_del.real / 2
+        cov = s_del.imag / 2
+        var_im = s_del.real / 2
+        return complex(mean), np.array([[float(var_re), float(cov)], [float(cov), float(var_im)]])
+
+
+def mpmath_beta2_moment_row(n: int, delta: complex, m: int, dps: int = 40):
+    """``mpmath_moment_row`` at beta = 2 in closed form.  The shifted rank
+    weights are then the run k, k = n-m+1..n, so each digamma sum is
+    sum_{j<m} Psi(a+j) = (a+m-1) Psi(a+m) - (a-1) Psi(a) - m, and each
+    trigamma sum is its derivative in a."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        d = mp.mpc(delta)
+        low = n - m + 1
+
+        def run(a):
+            return (a + m - 1) * mp.digamma(a + m) - (a - 1) * mp.digamma(a) - m
+
+        def run_prime(a):
+            return (
+                mp.digamma(a + m) + (a + m - 1) * mp.psi(1, a + m)
+                - mp.digamma(a) - (a - 1) * mp.psi(1, a)
+            )
+
+        mean = run(low + 2 * d.real) - run(low + mp.conj(d))
+        s_sym, s_del = mp.re(run_prime(low + 2 * d.real)), run_prime(low + d)
         var_re = s_sym - s_del.real / 2
         cov = s_del.imag / 2
         var_im = s_del.real / 2

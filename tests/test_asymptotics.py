@@ -96,21 +96,73 @@ class TestAcceleration:
     )
     def test_mean_crossover_agreement(self, params):
         n = params.n
-        indices = range(1, n + 1) if n <= 100 else (1, 2, 17, n // 2, n - 1, n)
-        for m in indices:
-            lo = n - m + 1
-            direct = asy._mean_sum(params, lo, n, accelerated=False)
-            fast = asy._mean_sum(params, lo, n, accelerated=True)
-            assert abs(direct - fast) <= 1e-9 * max(1.0, abs(direct))
+        ms = np.arange(1, n + 1) if n <= 100 else np.array([1, 2, 17, n // 2, n - 1, n])
+        summand = asy._mean_summand(params)
+        direct = asy._direct_sums(params, ms, summand)
+        fast = asy._abel_plana_sums(params, ms, summand)
+        assert np.all(np.abs(direct - fast) <= 1e-9 * np.maximum(1.0, np.abs(direct)))
 
     def test_cov_crossover_agreement(self):
+        # both trigamma sums, at alpha = 2 Re delta and alpha = delta
         params = asy.EnsembleParams(10_000, 2.0, delta=0.3 + 0.2j)
-        d = params.effective_delta
-        for m in (1, 17, 9_999, 10_000):
-            for alpha in (2 * d.real + 0j, d):
-                a = asy._trigamma_sum(params, alpha, params.n - m + 1, params.n, False)
-                b = asy._trigamma_sum(params, alpha, params.n - m + 1, params.n, True)
-                assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+        ms = np.array([1, 17, 9_999, 10_000])
+        summand = asy._cov_summand(params)
+        direct = asy._direct_sums(params, ms, summand)
+        fast = asy._abel_plana_sums(params, ms, summand)
+        assert direct.shape == fast.shape == (2, 4)
+        assert np.all(np.abs(direct - fast) <= 1e-9 * np.maximum(1.0, np.abs(direct)))
+
+
+class TestMomentTables:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            asy.EnsembleParams(50, 2.0, delta=0.3 + 0.1j),
+            asy.EnsembleParams(10**4, 2.0, delta=0.5),
+            asy.EnsembleParams(20_000, 2.0, scaled_d=1.0),
+            asy.EnsembleParams(20_000, 0.8, delta=0.3 + 0.2j),
+            asy.EnsembleParams(10**8, 2.0, delta=0.5),
+            asy.EnsembleParams(10**8, 2.0, scaled_d=1.0),
+        ],
+        ids=["n50", "n1e4", "n2e4", "n2e4-smallbeta", "n1e8", "n1e8-drift"],
+    )
+    def test_rows_equal_one_row_calls_bitwise(self, params):
+        n = params.n
+        grid = np.floor(n * np.arange(1, 101) / 100 + 1e-9).astype(int)
+        ms = np.unique(np.concatenate([[1, 2, n - 1], grid[grid >= 1]]))
+        means = asy.exact_mean_logphi(params, ms)
+        covs = asy.exact_cov_zeta(params, ms)
+        assert means.shape == ms.shape and covs.shape == ms.shape + (2, 2)
+        for m, mean, cov in zip(ms.tolist(), means, covs):
+            one_mean, one_cov = asy.exact_mean_logphi(params, m), asy.exact_cov_zeta(params, m)
+            assert type(one_mean) is complex and one_cov.shape == (2, 2)
+            assert mean == one_mean, m
+            assert np.array_equal(cov, one_cov), m
+
+    def test_empty_and_bad_rows(self):
+        p = asy.EnsembleParams(20_000, 2.0, scaled_d=1.0)
+        assert asy.exact_mean_logphi(p, np.array([], dtype=int)).shape == (0,)
+        assert asy.exact_cov_zeta(p, np.array([], dtype=int)).shape == (0, 2, 2)
+        with pytest.raises(sf.DomainError, match="m=0"):
+            asy.exact_mean_logphi(p, np.array([5, 0, 7]))
+        with pytest.raises(sf.DomainError, match="integer"):
+            asy.exact_cov_zeta(p, 2.5)
+
+    def test_one_boundary_pass_per_table(self, monkeypatch):
+        # the end n is evaluated once, however many rows the table has
+        calls = []
+        original = asy.abel_plana_sum
+
+        def counted(g, primitive, m, n):
+            calls.append(np.size(m))
+            return original(g, primitive, m, n)
+
+        monkeypatch.setattr(asy, "abel_plana_sum", counted)
+        p = asy.EnsembleParams(20_000, 2.0, scaled_d=1.0)
+        ms = np.arange(200, 20_001, 200)
+        asy.exact_mean_logphi(p, ms)
+        asy.exact_cov_zeta(p, ms)
+        assert calls == [100, 100]
 
 
 class TestExactCov:

@@ -290,6 +290,45 @@ class TestUsageErrors:
         err = self._rejected(tmp_path, capsys, args)
         assert err == "error: --n must be at least 2, got 1"
 
+    @pytest.mark.parametrize("args", [
+        ["moments", "--n", "8", "--beta", "nan"],
+        ["moments", "--n", "8", "--beta", "inf"],
+        ["moments", "--n", "8", "--beta", "2", "--delta-re", "nan"],
+        ["moments", "--n", "8", "--beta", "2", "--delta-im", "-inf"],
+        ["moments", "--n", "8", "--beta", "2", "--scaled-d-re", "inf"],
+        ["sample", "--n", "8", "--beta", "2", "--scaled-d-re", "0.5", "--scaled-d-im", "nan"],
+        ["clt", "--n", "8", "--beta", "nan", "--samples", "3"],
+        ["moments", "--n", "8", "--beta", "2", "--t-grid", "0:nan:0.1"],
+        ["moments", "--n", "8", "--beta", "2", "--t-grid", "0:1:inf"],
+        ["moments", "--n", "8", "--beta", "2", "--t-grid", "0:1:0"],
+        ["ldp", "--T", "0.5", "--xi-grid", "-inf:0:0.1"],
+        ["ldp", "--T", "0.5", "--xi-grid", "0:0.1:0.1", "--eta-grid", "nan:0:0.1"],
+        ["equilibrium", "--scaled-d-re", "nan"],
+        ["equilibrium", "--scaled-d-re", "inf"],
+    ], ids=lambda args: " ".join(args))
+    def test_non_finite_input_is_a_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert cli.main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "moments", "clt"])
+    def test_flags_of_the_other_regime_are_rejected(self, command, tmp_path, capsys):
+        # each would otherwise be ignored, with output identical to the run without it
+        base = [command, "--n", "8", "--beta", "2", "--out", str(tmp_path / "x.out")]
+        extra = ["--samples", "3"] if command != "moments" else []
+        for flags, message in (
+            (["--scaled-d-re", "0.5", "--delta-im", "0.2"], "not both"),
+            (["--scaled-d-im", "0.2"], "--scaled-d-im needs --scaled-d-re"),
+            (["--delta-re", "0.3", "--scaled-d-im", "0.2"], "--scaled-d-im needs --scaled-d-re"),
+        ):
+            assert cli.main(base + extra + flags) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert cli.main(base + extra + ["--scaled-d-re", "0.5", "--scaled-d-im", "0.2"]) == 0
+        assert cli.main(base + extra + ["--delta-im", "0.2"]) == 0
+
     def test_both_regimes_rejected(self, tmp_path):
         rc = cli.main(
             ["sample", "--n", "8", "--beta", "2", "--delta-re", "0.1",
@@ -354,7 +393,7 @@ class TestOutputFiles:
         "sample": (["sample", "--n", "16", "--beta", "2", "--samples", "3"],
                    _interrupt(cli, "ensemble_gammas", 2)),
         "moments": (["moments", "--n", "50", "--beta", "2", "--delta-re", "0.3"],
-                    _interrupt(cli, "exact_mean_logphi", 2)),
+                    _interrupt(cli, "limit_covariance", 2)),
         "clt": (["clt", "--n", "16", "--beta", "2", "--samples", "5", "--format", "csv"],
                 _interrupt(cli, "ensemble_gammas", 2)),
         "ldp": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],

@@ -4,6 +4,7 @@ commands."""
 
 import csv
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 
 from circjacobi import cli
 
-from oracles import mpmath_moment_row
+from oracles import mpmath_beta2_moment_row, mpmath_moment_row
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+EPS = np.finfo(float).eps
 
 CASES = {
     "moments_n50.csv": [
@@ -83,3 +85,39 @@ def test_moments_n50_golden_values_match_mpmath_sums():
         assert abs(mean.real - ref_mean.real) <= 1e-13 * abs(ref_mean.real)
         assert abs(mean.imag - ref_mean.imag) <= 1e-13 * abs(ref_mean.imag)
         assert np.all(np.abs(cov - ref_cov) <= 1e-13 * np.abs(ref_cov)), m
+
+
+def _csv_rows(name):
+    with open(GOLDEN / name, newline="") as fh:
+        yield from csv.DictReader(fh)
+
+
+def test_moments_n20000_golden_values_match_closed_form_sums():
+    # beta = 2, delta = beta/2 * d * n = 2e4: the Abel-Plana route.  Its
+    # mean is a difference of primitives of size about n log n, so its
+    # rounding floor grows like eps n log n.
+    n = 20_000
+    rows = list(_csv_rows("moments_n20000_d1.csv"))
+    assert len(rows) == 10
+    for row in rows:
+        m = int(row["m"])
+        mean = complex(float(row["exact_mean_re"]), float(row["exact_mean_im"]))
+        cov = np.array(
+            [[row["cov_xx"], row["cov_xy"]], [row["cov_xy"], row["cov_yy"]]], dtype=float
+        )
+        ref_mean, ref_cov = mpmath_beta2_moment_row(n, 2e4, m)
+        assert abs(mean - ref_mean) <= max(1e-13 * abs(ref_mean), 16 * EPS * n * math.log(n)), m
+        assert np.all(np.abs(cov - ref_cov) <= 1e-13 * np.abs(ref_cov)), m
+
+
+def test_sample_golden_centring_matches_mpmath_means():
+    # zeta = values - E values, with the mean from direct mpmath sums; the
+    # bound is a few rounding units of the path values
+    rows = list(_csv_rows("sample_n6_seed7.csv"))
+    assert [int(row["k"]) for row in rows] == list(range(7))
+    for row in rows:
+        k = int(row["k"])
+        values = complex(float(row["re_log_phi"]), float(row["im_log_phi"]))
+        zeta = complex(float(row["re_zeta"]), float(row["im_zeta"]))
+        ref_mean = mpmath_moment_row(6, 2.0, 0.5, k)[0] if k else 0j
+        assert abs(zeta - (values - ref_mean)) <= 8 * EPS * max(1.0, abs(values)), k

@@ -61,14 +61,18 @@ class TestLogPath:
         assert abs(np.exp(path.values[-1]) - prod) <= 1e-12 * abs(prod)
 
     def test_centering_uses_exact_mean(self):
-        p = EnsembleParams(16, 2.0, delta=0.4)
-        s = sp.sample_ensemble(p, 2)
-        path = pr.log_path(s, centered=True)
-        from circjacobi.asymptotics import exact_mean_logphi
+        # one mean route: the path centres with the exact mean's own bits
+        from circjacobi.asymptotics import CROSSOVER_N, exact_mean_logphi
 
-        k = 9
-        expected = path.values[k] - exact_mean_logphi(p, k)
-        assert abs(path.zeta[k] - expected) < 1e-12
+        for params in (
+            EnsembleParams(16, 2.0, delta=0.4),
+            EnsembleParams(40, 1.3, delta=0.2 + 0.3j),
+            EnsembleParams(24, 2.0, scaled_d=0.5 - 0.25j),
+        ):
+            assert params.n <= CROSSOVER_N
+            path = pr.log_path(sp.sample_ensemble(params, 2), centered=True)
+            for k in range(1, params.n + 1):
+                assert path.zeta[k] == path.values[k] - exact_mean_logphi(params, k), k
 
 
 class TestConversions:
