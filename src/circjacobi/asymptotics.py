@@ -91,9 +91,10 @@ class EnsembleParams:
             return self.beta_prime * complex(self.scaled_d) * self.n
         return complex(self.delta) if self.delta is not None else 0j
 
-    def coefficient_ranks(self) -> np.ndarray:
-        """Rank weights r_j = beta' (n - j - 1), j = 0..n-1 (last is 0)."""
-        j = np.arange(self.n)
+    def coefficient_ranks(self, count: Optional[int] = None) -> np.ndarray:
+        """Rank weights r_j = beta' (n - j - 1), j = 0..n-1 (last is 0), or
+        only the ``count`` highest of them, j < count, with the same bits."""
+        j = np.arange(self.n if count is None else count)
         return self.beta_prime * (self.n - 1 - j)
 
 
@@ -124,7 +125,7 @@ def mean_increments(params: EnsembleParams) -> np.ndarray:
 def _direct_sums(params: EnsembleParams, ms: np.ndarray, summand) -> np.ndarray:
     """Row i sums the summand's term over the ms[i] highest rank weights,
     as a prefix sum from the highest rank down."""
-    ranks = params.coefficient_ranks()[: ms.max(initial=0)]
+    ranks = params.coefficient_ranks(ms.max(initial=0))
     return np.cumsum(summand[0](ranks), axis=-1)[..., ms - 1]
 
 

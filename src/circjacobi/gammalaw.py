@@ -7,6 +7,8 @@ proportional to (1-z)^conj(delta) (1-conj(z))^delta.  Everything here --
 normalization constants, Mellin-Fourier moments, the cumulant generating
 function and the cumulants of log(1 - gamma) -- is an explicit Gamma /
 digamma combination evaluated through :mod:`circjacobi.specfun`.
+``cumulants`` also takes a law with an array of rank weights and does all
+of them in one pass.
 
 All operations are pure and stateless.
 """
@@ -33,43 +35,65 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientLaw:
-    """Distribution of one deformed Verblunsky coefficient.
+    """Distribution of one deformed Verblunsky coefficient, or of several
+    that share ``delta``.
 
-    ``r`` is the rank weight (r = 0 selects the circle law); ``delta``
-    is the deformation, constrained by r + 2 Re delta + 1 > 0.
+    ``r`` is the rank weight (r = 0 selects the circle law), or a 1-D array
+    of rank weights, one law each, which only ``cumulants`` takes; ``delta``
+    is the deformation, constrained by r + 2 Re delta + 1 > 0.  A rank
+    array that breaks a constraint raises the DomainError of its lowest
+    rank.
     """
 
     r: float
     delta: complex
 
     def __post_init__(self):
-        if self.r < 0:
-            raise DomainError(f"rank weight must be nonnegative, got {self.r}")
-        if self.r + 2.0 * complex(self.delta).real + 1.0 <= 0.0:
-            raise DomainError(
-                f"need r + 2 Re delta + 1 > 0, got r={self.r}, delta={self.delta}"
-            )
+        r = self.r
+        if np.ndim(r):
+            if np.ndim(r) > 1:
+                raise DomainError(f"rank weights must be a number or a 1-D array, got {r!r}")
+            r = np.min(r, initial=np.inf)
+        if r < 0:
+            raise DomainError(f"rank weight must be nonnegative, got {r}")
+        if r + 2.0 * complex(self.delta).real + 1.0 <= 0.0:
+            raise DomainError(f"need r + 2 Re delta + 1 > 0, got r={r}, delta={self.delta}")
 
 
 @dataclass(frozen=True)
 class CumulantSet:
-    """Mean, (Re, Im) covariance and fourth-moment bound of log(1-gamma)."""
+    """Mean, (Re, Im) covariance and fourth-moment bound of log(1-gamma);
+    arrays with one entry (a 2x2 block for the covariance) per rank when
+    the law has an array of ranks."""
 
     mean: complex
     covariance: np.ndarray = field(repr=False)
     fourth_bound: float
 
     @property
-    def var_re(self) -> float:
-        return float(self.covariance[0, 0])
+    def var_re(self):
+        return _entry(self.covariance[..., 0, 0])
 
     @property
-    def var_im(self) -> float:
-        return float(self.covariance[1, 1])
+    def var_im(self):
+        return _entry(self.covariance[..., 1, 1])
 
     @property
-    def cov_re_im(self) -> float:
-        return float(self.covariance[0, 1])
+    def cov_re_im(self):
+        return _entry(self.covariance[..., 0, 1])
+
+
+def _entry(values: np.ndarray):
+    """A float for one law, the array for a rank array."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _one_rank(law: CoefficientLaw, what: str) -> float:
+    """The law's rank weight; a DomainError for a rank array, which only
+    ``cumulants`` takes."""
+    if np.ndim(law.r):
+        raise DomainError(f"{what} takes one rank weight, got an array of {np.size(law.r)}")
+    return law.r
 
 
 def _log_gammas(*args) -> list:
@@ -103,10 +127,10 @@ def normalization_c(law: CoefficientLaw) -> float:
     respect to planar Lebesgue measure); for r = 0 it is the constant of
     the circle law with respect to d(theta) on (0, 2 pi).
     """
-    d = complex(law.delta)
+    r, d = _one_rank(law, "normalization_c"), complex(law.delta)
     two_re = 2.0 * d.real
-    if law.r > 0:
-        g = log_gamma(np.array([law.r + 1 + d, law.r, law.r + 1 + two_re])).real
+    if r > 0:
+        g = log_gamma(np.array([r + 1 + d, r, r + 1 + two_re])).real
         val = math.exp(2.0 * g[0] - g[1] - g[2]) / math.pi
     else:
         g = log_gamma(np.array([1 + d, 1 + two_re])).real
@@ -121,7 +145,7 @@ def mellin_fourier(law: CoefficientLaw, a: complex, b: complex) -> complex:
     transform of 1 - gamma under the circle law.  Every Gamma argument
     must have positive real part.
     """
-    r, d = law.r, complex(law.delta)
+    r, d = _one_rank(law, "mellin_fourier"), complex(law.delta)
     db = d.conjugate()
     g = _log_gammas(
         (r + 1 + d + db + a + b, "r+1+delta+conj(delta)+a+b"),
@@ -140,7 +164,7 @@ def cgf_Lambda(law: CoefficientLaw, s: float, t: float) -> float:
 
     Real-valued; the six log-gamma terms pair into conjugates.
     """
-    r, d = law.r, complex(law.delta)
+    r, d = _one_rank(law, "cgf_Lambda"), complex(law.delta)
     two_re = 2.0 * d.real
     g = _log_gammas(
         (r + 1 + two_re + 2 * s, "r+1+2Re(delta)+2s"),
@@ -163,19 +187,29 @@ def cumulants(law: CoefficientLaw) -> CumulantSet:
     centered variable A = log(1-gamma) - E log(1-gamma):
     24 (Var Re)^2 + 24 (Var Im)^2 + 8 |k4 Re| + 8 |k4 Im|, with the
     fourth cumulants assembled from Psi''' values.
+
+    A law with an array of ranks gives one mean, 2x2 block and bound per
+    rank, each equal to its one-rank call bit for bit: all ranks share one
+    digamma call on the real arguments r+1+2Re d, one on the complex ones
+    and one polygamma pass for Psi' and Psi'''.  A one-rank law gives a
+    complex, a 2x2 array and a float.
     """
-    r, d = law.r, complex(law.delta)
-    two_re = 2.0 * d.real
-    dg = digamma(np.array([r + 1 + two_re, r + 1 + d.conjugate()])).tolist()
-    mean = dg[0] - dg[1]
-    args = np.array([r + 1 + two_re, r + 1 + d])
-    p1_sym, p1 = polygamma(1, args).tolist()
-    p3_sym, p3 = polygamma(3, args).tolist()
-    var_re = p1_sym.real - 0.5 * p1.real
+    one = np.ndim(law.r) == 0
+    r1, d = np.atleast_1d(np.asarray(law.r, dtype=float)) + 1, complex(law.delta)
+    sym = r1 + 2.0 * d.real
+    mean = digamma(sym) - digamma(r1 + d.conjugate())
+    pg = polygamma((1, 3), r1 + np.array([[2.0 * d.real], [d]]))
+    # one law takes Python numbers, which are faster than arrays of one;
+    # the operations are the same, so are the bits (squares are x * x, as
+    # Python's x**2 goes through pow and can round differently)
+    (p1_sym, p1), (p3_sym, p3) = pg[..., 0].tolist() if one else pg
     var_im = 0.5 * p1.real
+    var_re = p1_sym.real - var_im
     cov = 0.5 * p1.imag
-    k4_re = p3_sym.real - 0.125 * p3.real
     k4_im = -0.125 * p3.real
-    bound = 24.0 * (var_re**2 + var_im**2) + 8.0 * (abs(k4_re) + abs(k4_im))
-    covariance = np.array([[var_re, cov], [cov, var_im]], dtype=float)
-    return CumulantSet(mean=complex(mean), covariance=covariance, fourth_bound=bound)
+    k4_re = p3_sym.real + k4_im
+    bound = 24.0 * (var_re * var_re + var_im * var_im) + 8.0 * (abs(k4_re) + abs(k4_im))
+    if one:
+        return CumulantSet(complex(mean[0]), np.array([[var_re, cov], [cov, var_im]]), bound)
+    covariance = np.stack([var_re, cov, cov, var_im], axis=-1).reshape(-1, 2, 2)
+    return CumulantSet(mean=mean, covariance=covariance, fourth_bound=bound)

@@ -24,13 +24,15 @@ so they are safe for unrestricted concurrent use.
 
 ``log_gamma`` and ``digamma`` are ``scipy.special.loggamma`` and ``psi``
 behind this module's domain checks; ``digamma`` takes scipy's real ``psi``
-on the positive axis.  ``polygamma`` reflects Re z < 1/2
-to the right, shifts every entry below Re z = 10 up in one step of at
-most 10 recurrence terms, and sums the asymptotic Bernoulli series by
-Horner's rule, so each call is a fixed handful of whole-array operations
-whatever its argument.  An entry's value does not depend on the array it
-comes in.  The test suite checks all three against independent oracles
-(``tests/oracles.py``).
+on the positive axis, and a real array there goes to it whole.
+``polygamma`` takes one order or a tuple of orders and evaluates them in
+one pass: it reflects Re z < 1/2 to the right, shifts every entry below
+Re z = 16 up in one step of at most 16 recurrence terms, and sums the
+asymptotic series with the eight Bernoulli numbers B_2..B_16 by Horner's
+rule, so each call is a fixed handful of whole-array operations whatever
+its argument and however many orders it takes.  An entry's value does not
+depend on the array it comes in, nor on the other orders.  The test suite
+checks all three against independent oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class QuadratureError(RuntimeError):
         return f"{self.args[0]} (achieved tolerance {self.achieved:.3e})"
 
 
-# Bernoulli numbers B_2, B_4, ..., B_30.
+# Bernoulli numbers B_2, B_4, ..., B_16.
 _BERNOULLI = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -86,19 +88,13 @@ _BERNOULLI = (
     -691.0 / 2730.0,
     7.0 / 6.0,
     -3617.0 / 510.0,
-    43867.0 / 798.0,
-    -174611.0 / 330.0,
-    854513.0 / 138.0,
-    -236364091.0 / 2730.0,
-    8553103.0 / 6.0,
-    -23749461029.0 / 870.0,
-    8615841276005.0 / 14322.0,
 )
 
-# Shift threshold: with Re w >= 10 the truncated Bernoulli series is
-# accurate well below 1e-15 relative.  After reflection Re w >= 1/2, so
-# no entry needs more than 10 shifts.
-_SHIFT_RE = 10.0
+# Shift threshold: with Re w >= 16 the series truncated after B_16 is
+# accurate well below 1e-16 relative (its next term is below 1e-18 of the
+# leading one).  After reflection Re w >= 1/2, so no entry needs more than
+# 16 shifts.
+_SHIFT_RE = 16.0
 _SHIFTS = np.arange(int(_SHIFT_RE))
 
 # Psi^(q)(w) ~ (a + (b + S(1/w^2) / w) / w) / w^q with (a, b) = _PG_LEAD[q]
@@ -112,6 +108,17 @@ _PG_COEFFS = {
     )[::-1]
     for q in (1, 2, 3)
 }
+
+
+@lru_cache(maxsize=16)
+def _pg_table(orders: Tuple[int, ...]):
+    """Per-order constants of ``polygamma`` as columns, one row per order:
+    q, the shift exponent -(q+1), the shift factor (-1)^(q+1) q!, the
+    reflection sign (-1)^q, a, b and the Horner coefficients."""
+    rows = [(q, (-1.0) ** (q + 1) * math.factorial(q), (-1.0) ** q, *_PG_LEAD[q], *_PG_COEFFS[q])
+            for q in orders]
+    q, shift_c, sign, a, b, *coeffs = np.array(rows, dtype=float).T.copy()[:, :, None]
+    return q, (-q - 1)[..., None], shift_c, sign, a, b, coeffs
 
 
 def _as_complex_array(z) -> Tuple[np.ndarray, bool]:
@@ -134,9 +141,14 @@ def _check_domain(z: np.ndarray, what: str, cut: bool) -> None:
 
 
 def _finite(out: np.ndarray, scalar: bool, what: str):
+    """``out``, or for a scalar argument its last axis's one entry (a
+    complex when no other axis is left); OverflowError if not finite."""
     if not np.isfinite(out).all():
         raise OverflowError(f"{what} overflow: argument magnitude too large")
-    return complex(out[0]) if scalar else out
+    if not scalar:
+        return out
+    out = out[..., 0]
+    return complex(out) if out.ndim == 0 else out
 
 
 def log_gamma(z):
@@ -155,41 +167,56 @@ def digamma(z):
 
     Satisfies Psi(z+1) = Psi(z) + 1/z to better than 1e-12 relative.
     """
-    arr, scalar = _as_complex_array(z)
-    _check_domain(arr, "digamma", cut=False)
     # on (0, inf) scipy's real psi is accurate to about 1e-16, and faster;
-    # its complex one is accurate to about 2e-15
-    axis = (arr.imag == 0.0) & (arr.real > 0.0)
-    out = np.empty_like(arr) if axis.all() else special.psi(arr)
-    out[axis] = special.psi(arr.real[axis])
+    # its complex one is accurate to about 2e-15.  An array with every
+    # entry there goes to it whole, others entry by entry.
+    x = np.asarray(z)
+    if x.dtype.kind == "c" and not x.imag.any():
+        x = x.real
+    if x.dtype == np.float64 and (x > 0.0).all():
+        out = special.psi(np.atleast_1d(x)).astype(np.complex128)
+        return _finite(out, x.ndim == 0, "digamma")
+    arr, scalar = _as_complex_array(x)
+    _check_domain(arr, "digamma", cut=False)
+    out = special.psi(arr)
+    axis = arr.imag == 0.0
+    if axis.any():
+        axis &= arr.real > 0.0
+        out[axis] = special.psi(arr.real[axis])
     return _finite(out, scalar, "digamma")
 
 
-def _cot_derivative(q: int, z: np.ndarray) -> np.ndarray:
-    """-pi (d/dz)^q cot(pi z): pi^2 u, -2 pi^3 c u and 2 pi^4 u (3u - 2) for
-    q = 1, 2, 3, with c = cot(pi z) and u = 1 + c^2 after Re z is reduced
-    mod 1.  u = -4 e / (e - 1)^2 with e = exp(2 pi i sign(Im z) z), so
-    |e| <= 1 and nothing overflows; c = 1 / tan(pi z), or -tan(pi (z -+ 1/2))
-    for |Re z| > 1/4, which keeps its zero at Re z = +-1/2 sharp."""
+def _cot_derivative(orders, z: np.ndarray) -> np.ndarray:
+    """-pi (d/dz)^q cot(pi z) for each q of ``orders``, one row each:
+    pi^2 u, -2 pi^3 c u and 2 pi^4 u (3u - 2) for q = 1, 2, 3, with
+    c = cot(pi z) and u = 1 + c^2 after Re z is reduced mod 1.
+    u = -4 e / (e - 1)^2 with e = exp(2 pi i sign(Im z) z), so |e| <= 1 and
+    nothing overflows; c = 1 / tan(pi z), or -tan(pi (z -+ 1/2)) for
+    |Re z| > 1/4, which keeps its zero at Re z = +-1/2 sharp."""
     x = z.real - np.round(z.real)
     s = np.where(z.imag < 0.0, -1.0, 1.0)
     arg = -2.0 * math.pi * np.abs(z.imag) + 2j * math.pi * (s * x)
     u = -4.0 * np.exp(arg) / np.expm1(arg) ** 2
-    if q == 1:
-        return math.pi**2 * u
-    if q == 3:
-        return 2.0 * math.pi**4 * u * (3.0 * u - 2.0)
-    far = np.abs(x) > 0.25
-    t = np.tan(math.pi * (x - np.where(far, np.copysign(0.5, x), 0.0) + 1j * z.imag))
-    return -2.0 * math.pi**3 * np.divide(1.0, t, out=-t, where=~far) * u
+    rows = []
+    for q in orders:
+        if q == 1:
+            rows.append(math.pi**2 * u)
+        elif q == 3:
+            rows.append(2.0 * math.pi**4 * u * (3.0 * u - 2.0))
+        else:
+            far = np.abs(x) > 0.25
+            t = np.tan(math.pi * (x - np.where(far, np.copysign(0.5, x), 0.0) + 1j * z.imag))
+            rows.append(-2.0 * math.pi**3 * np.divide(1.0, t, out=-t, where=~far) * u)
+    return np.array(rows)
 
 
 def _horner(u: np.ndarray, coeffs) -> np.ndarray:
-    """sum_i coeffs[-1-i] u^i.  Long arrays are updated in place to save
-    allocations; short ones are not, as numpy's in-place call costs more
-    than a small new array.  Same operations, so the same bits, either way."""
+    """sum_i coeffs[-1-i] u^i, where each coefficient is a column with one
+    row per order.  Long arrays are updated in place to save allocations;
+    short ones are not, as numpy's in-place call costs more than a small
+    new array.  Same operations, so the same bits, either way."""
     out = coeffs[0] * u
-    if u.size > 64:
+    if out.size > 64:
         for c in coeffs[1:-1]:
             out += c
             out *= u
@@ -199,38 +226,47 @@ def _horner(u: np.ndarray, coeffs) -> np.ndarray:
     return out + coeffs[-1]
 
 
-def polygamma(q: int, z):
+def polygamma(q, z):
     """Polygamma Psi^(q) for q in {1, 2, 3}; scipy's is real-only.
 
-    Arguments with Re z < 1/2 are reflected,
-    Psi^(q)(z) = (-1)^q Psi^(q)(1-z) - pi (d/dz)^q cot(pi z).  Every entry
-    with Re w < 10 then moves up by the recurrence in one step, on a grid
-    of at most 10 columns, and the asymptotic Bernoulli series is summed
-    by Horner's rule in 1/w^2.  Higher orders are out of scope.
+    ``q`` is one order, or a tuple of orders evaluated in one pass: the
+    result then has a leading axis with one row per order, and each row
+    equals the one-order call bit for bit.  Arguments with Re z < 1/2 are
+    reflected, Psi^(q)(z) = (-1)^q Psi^(q)(1-z) - pi (d/dz)^q cot(pi z).
+    Every entry with Re w < 16 then moves up by the recurrence in one
+    step, on a grid of at most 16 columns, and the asymptotic series with
+    the eight Bernoulli numbers B_2..B_16 is summed by Horner's rule in
+    1/w^2.  Higher orders are out of scope.
     """
-    if q not in (1, 2, 3):
-        raise DomainError(f"polygamma order must be 1, 2 or 3, got {q}")
+    orders = q if isinstance(q, tuple) else (q,)
+    for order in orders:
+        if order not in (1, 2, 3):
+            raise DomainError(f"polygamma order must be 1, 2 or 3, got {order}")
+    qs, exps, shift_c, sign, a, b, coeffs = _pg_table(orders)
     arr, scalar = _as_complex_array(z)
-    _check_domain(arr, "polygamma", cut=False)
-    left = arr.real < 0.5
-    reflect = left.any()
-    w = np.where(left, 1.0 - arr, arr) if reflect else arr
-    # Psi^(q)(w) = Psi^(q)(w + k) + (-1)^(q+1) q! sum_{j<k} (w + j)^-(q+1)
-    low = w.real < _SHIFT_RE
-    shift_sum = 0.0
-    if low.any():
-        w_low = w[low]
-        k = np.ceil(_SHIFT_RE - w_low.real)
-        terms = np.where(_SHIFTS < k[:, None], (w_low[:, None] + _SHIFTS) ** (-q - 1), 0.0)
-        shift_sum = np.zeros_like(w)
-        shift_sum[low] = (-1.0) ** (q + 1) * math.factorial(q) * terms.sum(axis=1)
-        w = w.copy()
-        w[low] = w_low + k
-    a, b = _PG_LEAD[q]
-    out = (a + (b + _horner(1.0 / (w * w), _PG_COEFFS[q]) / w) / w) / w**q + shift_sum
+    shape, arr = arr.shape, arr.ravel()
+    w, reflect, shift_sum = arr, False, 0.0
+    # entries with Re z >= 16 need neither reflection nor shift
+    if not arr.real.min(initial=_SHIFT_RE) >= _SHIFT_RE:
+        _check_domain(arr, "polygamma", cut=False)
+        left = arr.real < 0.5
+        reflect = left.any()
+        w = np.where(left, 1.0 - arr, arr) if reflect else arr
+        # Psi^(q)(w) = Psi^(q)(w + k) + (-1)^(q+1) q! sum_{j<k} (w + j)^-(q+1)
+        low = w.real < _SHIFT_RE
+        if low.any():
+            w_low = w[low]
+            k = np.ceil(_SHIFT_RE - w_low.real)
+            terms = np.where(_SHIFTS < k[:, None], (w_low[:, None] + _SHIFTS) ** exps, 0.0)
+            shift_sum = np.zeros((len(orders), w.size), dtype=np.complex128)
+            shift_sum[:, low] = shift_c * terms.sum(axis=-1)
+            w = w.copy()
+            w[low] = w_low + k
+    out = (a + (b + _horner(1.0 / (w * w), coeffs) / w) / w) / w**qs + shift_sum
     if reflect:
-        out[left] = (-1.0) ** q * out[left] + _cot_derivative(q, arr[left])
-    return _finite(out, scalar, "polygamma")
+        out[:, left] = sign * out[:, left] + _cot_derivative(orders, arr[left])
+    out = out.reshape((len(orders),) + shape)
+    return _finite(out if isinstance(q, tuple) else out[0], scalar, "polygamma")
 
 
 def entropy_J(u):

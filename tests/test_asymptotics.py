@@ -57,10 +57,7 @@ class TestExactMean:
     def test_matches_cumulant_sum(self):
         p = asy.EnsembleParams(40, 2.5, delta=0.4 + 0.2j)
         m = 17
-        ranks = p.coefficient_ranks()[:m]
-        brute = sum(
-            gl.cumulants(gl.CoefficientLaw(r, p.effective_delta)).mean for r in ranks
-        )
+        brute = gl.cumulants(gl.CoefficientLaw(p.coefficient_ranks(m), p.effective_delta)).mean.sum()
         assert asy.exact_mean_logphi(p, m) == pytest.approx(brute, abs=1e-12)
 
     def test_first_regime_profile(self):
@@ -164,6 +161,28 @@ class TestMomentTables:
         asy.exact_cov_zeta(p, ms)
         assert calls == [100, 100]
 
+    def test_short_direct_row_builds_only_its_ranks(self, monkeypatch):
+        # a row of m terms evaluates m rank weights, not n, and equals the
+        # matching row of the full table bit for bit
+        p = asy.EnsembleParams(10**4, 2.0, delta=0.3 + 0.2j)
+        assert np.array_equal(p.coefficient_ranks(100), p.coefficient_ranks()[:100])
+        all_rows = np.arange(1, p.n + 1)
+        means, covs = asy.exact_mean_logphi(p, all_rows), asy.exact_cov_zeta(p, all_rows)
+        sizes = []
+
+        def counted(f):
+            return lambda *args: sizes.append(np.size(args[-1])) or f(*args)
+
+        monkeypatch.setattr(asy, "digamma", counted(asy.digamma))
+        monkeypatch.setattr(asy, "polygamma", counted(asy.polygamma))
+        for m in (1, 100, 5_000):
+            sizes.clear()
+            assert asy.exact_mean_logphi(p, m) == means[m - 1]
+            assert np.array_equal(asy.exact_cov_zeta(p, m), covs[m - 1])
+            # two digamma calls for the mean, one polygamma call on both
+            # of the covariance's arguments
+            assert sizes == [m, m, 2 * m], m
+
 
 class TestExactCov:
     def test_real_deformation_diagonal(self):
@@ -174,11 +193,8 @@ class TestExactCov:
     def test_brute_force_cumulants(self):
         p = asy.EnsembleParams(50, 2.0, delta=0.4 + 0.3j)
         m = 20
-        ranks = p.coefficient_ranks()[:m]
-        brute = sum(
-            gl.cumulants(gl.CoefficientLaw(r, p.effective_delta)).covariance
-            for r in ranks
-        )
+        cums = gl.cumulants(gl.CoefficientLaw(p.coefficient_ranks(m), p.effective_delta))
+        brute = cums.covariance.sum(axis=0)
         assert np.max(np.abs(asy.exact_cov_zeta(p, m) - brute)) < 1e-12
 
     def test_log_n_scaling_accelerated(self):

@@ -264,3 +264,55 @@ class TestCumulants:
         cre, cim = lg.real - lg.real.mean(), lg.imag - lg.imag.mean()
         assert abs((cre**2).mean() - cs.var_re) < 4 * (cre**2).std() / root
         assert abs((cre * cim).mean() - cs.cov_re_im) < 4 * (cre * cim).std() / root
+
+
+class TestCumulantsOverRanks:
+    # r = 0 (the circle law), ranks whose arguments sit around the shift
+    # threshold of polygamma, and large ranks
+    RANKS = np.array([0.0, 0.5, 1.0, 2.0, 13.9, 14.4, 15.0, 40.0, 1e3, 1e8])
+
+    @staticmethod
+    def same_bits(a, b) -> bool:
+        a, b = np.atleast_1d(a), np.atleast_1d(b)
+        return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("delta", [0.3 + 0.2j, 0.5, 0.0, -0.4 + 1.0j, 2.5 - 3.0j])
+    def test_rank_array_equals_per_law_calls(self, delta):
+        many = gl.cumulants(gl.CoefficientLaw(self.RANKS, delta))
+        size = self.RANKS.size
+        assert many.mean.shape == (size,) and many.fourth_bound.shape == (size,)
+        assert many.covariance.shape == (size, 2, 2)
+        assert many.var_re.shape == many.var_im.shape == many.cov_re_im.shape == (size,)
+        for i, r in enumerate(self.RANKS.tolist()):
+            one = gl.cumulants(gl.CoefficientLaw(r, delta))
+            assert type(one.mean) is complex and type(one.fourth_bound) is float
+            assert one.covariance.shape == (2, 2) and type(one.var_re) is float
+            assert self.same_bits(one.mean, many.mean[i]), r
+            assert self.same_bits(one.covariance, many.covariance[i]), r
+            assert self.same_bits(one.fourth_bound, many.fourth_bound[i]), r
+
+    @pytest.mark.parametrize(
+        "ranks, delta, bad",
+        [([3.0, -2.0, 1.0, -0.5], 0.3, -2.0), ([3.0, 0.1, 1.0], -0.6 + 0.2j, 0.1)],
+        ids=["negative-rank", "constraint"],
+    )
+    def test_bad_rank_raises_its_own_error(self, ranks, delta, bad):
+        with pytest.raises(sf.DomainError) as one:
+            gl.CoefficientLaw(bad, delta)
+        with pytest.raises(sf.DomainError) as many:
+            gl.CoefficientLaw(np.array(ranks), delta)
+        assert str(many.value) == str(one.value)
+        assert str(bad) in str(many.value)
+
+    def test_ranks_must_be_one_axis(self):
+        with pytest.raises(sf.DomainError, match="1-D"):
+            gl.CoefficientLaw(np.ones((2, 2)), 0.3)
+
+    def test_one_rank_functions_reject_a_rank_array(self):
+        law = gl.CoefficientLaw(np.array([1.0, 2.0]), 0.3)
+        with pytest.raises(sf.DomainError, match="normalization_c takes one rank"):
+            gl.normalization_c(law)
+        with pytest.raises(sf.DomainError, match="mellin_fourier takes one rank"):
+            gl.mellin_fourier(law, 0.1, 0.1)
+        with pytest.raises(sf.DomainError, match="cgf_Lambda takes one rank"):
+            gl.cgf_Lambda(law, 0.1, 0.1)

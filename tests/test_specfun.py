@@ -24,6 +24,11 @@ LGAMMA_3_4I = -1.7566267846037913 + 4.742664438034658j
 DIGAMMA_1_I = 0.09465032062247702 + 1.0766740474685812j
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestLogGamma:
     def test_at_one(self):
         assert sf.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
@@ -117,6 +122,21 @@ class TestDigamma:
         assert mixed[0].imag == 0.0 and mixed[0] == sf.digamma(0.7)
         assert abs(mixed[2] - mpmath_polygamma(0, 2.0)) <= 1e-15 * abs(mixed[2])
 
+    def test_real_array_equals_complex_call(self):
+        # a float array takes scipy's real psi whole; the complex call takes
+        # it entry by entry on the axis, so the bits agree
+        x = np.concatenate([np.geomspace(1e-3, 1e8, 40), [0.7, 2.0, 16.0]])
+        real = sf.digamma(x)
+        assert real.dtype == np.complex128 and real.shape == x.shape
+        assert same_bits(real, sf.digamma(x.astype(np.complex128)))
+        assert same_bits(real, sf.digamma(np.append(x, 1 + 1j))[:-1])
+        assert sf.digamma(2.0) == real[-2] and type(sf.digamma(2.0)) is complex
+        # off the positive axis a float array is a complex one
+        left = np.array([-0.5, -3.7, 2.0])
+        assert same_bits(sf.digamma(left), sf.digamma(left.astype(np.complex128)))
+        with pytest.raises(sf.PoleError):
+            sf.digamma(np.array([2.0, -1.0]))
+
     def test_monotone_bounds(self):
         # 0 < x (log x - Psi(x)) <= 1 and 0 < log x - Psi(x) - 1/(2x) <= 1/(12 x^2)
         for x in np.geomspace(0.05, 500.0, 60):
@@ -182,10 +202,44 @@ class TestPolygamma:
             assert abs(d3 - sf.polygamma(3, z)) < 1e-7
 
 
+# Reflected entries (Re z < 1/2), entries just below and at the shift
+# threshold Re w = 16, and large ones.
+MIXED = np.array(
+    [-3.5 + 0.4j, -0.2 - 2j, -7.5 + 1e-3j, 0.3 + 0.2j, 0.49, 15.99, 15.99 - 0.5j,
+     16.0, 16.0 + 3j, 40.0 - 7j, 1e3 + 1e3j, 1e8 + 1j]
+)
+
+
+class TestPolygammaOrders:
+    @pytest.mark.parametrize("orders", [(1, 3), (3, 1), (1, 2, 3), (2,)])
+    def test_tuple_rows_equal_one_order_calls(self, orders):
+        rows = sf.polygamma(orders, MIXED)
+        assert rows.shape == (len(orders), MIXED.size)
+        for q, row in zip(orders, rows):
+            assert same_bits(row, sf.polygamma(q, MIXED)), q
+        # a scalar gives one value per order, a 2-D array keeps its shape
+        z = complex(MIXED[1])
+        assert same_bits(sf.polygamma(orders, z), [sf.polygamma(q, z) for q in orders])
+        grid = MIXED.reshape(3, 4)
+        assert same_bits(sf.polygamma(orders, grid), [sf.polygamma(q, grid) for q in orders])
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_mixed_grid_against_mpmath(self, q):
+        for z, value in zip(MIXED.tolist(), sf.polygamma(q, MIXED).tolist()):
+            ref = mpmath_polygamma(q, z)
+            assert abs(value - ref) <= 1e-13 * abs(ref), z
+
+    def test_bad_order_in_tuple(self):
+        with pytest.raises(sf.DomainError, match="got 4"):
+            sf.polygamma((1, 4), 2.0)
+        with pytest.raises(sf.PoleError):
+            sf.polygamma((1, 3), np.array([2.0, -3.0]))
+
+
 class TestFarLeft:
     """Far into the left half-plane every function takes a bounded number
     of steps: log_gamma and digamma reflect inside scipy, polygamma
-    reflects to Re z > 1/2 and shifts at most 10 times."""
+    reflects to Re z > 1/2 and shifts at most 16 times."""
 
     POINTS = (-1e6 + 1j, -1e4 + 0.5j, -3.5 + 0.4j)
 
