@@ -113,7 +113,9 @@ def _cov_summand(params: EnsembleParams):
     """The covariance's terms Psi'(x+1+2 Re d) and Psi'(x+1+d), stacked on
     a leading axis, and their primitive in x."""
     d = params.effective_delta
-    alpha = np.array([[2 * d.real], [d]])
+    # a real deformation keeps alpha real, so real ranks take polygamma's
+    # real-arithmetic route
+    alpha = np.array([[2 * d.real], [d if d.imag else d.real]])
     return lambda x: polygamma(1, x + 1 + alpha), lambda x: digamma(x + 1 + alpha)
 
 
@@ -142,8 +144,11 @@ def _abel_plana_sums(params: EnsembleParams, ms: np.ndarray, summand) -> np.ndar
     def anti(k):
         return primitive(bp * (k - 1)) / bp
 
+    # a real deformation makes both summands real on the real axis, so the
+    # boundary line x-iy is the mirror image of x+iy
     full = ms == n
-    sums = abel_plana_sum(g, anti, np.where(full, 1, n - ms), n)
+    real = params.effective_delta.imag == 0
+    sums = abel_plana_sum(g, anti, np.where(full, 1, n - ms), n, conjugate_symmetric=real)
     if full.any():
         sums = sums + np.where(full, g(np.ones(1, dtype=np.complex128)), 0.0)
     return sums

@@ -16,7 +16,11 @@ A sum from m to n is A(n) - A(m) for an endpoint function A, so lower
 ends share the end n.  A's boundary integral is a composite Gauss-Legendre
 rule on fixed panels whose order doubles until two orders agree, for each
 endpoint on its own; each order calls the summand once, on the lines
-x +- iy of every endpoint not yet done.  Nodes come from one cache
+x +- iy of every endpoint not yet done.  A caller whose summand satisfies
+g(conj t) = conj g(t) bit for bit (real on the real axis, with arithmetic
+odd in Im t, as numpy's and scipy's complex functions are) may say so with
+``conjugate_symmetric=True``; the summand is then called on the lines
+x + iy only, which halves the work.  Nodes come from one cache
 (``_gauss_nodes``), shared with the equilibrium quadrature.
 
 All functions accept scalars or numpy arrays and are pure and stateless,
@@ -30,9 +34,11 @@ one pass: it reflects Re z < 1/2 to the right, shifts every entry below
 Re z = 16 up in one step of at most 16 recurrence terms, and sums the
 asymptotic series with the eight Bernoulli numbers B_2..B_16 by Horner's
 rule, so each call is a fixed handful of whole-array operations whatever
-its argument and however many orders it takes.  An entry's value does not
-depend on the array it comes in, nor on the other orders.  The test suite
-checks all three against independent oracles (``tests/oracles.py``).
+its argument and however many orders it takes.  A real array on
+[1/2, inf) takes the same operations in real arithmetic, with the same
+bits.  An entry's value does not depend on the array it comes in, nor on
+the other orders.  The test suite checks all three against independent
+oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -111,13 +117,16 @@ _PG_COEFFS = {
 
 
 @lru_cache(maxsize=16)
-def _pg_table(orders: Tuple[int, ...]):
-    """Per-order constants of ``polygamma`` as columns, one row per order:
-    q, the shift exponent -(q+1), the shift factor (-1)^(q+1) q!, the
-    reflection sign (-1)^q, a, b and the Horner coefficients."""
+def _pg_table(orders: Tuple[int, ...], dtype):
+    """Per-order constants of ``polygamma`` as columns of ``dtype``, one row
+    per order: q, the shift exponent -(q+1), the shift factor
+    (-1)^(q+1) q!, the reflection sign (-1)^q, a, b and the Horner
+    coefficients.  The complex route takes complex128 columns, so its
+    products need no cast (the cast gives the same operands, so the same
+    bits); the real route takes float64 ones."""
     rows = [(q, (-1.0) ** (q + 1) * math.factorial(q), (-1.0) ** q, *_PG_LEAD[q], *_PG_COEFFS[q])
             for q in orders]
-    q, shift_c, sign, a, b, *coeffs = np.array(rows, dtype=float).T.copy()[:, :, None]
+    q, shift_c, sign, a, b, *coeffs = np.array(rows, dtype=dtype).T.copy()[:, :, None]
     return q, (-q - 1)[..., None], shift_c, sign, a, b, coeffs
 
 
@@ -226,6 +235,75 @@ def _horner(u: np.ndarray, coeffs) -> np.ndarray:
     return out + coeffs[-1]
 
 
+def _recip_power(w: np.ndarray, n: int) -> np.ndarray:
+    """1 / w^n for n = 1..4 as numpy's complex power forms w^n (w, w*w,
+    w*(w*w), (w*w)*(w*w)), so a real w gets the complex route's bits."""
+    if n == 1:
+        return 1.0 / w
+    w2 = w * w
+    return 1.0 / (w2 if n == 2 else w * w2 if n == 3 else w2 * w2)
+
+
+def _shift(w: np.ndarray, low: np.ndarray, powers: Callable, shift_c: np.ndarray):
+    """Psi^(q)(w) = Psi^(q)(w + k) + (-1)^(q+1) q! sum_{j<k} (w + j)^-(q+1)
+    with k = ceil(16 - Re w), on the entries ``low``: returns w with those
+    entries moved up and the sums, one row per order.  ``powers`` maps the
+    grid of w + j, j < 16, to one grid of powers per order; the cells
+    j >= k are zeroed.  A real grid is summed in the order numpy sums a
+    complex row of 16 (four running sums over every fourth column, then
+    added in pairs), so a real w gets the complex route's bits."""
+    w_low = w[low]
+    k = np.ceil(_SHIFT_RE - w_low.real)
+    grid = np.where(_SHIFTS < k[:, None], powers(w_low[:, None] + _SHIFTS), 0.0)
+    if w.dtype.kind == "c":
+        sums = grid.sum(axis=-1)
+    else:
+        g = grid.reshape(grid.shape[:-1] + (4, 4))
+        acc = ((g[..., 0, :] + g[..., 1, :]) + g[..., 2, :]) + g[..., 3, :]
+        sums = (acc[..., 0] + acc[..., 1]) + (acc[..., 2] + acc[..., 3])
+    shift_sum = np.zeros((len(shift_c), w.size), dtype=w.dtype)
+    shift_sum[:, low] = shift_c * sums
+    w = w.copy()
+    w[low] = w_low + k
+    return w, shift_sum
+
+
+def _polygamma_complex(orders, arr: np.ndarray) -> np.ndarray:
+    """Reflection, shift and series in complex arithmetic, for any z."""
+    qs, exps, shift_c, sign, a, b, coeffs = _pg_table(orders, np.complex128)
+    w, reflect, shift_sum = arr, False, 0.0
+    # entries with Re z >= 16 need neither reflection nor shift
+    if not arr.real.min(initial=_SHIFT_RE) >= _SHIFT_RE:
+        _check_domain(arr, "polygamma", cut=False)
+        left = arr.real < 0.5
+        reflect = left.any()
+        w = np.where(left, 1.0 - arr, arr) if reflect else arr
+        low = w.real < _SHIFT_RE
+        if low.any():
+            w, shift_sum = _shift(w, low, lambda p: p**exps, shift_c)
+    out = (a + (b + _horner(1.0 / (w * w), coeffs) / w) / w) / w**qs + shift_sum
+    if reflect:
+        out[:, left] = sign * out[:, left] + _cot_derivative(orders, arr[left])
+    return out
+
+
+def _polygamma_real(orders, x: np.ndarray) -> np.ndarray:
+    """The complex route's operations for real x >= 1/2 (no reflection), in
+    real arithmetic: numpy's complex divide forms y / w as y * (1 / w), and
+    powers come from ``_recip_power``, so the bits are the same."""
+    _, _, shift_c, _, a, b, coeffs = _pg_table(orders, np.float64)
+    w, shift_sum = x, 0.0
+    low = x < _SHIFT_RE
+    if low.any():
+        def powers(p):
+            return np.array([_recip_power(p, q + 1) for q in orders])
+
+        w, shift_sum = _shift(x, low, powers, shift_c)
+    inv = 1.0 / w
+    lead = np.array([_recip_power(w, q) for q in orders])
+    return (a + (b + _horner(1.0 / (w * w), coeffs) * inv) * inv) * lead + shift_sum
+
+
 def polygamma(q, z):
     """Polygamma Psi^(q) for q in {1, 2, 3}; scipy's is real-only.
 
@@ -236,36 +314,23 @@ def polygamma(q, z):
     Every entry with Re w < 16 then moves up by the recurrence in one
     step, on a grid of at most 16 columns, and the asymptotic series with
     the eight Bernoulli numbers B_2..B_16 is summed by Horner's rule in
-    1/w^2.  Higher orders are out of scope.
+    1/w^2.  A float64 argument with every entry finite and >= 1/2 takes
+    the same operations in real arithmetic, with the same bits; the result
+    is complex either way.  Higher orders are out of scope.
     """
     orders = q if isinstance(q, tuple) else (q,)
     for order in orders:
         if order not in (1, 2, 3):
             raise DomainError(f"polygamma order must be 1, 2 or 3, got {order}")
-    qs, exps, shift_c, sign, a, b, coeffs = _pg_table(orders)
-    arr, scalar = _as_complex_array(z)
-    shape, arr = arr.shape, arr.ravel()
-    w, reflect, shift_sum = arr, False, 0.0
-    # entries with Re z >= 16 need neither reflection nor shift
-    if not arr.real.min(initial=_SHIFT_RE) >= _SHIFT_RE:
-        _check_domain(arr, "polygamma", cut=False)
-        left = arr.real < 0.5
-        reflect = left.any()
-        w = np.where(left, 1.0 - arr, arr) if reflect else arr
-        # Psi^(q)(w) = Psi^(q)(w + k) + (-1)^(q+1) q! sum_{j<k} (w + j)^-(q+1)
-        low = w.real < _SHIFT_RE
-        if low.any():
-            w_low = w[low]
-            k = np.ceil(_SHIFT_RE - w_low.real)
-            terms = np.where(_SHIFTS < k[:, None], (w_low[:, None] + _SHIFTS) ** exps, 0.0)
-            shift_sum = np.zeros((len(orders), w.size), dtype=np.complex128)
-            shift_sum[:, low] = shift_c * terms.sum(axis=-1)
-            w = w.copy()
-            w[low] = w_low + k
-    out = (a + (b + _horner(1.0 / (w * w), coeffs) / w) / w) / w**qs + shift_sum
-    if reflect:
-        out[:, left] = sign * out[:, left] + _cot_derivative(orders, arr[left])
-    out = out.reshape((len(orders),) + shape)
+    x = np.asarray(z)
+    # the dtype decides first, so complex input pays no scan of its values
+    if x.dtype == np.float64 and x.min(initial=1.0) >= 0.5 and x.max(initial=1.0) < math.inf:
+        arr, scalar = np.atleast_1d(x), x.ndim == 0
+        out = _polygamma_real(orders, arr.ravel()).astype(np.complex128)
+    else:
+        arr, scalar = _as_complex_array(x)
+        out = _polygamma_complex(orders, arr.ravel())
+    out = out.reshape((len(orders),) + arr.shape)
     return _finite(out if isinstance(q, tuple) else out[0], scalar, "polygamma")
 
 
@@ -354,7 +419,7 @@ def _boundary_quad(f: Callable, x: np.ndarray) -> np.ndarray:
     raise QuadratureError("Abel-Plana boundary integral did not converge", float(err.max()))
 
 
-def abel_plana_sum(g: Callable, primitive: Callable, m, n: int):
+def abel_plana_sum(g: Callable, primitive: Callable, m, n: int, conjugate_symmetric: bool = False):
     """Sum g(m+1) + ... + g(n) by the Abel-Plana formula, for an int ``m``
     or for each entry of an int array of lower ends ``m``.
 
@@ -369,18 +434,27 @@ def abel_plana_sum(g: Callable, primitive: Callable, m, n: int):
     exp(2 pi |Im t|) there; its antiderivative ``primitive`` is called
     once, on the array of endpoints.  An int ``m`` and a one-axis ``g``
     give a complex.
+
+    ``conjugate_symmetric=True`` asserts g(conj t) = conj g(t) bit for bit,
+    as holds for a summand real on the real axis (Schwarz reflection) whose
+    arithmetic is odd in Im t.  g is then evaluated on the lines x+iy only
+    and g(x-iy) is taken as its conjugate, which halves the work; if the
+    assertion is false, so is the sum.
     """
     lows = np.asarray(m)
     if lows.ndim > 1 or not (lows < n).all():
         raise DomainError(f"abel_plana_sum needs m < n, got {m}, {n}")
     x = np.append(lows, n).astype(np.complex128)
+    lines = np.array([1j] if conjugate_symmetric else [1j, -1j])[:, None, None]
 
     def jump(x, y):
-        # g on the lines x+iy and x-iy of every endpoint, in one call
-        t = x[:, None] + np.array([1j, -1j])[:, None, None] * y
+        # g on the line x+iy of every endpoint, and on x-iy unless it is
+        # the mirror image, in one call
+        t = x[:, None] + lines * y
         v = g(t.ravel())
         v = v.reshape(v.shape[:-1] + t.shape)
-        return v[..., 0, :, :] - v[..., 1, :, :]
+        upper = v[..., 0, :, :]
+        return upper - (np.conj(upper) if conjugate_symmetric else v[..., 1, :, :])
 
     # the primitive's increment is taken apart from the small rest of A,
     # whose digits it would otherwise round away

@@ -88,8 +88,9 @@ class TestAcceleration:
             asy.EnsembleParams(10_000, 2.0, delta=0.3 + 0.2j),
             asy.EnsembleParams(10_000, 3.7, scaled_d=0.4 + 0.3j),
             asy.EnsembleParams(1000, 0.8, scaled_d=1.2),
+            asy.EnsembleParams(10_000, 2.0, delta=0.5),
         ],
-        ids=["n1e2", "n1e3", "n1e4", "scaled", "smallbeta"],
+        ids=["n1e2", "n1e3", "n1e4", "scaled", "smallbeta", "n1e4-real"],
     )
     def test_mean_crossover_agreement(self, params):
         n = params.n
@@ -101,13 +102,26 @@ class TestAcceleration:
 
     def test_cov_crossover_agreement(self):
         # both trigamma sums, at alpha = 2 Re delta and alpha = delta
-        params = asy.EnsembleParams(10_000, 2.0, delta=0.3 + 0.2j)
+        self._cov_crossover(asy.EnsembleParams(10_000, 2.0, delta=0.3 + 0.2j))
+
+    def test_cov_crossover_agreement_real_delta(self):
+        # a real delta takes polygamma's real route on the direct side and
+        # one boundary line on the Abel-Plana side
+        self._cov_crossover(asy.EnsembleParams(10_000, 2.0, delta=0.5))
+
+    @staticmethod
+    def _cov_crossover(params):
         ms = np.array([1, 17, 9_999, 10_000])
         summand = asy._cov_summand(params)
         direct = asy._direct_sums(params, ms, summand)
         fast = asy._abel_plana_sums(params, ms, summand)
         assert direct.shape == fast.shape == (2, 4)
         assert np.all(np.abs(direct - fast) <= 1e-9 * np.maximum(1.0, np.abs(direct)))
+
+
+def _table_rows(n):
+    grid = np.floor(n * np.arange(1, 101) / 100 + 1e-9).astype(int)
+    return np.unique(np.concatenate([[1, 2, n - 1], grid[grid >= 1]]))
 
 
 class TestMomentTables:
@@ -124,9 +138,7 @@ class TestMomentTables:
         ids=["n50", "n1e4", "n2e4", "n2e4-smallbeta", "n1e8", "n1e8-drift"],
     )
     def test_rows_equal_one_row_calls_bitwise(self, params):
-        n = params.n
-        grid = np.floor(n * np.arange(1, 101) / 100 + 1e-9).astype(int)
-        ms = np.unique(np.concatenate([[1, 2, n - 1], grid[grid >= 1]]))
+        ms = _table_rows(params.n)
         means = asy.exact_mean_logphi(params, ms)
         covs = asy.exact_cov_zeta(params, ms)
         assert means.shape == ms.shape and covs.shape == ms.shape + (2, 2)
@@ -150,9 +162,9 @@ class TestMomentTables:
         calls = []
         original = asy.abel_plana_sum
 
-        def counted(g, primitive, m, n):
+        def counted(g, primitive, m, n, **kw):
             calls.append(np.size(m))
-            return original(g, primitive, m, n)
+            return original(g, primitive, m, n, **kw)
 
         monkeypatch.setattr(asy, "abel_plana_sum", counted)
         p = asy.EnsembleParams(20_000, 2.0, scaled_d=1.0)
@@ -182,6 +194,60 @@ class TestMomentTables:
             # two digamma calls for the mean, one polygamma call on both
             # of the covariance's arguments
             assert sizes == [m, m, 2 * m], m
+
+
+class TestConjugateSymmetry:
+    """A real deformation makes both summands real on the real axis, so the
+    Abel-Plana route evaluates one boundary line; a complex one keeps two."""
+
+    @staticmethod
+    def _spy(monkeypatch, force=None):
+        seen = []
+        original = asy.abel_plana_sum
+
+        def spied(g, primitive, m, n, conjugate_symmetric=False):
+            if force is not None:
+                conjugate_symmetric = force
+
+            def g_seen(t):
+                seen.append((conjugate_symmetric, bool((t.imag < 0).any())))
+                return g(t)
+
+            return original(g_seen, primitive, m, n, conjugate_symmetric=conjugate_symmetric)
+
+        monkeypatch.setattr(asy, "abel_plana_sum", spied)
+        return seen
+
+    @pytest.mark.parametrize(
+        "params",
+        [asy.EnsembleParams(10**8, 2.0, delta=0.5), asy.EnsembleParams(20_000, 2.0, scaled_d=1.0)],
+        ids=["n1e8-delta0.5", "n2e4-d1"],
+    )
+    def test_one_line_equals_two_lines_bitwise(self, params, monkeypatch):
+        ms = _table_rows(params.n)
+        assert ms[-1] == params.n  # the m = n row, whose k = 1 term is split off
+        seen = self._spy(monkeypatch)
+        one = asy.exact_mean_logphi(params, ms), asy.exact_cov_zeta(params, ms)
+        assert seen and all(symmetric and not lower for symmetric, lower in seen)
+        monkeypatch.undo()
+        seen = self._spy(monkeypatch, force=False)
+        two = asy.exact_mean_logphi(params, ms), asy.exact_cov_zeta(params, ms)
+        assert any(lower for _, lower in seen)
+        for a, b in zip(one, two):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "params",
+        [asy.EnsembleParams(10**8, 2.0, delta=0.3 + 0.2j), asy.EnsembleParams(20_000, 2.0, scaled_d=0.7 + 0.3j)],
+        ids=["n1e8-complex-delta", "n2e4-complex-d"],
+    )
+    def test_complex_deformation_keeps_both_lines(self, params, monkeypatch):
+        seen = self._spy(monkeypatch)
+        asy.exact_mean_logphi(params, np.array([1, params.n // 2, params.n]))
+        asy.exact_cov_zeta(params, params.n)
+        # g at the endpoints sees no line, every boundary call sees both
+        assert seen and not any(symmetric for symmetric, _ in seen)
+        assert sum(lower for _, lower in seen) == len(seen) - 2
 
 
 class TestExactCov:

@@ -236,6 +236,64 @@ class TestPolygammaOrders:
             sf.polygamma((1, 3), np.array([2.0, -3.0]))
 
 
+class TestPolygammaRealRoute:
+    """A float64 argument with every entry in [1/2, inf) takes polygamma's
+    real-arithmetic route, which must give the complex route's bits."""
+
+    RNG = np.random.default_rng(17)
+    SHIFTED = np.concatenate([[0.5, 1.0, 1.5, 2.0, 15.0, 15.99, np.nextafter(16.0, 0.0)],
+                              RNG.uniform(0.5, 16.0, 2000)])
+    LARGE = np.concatenate([[16.0, 16.5, 1e4, 1e8], np.exp(RNG.uniform(np.log(16.0), np.log(1e8), 2000))])
+
+    @pytest.fixture
+    def real_calls(self, monkeypatch):
+        calls = []
+        real = sf._polygamma_real
+
+        def counted(orders, x):
+            calls.append(x.size)
+            return real(orders, x)
+
+        monkeypatch.setattr(sf, "_polygamma_real", counted)
+        return calls
+
+    @pytest.mark.parametrize("orders", [1, 3, (1,), (3,), (1, 3), (1, 2, 3)])
+    @pytest.mark.parametrize("region", ["shifted", "large", "both"])
+    def test_real_route_equals_complex_route_bitwise(self, orders, region, real_calls):
+        x = {"shifted": self.SHIFTED, "large": self.LARGE,
+             "both": np.concatenate([self.SHIFTED, self.LARGE])}[region]
+        real = sf.polygamma(orders, x)
+        assert real_calls == [x.size]
+        cplx = sf.polygamma(orders, x.astype(np.complex128))
+        assert real_calls == [x.size]  # complex input keeps the complex route
+        assert real.dtype == cplx.dtype == np.complex128
+        assert same_bits(real, cplx)
+
+    @pytest.mark.parametrize("orders", [1, (1,), (1, 3), (1, 2, 3)])
+    def test_scalar_two_d_and_empty_shapes(self, orders, real_calls):
+        for x in (np.float64(3.25), 15.5, np.array(40.0)):
+            real, cplx = sf.polygamma(orders, x), sf.polygamma(orders, complex(x))
+            assert type(real) is type(cplx) and same_bits([real], [cplx])
+        grid = np.concatenate([self.SHIFTED[:6], self.LARGE[:6]]).reshape(3, 4)
+        assert same_bits(sf.polygamma(orders, grid), sf.polygamma(orders, grid.astype(complex)))
+        for empty in (np.array([]), np.zeros((0, 3))):
+            out = sf.polygamma(orders, empty)
+            lead = (len(orders),) if isinstance(orders, tuple) else ()
+            assert out.shape == lead + empty.shape and out.dtype == np.complex128
+        assert len(real_calls) == 3 + 1 + 2
+
+    def test_other_real_input_keeps_the_complex_route(self, real_calls):
+        # entries below 1/2 (reflected), poles and non-finite entries
+        assert sf.polygamma(1, np.array([0.3, 2.0])).shape == (2,)
+        with pytest.raises(sf.PoleError):
+            sf.polygamma(1, np.array([2.0, -3.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(OverflowError):
+            sf.polygamma(1, np.array([2.0, np.inf]))
+        with np.errstate(invalid="ignore"), pytest.raises(OverflowError):
+            sf.polygamma(1, np.array([2.0, np.nan]))
+        assert real_calls == []
+
+
 class TestFarLeft:
     """Far into the left half-plane every function takes a bounded number
     of steps: log_gamma and digamma reflect inside scipy, polygamma
@@ -366,6 +424,28 @@ class TestAbelPlana:
         direct = complex(np.sum(g(np.arange(1.0, 101.0))))
         val = sf.abel_plana_sum(g, primitive, 0, 100)
         assert abs(val - direct) <= 1e-10 * abs(direct)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.0])
+    def test_conjugate_symmetric_one_line_equals_two_lines_bitwise(self, delta):
+        # a summand real on the real axis: the line x - iy is the mirror
+        # image of x + iy, so evaluating one line gives the same bits
+        def g(t):
+            points.append(t)
+            return sf.digamma(t + 1 + 2 * delta) - sf.digamma(t + 1 + delta)
+
+        def primitive(t):
+            return sf.log_gamma(t + 1 + 2 * delta) - sf.log_gamma(t + 1 + delta)
+
+        lows, sums, lines = np.array([0, 3, 40, 99]), [], []
+        for symmetric in (False, True):
+            points = []
+            sums.append(sf.abel_plana_sum(g, primitive, lows, 100, conjugate_symmetric=symmetric))
+            # the first call is g at the endpoints, the others the lines
+            boundary = np.concatenate(points[1:])
+            lines.append((boundary.size, bool((boundary.imag < 0).any())))
+        assert same_bits(sums[1], sums[0])
+        (two_size, two_lower), (one_size, one_lower) = lines
+        assert two_lower and not one_lower and two_size == 2 * one_size
 
     def test_one_evaluator_call_per_refinement_level(self, monkeypatch):
         calls, orders = [], []
