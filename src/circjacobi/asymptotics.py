@@ -102,7 +102,9 @@ def _mean_summand(params: EnsembleParams):
     """The mean's term Psi(x+1+2 Re d) - Psi(x+1+conj(d)) at rank weight x,
     and its primitive in x."""
     d = params.effective_delta
-    a_sym, a_con = 1 + 2 * d.real, 1 + d.conjugate()
+    # a real deformation keeps a_con real, so real ranks take digamma's
+    # real route without a complex array to scan and copy back
+    a_sym, a_con = 1 + 2 * d.real, 1 + (d.conjugate() if d.imag else d.real)
     return (
         lambda x: digamma(x + a_sym) - digamma(x + a_con),
         lambda x: log_gamma(x + a_sym) - log_gamma(x + a_con),

@@ -189,20 +189,25 @@ def cumulants(law: CoefficientLaw) -> CumulantSet:
     fourth cumulants assembled from Psi''' values.
 
     A law with an array of ranks gives one mean, 2x2 block and bound per
-    rank, each equal to its one-rank call bit for bit: all ranks share one
-    digamma call on the real arguments r+1+2Re d, one on the complex ones
-    and one polygamma pass for Psi' and Psi'''.  A one-rank law gives a
+    rank, each equal to its one-rank call bit for bit.  Both take one code
+    path, on Python numbers for one law and on arrays for a rank array:
+    one digamma call on r+1+2Re d, one on r+1+conj(d) and one polygamma
+    pass for Psi' and Psi''' on the stacked pair.  A one-rank law gives a
     complex, a 2x2 array and a float.
     """
-    one = np.ndim(law.r) == 0
-    r1, d = np.atleast_1d(np.asarray(law.r, dtype=float)) + 1, complex(law.delta)
+    # one rank is taken as a Python float, as numpy's scalar arithmetic
+    # with a Python complex is slow; the values are the same
+    r = law.r
+    r1 = (float(r) if isinstance(r, (int, float)) else np.asarray(r, dtype=float)) + 1.0
+    d = complex(law.delta)
     sym = r1 + 2.0 * d.real
     mean = digamma(sym) - digamma(r1 + d.conjugate())
-    pg = polygamma((1, 3), r1 + np.array([[2.0 * d.real], [d]]))
+    pg = polygamma((1, 3), np.array([sym, r1 + d]))
     # one law takes Python numbers, which are faster than arrays of one;
     # the operations are the same, so are the bits (squares are x * x, as
     # Python's x**2 goes through pow and can round differently)
-    (p1_sym, p1), (p3_sym, p3) = pg[..., 0].tolist() if one else pg
+    one = pg.ndim == 2
+    (p1_sym, p1), (p3_sym, p3) = pg.tolist() if one else pg
     var_im = 0.5 * p1.real
     var_re = p1_sym.real - var_im
     cov = 0.5 * p1.imag
@@ -210,6 +215,6 @@ def cumulants(law: CoefficientLaw) -> CumulantSet:
     k4_re = p3_sym.real + k4_im
     bound = 24.0 * (var_re * var_re + var_im * var_im) + 8.0 * (abs(k4_re) + abs(k4_im))
     if one:
-        return CumulantSet(complex(mean[0]), np.array([[var_re, cov], [cov, var_im]]), bound)
+        return CumulantSet(mean, np.array([[var_re, cov], [cov, var_im]]), bound)
     covariance = np.stack([var_re, cov, cov, var_im], axis=-1).reshape(-1, 2, 2)
     return CumulantSet(mean=mean, covariance=covariance, fourth_bound=bound)

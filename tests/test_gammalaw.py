@@ -267,29 +267,33 @@ class TestCumulants:
 
 
 class TestCumulantsOverRanks:
-    # r = 0 (the circle law), ranks whose arguments sit around the shift
-    # threshold of polygamma, and large ranks
-    RANKS = np.array([0.0, 0.5, 1.0, 2.0, 13.9, 14.4, 15.0, 40.0, 1e3, 1e8])
+    # r = 0 (the circle law), small ranks, ranks whose arguments sit around
+    # the shift threshold of polygamma, and large ranks
+    RANKS = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 13.9, 14.4, 15.0, 40.0, 1e3, 1e4, 1e8])
 
     @staticmethod
     def same_bits(a, b) -> bool:
         a, b = np.atleast_1d(a), np.atleast_1d(b)
         return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
-    @pytest.mark.parametrize("delta", [0.3 + 0.2j, 0.5, 0.0, -0.4 + 1.0j, 2.5 - 3.0j])
+    @pytest.mark.parametrize(
+        "delta", [0.3 + 0.2j, 0.5, 0.0, -0.4 + 1.0j, 2.5 - 3.0j, -0.45, 1e-9j]
+    )
     def test_rank_array_equals_per_law_calls(self, delta):
         many = gl.cumulants(gl.CoefficientLaw(self.RANKS, delta))
         size = self.RANKS.size
         assert many.mean.shape == (size,) and many.fourth_bound.shape == (size,)
         assert many.covariance.shape == (size, 2, 2)
         assert many.var_re.shape == many.var_im.shape == many.cov_re_im.shape == (size,)
+        # a Python float rank, and a numpy one as an entry of a rank array
         for i, r in enumerate(self.RANKS.tolist()):
-            one = gl.cumulants(gl.CoefficientLaw(r, delta))
-            assert type(one.mean) is complex and type(one.fourth_bound) is float
-            assert one.covariance.shape == (2, 2) and type(one.var_re) is float
-            assert self.same_bits(one.mean, many.mean[i]), r
-            assert self.same_bits(one.covariance, many.covariance[i]), r
-            assert self.same_bits(one.fourth_bound, many.fourth_bound[i]), r
+            for rank in (r, self.RANKS[i]):
+                one = gl.cumulants(gl.CoefficientLaw(rank, delta))
+                assert type(one.mean) is complex and type(one.fourth_bound) is float
+                assert one.covariance.shape == (2, 2) and type(one.var_re) is float
+                assert self.same_bits(one.mean, many.mean[i]), r
+                assert self.same_bits(one.covariance, many.covariance[i]), r
+                assert self.same_bits(one.fourth_bound, many.fourth_bound[i]), r
 
     @pytest.mark.parametrize(
         "ranks, delta, bad",

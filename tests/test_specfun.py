@@ -137,6 +137,45 @@ class TestDigamma:
         with pytest.raises(sf.PoleError):
             sf.digamma(np.array([2.0, -1.0]))
 
+    SCALARS = [
+        2.5, 0.7, 1e-3, 1e8, 16.0, -0.5, -3.7, -1e8 + 0.5,
+        2.5 + 1.0j, -0.4 + 0.2j, -7.3 - 2.0j, 1e8 + 1e8j, -1e8 + 3.0j, 3.0 - 1e8j,
+        complex(2.0, 0.0), complex(2.0, -0.0), complex(-0.5, 0.0), complex(-0.5, -0.0),
+    ]
+
+    @staticmethod
+    def scalar_forms(z):
+        forms = [z, np.complex128(z), np.array(z)]
+        if isinstance(z, float):
+            forms += [np.float64(z), np.array(z, dtype=np.float64)]
+        return forms
+
+    @pytest.mark.parametrize("z", SCALARS, ids=repr)
+    def test_scalar_equals_one_entry_array_bitwise(self, z):
+        # a scalar takes scipy's scalar psi, with the array route's bits
+        ref = sf.digamma(np.array([z]))[0]
+        for form in self.scalar_forms(z):
+            got = sf.digamma(form)
+            assert type(got) is complex, type(form)
+            assert np.array([got]).view(np.uint64).tolist() == np.array([ref]).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("z", [0.0, -3.0, 0j, -3 + 0j, complex(-3.0, -0.0)], ids=repr)
+    def test_scalar_pole_raises_as_the_array_call(self, z):
+        with pytest.raises(sf.PoleError) as many:
+            sf.digamma(np.array([z]))
+        for form in self.scalar_forms(z):
+            with pytest.raises(sf.PoleError) as one:
+                sf.digamma(form)
+            assert str(one.value) == str(many.value)
+
+    def test_scalar_overflow_raises_as_the_array_call(self):
+        for z in (math.inf, complex(math.nan, 0.0), complex(1.0, math.nan)):
+            with pytest.raises(OverflowError) as many:
+                sf.digamma(np.array([z]))
+            with pytest.raises(OverflowError) as one:
+                sf.digamma(z)
+            assert str(one.value) == str(many.value)
+
     def test_monotone_bounds(self):
         # 0 < x (log x - Psi(x)) <= 1 and 0 < log x - Psi(x) - 1/(2x) <= 1/(12 x^2)
         for x in np.geomspace(0.05, 500.0, 60):
