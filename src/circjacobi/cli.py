@@ -156,6 +156,7 @@ def _draw_log_sum(params: EnsembleParams, seed: int, index: int) -> complex:
 def _log_sums(params: EnsembleParams, seed: int, count: int, workers: int):
     """Per-sample log Phi_n(1), indexed by sample; worker-count invariant."""
     draw = partial(_draw_log_sum, params, seed)
+    workers = min(workers, count)  # no idle processes when samples are few
     if workers <= 1:
         return np.array(list(map(draw, range(count))))
     with get_context("fork").Pool(workers) as pool:

@@ -37,9 +37,11 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_F
+
+# scipy.integrate is imported where it is used, so the commands that never
+# integrate start without it
 
 __all__ = [
     "RadonMeasure1D",
@@ -69,6 +71,8 @@ class RadonMeasure1D:
 
     def integrate(self, f: Callable[[float], float]) -> float:
         """Integral of f against the measure over its support."""
+        from scipy import integrate
+
         lo, hi = self.support
         val, err = integrate.quad(
             lambda x: f(x) * float(self.density(x)),
@@ -202,6 +206,8 @@ def constant_B_integral(d: complex) -> float:
         second = 2.0 * (zx * np.log(zx)).real if zx != 0 else 0.0
         return first - second
 
+    from scipy import integrate
+
     v1, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200)
     v2, _ = integrate.quad(
         lambda x: x * math.log(x) if x > 0 else 0.0, 0.0, 1.0,
@@ -234,6 +240,8 @@ def line_edge(r: float) -> float:
 def edge_equation_residual(r: float, b: float) -> float:
     """Residual of the endpoint equation
     int_0^1 dt / ((1 + b^2 t^2) sqrt(1 - t^2)) = pi r / (2 (2 + r))."""
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda u: 1.0 / (1.0 + (b * math.sin(u)) ** 2),
         0.0,
@@ -324,6 +332,8 @@ def lubinsky_saff_Bf(r: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _mass_defect(r: float) -> float:
     # depends on r alone, so each density table pays for one quadrature
+    from scipy import integrate
+
     b = line_edge(r)
     sfp = _scaled_field_sfprime(r, b)
     val, _ = integrate.quad(

@@ -50,7 +50,8 @@ class CoefficientLaw:
 
     def __post_init__(self):
         r = self.r
-        if np.ndim(r):
+        # the isinstance test spares the common scalar law an np.ndim call
+        if not isinstance(r, (int, float)) and np.ndim(r):
             if np.ndim(r) > 1:
                 raise DomainError(f"rank weights must be a number or a 1-D array, got {r!r}")
             r = np.min(r, initial=np.inf)
@@ -91,7 +92,7 @@ def _entry(values: np.ndarray):
 def _one_rank(law: CoefficientLaw, what: str) -> float:
     """The law's rank weight; a DomainError for a rank array, which only
     ``cumulants`` takes."""
-    if np.ndim(law.r):
+    if not isinstance(law.r, (int, float)) and np.ndim(law.r):
         raise DomainError(f"{what} takes one rank weight, got an array of {np.size(law.r)}")
     return law.r
 

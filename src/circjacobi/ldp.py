@@ -37,9 +37,11 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .specfun import DomainError, QuadratureError, entropy_F, entropy_J
+
+# scipy.integrate and scipy.optimize are imported where they are used, so
+# the commands that never integrate or solve start without them
 
 __all__ = [
     "Branch",
@@ -325,6 +327,8 @@ def path_functional_Lambda0(
         z = complex(c + 0.5 * xv, 0.5 * yv)
         return entropy_J(c + xv) - 2.0 * (entropy_J(z)).real + entropy_J(c)
 
+    from scipy import integrate
+
     val, err = integrate.quad(integrand, 0.0, T, epsabs=1e-11, epsrel=1e-11, limit=400)
     if err > 100 * max(1e-11, abs(val) * 1e-11):
         raise QuadratureError("path functional quadrature too loose", err)
@@ -364,6 +368,8 @@ def path_action(
         if math.isinf(h):
             raise _Infinite
         return (1.0 - tau) * h
+
+    from scipy import integrate
 
     quad = partial(integrate.quad, a=0.0, b=T, epsabs=1e-10, epsrel=1e-10, limit=400)
     try:
@@ -423,6 +429,8 @@ def _solve_gamma(T: float, xi: float) -> float:
         hi *= 2.0
     else:
         raise SolverError("bracket expansion failed", math.inf)
+    from scipy import optimize
+
     gamma = optimize.brentq(
         lambda g: implicit_mean_map(T, g) - xi, lo, hi, xtol=1e-13, rtol=1e-14
     )

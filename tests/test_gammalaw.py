@@ -308,6 +308,14 @@ class TestCumulantsOverRanks:
         assert str(many.value) == str(one.value)
         assert str(bad) in str(many.value)
 
+    @pytest.mark.parametrize("form", [int, float, np.float64, np.array])
+    def test_scalar_rank_forms_are_one_law(self, form):
+        with pytest.raises(sf.DomainError, match="rank weight must be nonnegative, got -2"):
+            gl.CoefficientLaw(form(-2), 0.3)
+        assert gl.normalization_c(gl.CoefficientLaw(form(2), 0.3)) == gl.normalization_c(
+            gl.CoefficientLaw(2.0, 0.3)
+        )
+
     def test_ranks_must_be_one_axis(self):
         with pytest.raises(sf.DomainError, match="1-D"):
             gl.CoefficientLaw(np.ones((2, 2)), 0.3)
