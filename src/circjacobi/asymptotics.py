@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import ndtr
 
 from .specfun import (
     DomainError,
@@ -239,3 +240,14 @@ def limit_covariance(
         / bp
     )
     return z, integral
+
+
+def _ks_normal(x, sd: float) -> float:
+    """Two-sided one-sample Kolmogorov-Smirnov statistic of the sample x
+    against N(0, sd^2): the largest gap between the empirical distribution
+    function, on either side of each jump, and Phi(x / sd)."""
+    cdf = ndtr(np.sort(x) / sd)
+    n = cdf.size
+    upper = np.arange(1.0, n + 1) / n - cdf
+    lower = cdf - np.arange(0.0, n) / n
+    return float(max(upper.max(), lower.max()))

@@ -35,6 +35,7 @@ import numpy as np
 from . import ldp
 from .asymptotics import (
     EnsembleParams,
+    _ks_normal,
     exact_cov_zeta,
     exact_mean_logphi,
     limit_covariance,
@@ -250,8 +251,6 @@ def _cmd_clt(args) -> int:
         rows = zip(range(theta.size), theta.real.tolist(), theta.imag.tolist())
         chunks = _table("sample,re_theta,im_theta", "%d,%.17g,%.17g", rows)
     else:
-        from scipy import stats
-
         target_sd = math.sqrt(1.0 / params.beta)
         chunks = _json({
             "n": n,
@@ -263,10 +262,7 @@ def _cmd_clt(args) -> int:
                 theta.imag.var(ddof=1),
             ],
             "limit_variance": 1.0 / params.beta,
-            "ks_distance": [
-                stats.kstest(theta.real, stats.norm(0, target_sd).cdf).statistic,
-                stats.kstest(theta.imag, stats.norm(0, target_sd).cdf).statistic,
-            ],
+            "ks_distance": [_ks_normal(theta.real, target_sd), _ks_normal(theta.imag, target_sd)],
         })
     _write(args.out, chunks)
     return 0
@@ -346,7 +342,6 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # imported here: it loads scipy.stats, which no other command needs
     from . import verification
 
     ids = args.checks.split(",") if args.checks else None

@@ -18,15 +18,19 @@ on [-b, b] with b = 2 sqrt(1+r)/r.  The integral-transform route
 (``lubinsky_saff_density``) reconstructs g_b independently of the closed
 form; ``cayley_check`` verifies the pullback against mu_{r/2}.
 
-Quadrature policy: single integrals use adaptive QUADPACK (the endpoint
-square-root singularities are within its extrapolation class).  The log
-energy is the Fourier sum Sigma(mu) = -sum_k |c_k|^2 / k with c_k =
-int e^{ik th} d mu, from log|e^{ith} - e^{ith'}| = -sum_k cos(k (th - th'))/k
-(Saff & Totik 1997); the c_k use a composite Gauss-Legendre rule in u with
+Quadrature policy: every integral over an interval goes through
+``specfun.graded_quad``, Gauss-Legendre panels graded geometrically toward
+the ends of each piece, whose integrand is one array expression per level.
+The square-root edges of the densities, x log x and the log kernel all sit
+at piece ends: a measure's ``breaks`` cut its support where the density
+has a sharp interior feature (the peak of the line density), and the log
+potential is integrated in the distance from its point.  The log energy is
+the Fourier sum Sigma(mu) = -sum_k |c_k|^2 / k with c_k = int e^{ik th} d mu,
+from log|e^{ith} - e^{ith'}| = -sum_k cos(k (th - th'))/k (Saff & Totik
+1997); the c_k use a composite Gauss-Legendre rule in u with
 th = mid - half cos u, which makes square-root edges smooth.  The transform
-in ``lubinsky_saff_density`` is a fixed Gauss-Legendre rule too.  Both take
-their nodes from the cache in ``specfun`` and evaluate their integrand at
-all nodes as one array expression.
+in ``lubinsky_saff_density`` is a fixed Gauss-Legendre rule too.  All of
+them take their nodes from the cache in ``specfun``.
 """
 
 from __future__ import annotations
@@ -38,10 +42,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_F
-
-# scipy.integrate is imported where it is used, so the commands that never
-# integrate start without it
+from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_F, graded_quad
 
 __all__ = [
     "RadonMeasure1D",
@@ -62,32 +63,48 @@ __all__ = [
 ]
 
 
+# Requested accuracy of integrals against a measure, absolute below 1 and
+# relative above.
+_MEASURE_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class RadonMeasure1D:
-    """A measure with density on a closed interval."""
+    """A measure with density on a closed interval.  ``breaks`` are points
+    inside the support where the density changes on a scale much shorter
+    than the support; quadrature grades toward them."""
 
     density: Callable[[np.ndarray], np.ndarray]
     support: Tuple[float, float]
+    breaks: Tuple[float, ...] = ()
 
-    def integrate(self, f: Callable[[float], float]) -> float:
-        """Integral of f against the measure over its support."""
-        from scipy import integrate
-
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray]):
+        """Integral of f against the measure over its support.  ``f`` maps
+        an array of points to values along its last axis; leading axes hold
+        several integrands, and the result has their shape."""
         lo, hi = self.support
-        val, err = integrate.quad(
-            lambda x: f(x) * float(self.density(x)),
-            lo,
-            hi,
-            epsabs=1e-10,
-            epsrel=1e-10,
-            limit=400,
+        return graded_quad(
+            lambda x: np.multiply(f(x), self.density(x)), (lo, *self.breaks, hi), _MEASURE_TOL
         )
-        if err > 1e-6 * max(1.0, abs(val)):
-            raise QuadratureError("measure integral did not converge", err)
-        return val
 
     def mass(self) -> float:
-        return self.integrate(lambda x: 1.0)
+        return self.integrate(np.ones_like)
+
+    def log_potential(self, x: float) -> float:
+        """-int log|x - s| d mu(s) at a point x of the support.  Each side
+        of x is integrated in the distance u = |s - x|, so the log
+        singularity sits at u = 0 exactly."""
+        lo, hi = self.support
+        total = 0.0
+        for sign, length in ((-1.0, x - lo), (1.0, hi - x)):
+            if length > 0:
+                cuts = sorted(sign * (p - x) for p in self.breaks if 0 < sign * (p - x) < length)
+                total += graded_quad(
+                    lambda u: -np.log(u) * self.density(x + sign * u),
+                    (0.0, *cuts, length),
+                    _MEASURE_TOL,
+                )
+        return total
 
 
 @dataclass(frozen=True)
@@ -131,9 +148,10 @@ def circle_log_moments(a: float) -> Tuple[float, float]:
     here, the closed forms being the test targets.
     """
     mu = mu_a_measure(a)
-    logmod = mu.integrate(lambda th: math.log(2.0 * math.sin(th / 2.0)))
-    argmom = mu.integrate(lambda th: 0.5 * (th - math.pi))
-    return logmod, argmom
+    logmod, argmom = mu.integrate(
+        lambda th: (np.log(2.0 * np.sin(th / 2.0)), 0.5 * (th - math.pi))
+    )
+    return float(logmod), float(argmom)
 
 
 # Log-energy rule: Gauss-Legendre panels in u on [0, pi], about three nodes
@@ -163,12 +181,13 @@ def _log_energy_circle(mu: RadonMeasure1D) -> float:
     return -float(np.sum(terms))
 
 
-def field_Qd(d: complex) -> Callable[[float], float]:
-    """Circle external field: -2 Re d log(2 sin(theta/2)) - Im d (theta - pi)."""
+def field_Qd(d: complex) -> Callable[[np.ndarray], np.ndarray]:
+    """Circle external field: -2 Re d log(2 sin(theta/2)) - Im d (theta - pi),
+    for a number or an array of angles."""
     d = complex(d)
 
-    def q(theta: float) -> float:
-        return -2.0 * d.real * math.log(2.0 * math.sin(theta / 2.0)) - d.imag * (
+    def q(theta):
+        return -2.0 * d.real * np.log(2.0 * np.sin(theta / 2.0)) - d.imag * (
             theta - math.pi
         )
 
@@ -195,25 +214,15 @@ def constant_B(d: complex) -> float:
 
 def constant_B_integral(d: complex) -> float:
     """The same constant by direct quadrature of its defining integral:
-    int_0^1 [(x+2Re d) log(x+2Re d) - 2 Re((x+d) log(x+d))] dx
-    + int_0^1 x log x dx."""
+    int_0^1 [(x+2Re d) log(x+2Re d) - 2 Re((x+d) log(x+d)) + x log x] dx."""
     d = complex(d)
 
-    def f(x: float) -> float:
+    def f(x):
         u = x + 2.0 * d.real
-        first = u * math.log(u) if u > 0 else 0.0
-        zx = complex(x, 0.0) + d
-        second = 2.0 * (zx * np.log(zx)).real if zx != 0 else 0.0
-        return first - second
+        zx = x + d
+        return u * np.log(u) - 2.0 * (zx * np.log(zx)).real + x * np.log(x)
 
-    from scipy import integrate
-
-    v1, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200)
-    v2, _ = integrate.quad(
-        lambda x: x * math.log(x) if x > 0 else 0.0, 0.0, 1.0,
-        epsabs=1e-11, epsrel=1e-11,
-    )
-    return v1 + v2
+    return graded_quad(f, (0.0, 1.0), 1e-11)
 
 
 def energy_rate(mu: RadonMeasure1D, d: complex) -> EnergyReport:
@@ -240,15 +249,7 @@ def line_edge(r: float) -> float:
 def edge_equation_residual(r: float, b: float) -> float:
     """Residual of the endpoint equation
     int_0^1 dt / ((1 + b^2 t^2) sqrt(1 - t^2)) = pi r / (2 (2 + r))."""
-    from scipy import integrate
-
-    val, _ = integrate.quad(
-        lambda u: 1.0 / (1.0 + (b * math.sin(u)) ** 2),
-        0.0,
-        0.5 * math.pi,
-        epsabs=1e-12,
-        epsrel=1e-12,
-    )
+    val = graded_quad(lambda u: 1.0 / (1.0 + (b * np.sin(u)) ** 2), (0.0, 0.5 * math.pi), 1e-12)
     return val - math.pi * r / (2.0 * (2.0 + r))
 
 
@@ -270,7 +271,8 @@ def line_equilibrium(r: float) -> RadonMeasure1D:
         inside = np.maximum(1.0 - (x / b) ** 2, 0.0)
         return front * np.sqrt(inside) / (1.0 + x * x)
 
-    return RadonMeasure1D(density=density, support=(-b, b))
+    # the factor 1 / (1 + x^2) peaks at 0 on a scale 1 / b of the support
+    return RadonMeasure1D(density=density, support=(-b, b), breaks=(0.0,))
 
 
 def _scaled_field_sfprime(r: float, b: float) -> Callable[[float], float]:
@@ -332,13 +334,8 @@ def lubinsky_saff_Bf(r: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _mass_defect(r: float) -> float:
     # depends on r alone, so each density table pays for one quadrature
-    from scipy import integrate
-
-    b = line_edge(r)
-    sfp = _scaled_field_sfprime(r, b)
-    val, _ = integrate.quad(
-        lambda u: sfp(math.sin(u)), 0.0, 0.5 * math.pi, epsabs=1e-12, epsrel=1e-12
-    )
+    sfp = _scaled_field_sfprime(r, line_edge(r))
+    val = graded_quad(lambda u: sfp(np.sin(u)), (0.0, 0.5 * math.pi), 1e-12)
     return 1.0 - 2.0 * val / math.pi
 
 

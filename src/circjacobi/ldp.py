@@ -37,11 +37,9 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import xlogy
 
-from .specfun import DomainError, QuadratureError, entropy_F, entropy_J
-
-# scipy.integrate and scipy.optimize are imported where they are used, so
-# the commands that never integrate or solve start without them
+from .specfun import DomainError, entropy_F, entropy_J, graded_quad
 
 __all__ = [
     "Branch",
@@ -305,6 +303,12 @@ def shift_constant(T: float, d: complex) -> float:
     return -_L0(T, 2.0 * d.real, 2.0 * d.imag)
 
 
+def _J_array(u: np.ndarray) -> np.ndarray:
+    """J(u) = u log u - u + 1 on an array of u >= 0 (J(0) = 1) or of
+    complex u off the cut."""
+    return xlogy(u, u) - u + 1.0
+
+
 def path_functional_Lambda0(
     T: float,
     x: Callable[[float], float],
@@ -319,20 +323,16 @@ def path_functional_Lambda0(
     if not 0 < T <= 1:
         raise DomainError(f"need 0 < T <= 1, got T={T}")
 
-    def integrand(tau: float) -> float:
-        c = 1.0 - tau
-        xv, yv = x(tau), y(tau)
-        if xv + c <= 0:
-            raise DomainError(f"path violates x(tau) > -(1-tau) at tau={tau}")
-        z = complex(c + 0.5 * xv, 0.5 * yv)
-        return entropy_J(c + xv) - 2.0 * (entropy_J(z)).real + entropy_J(c)
+    def integrand(taus: np.ndarray) -> np.ndarray:
+        c = 1.0 - taus
+        xv = np.array([x(tau) for tau in taus.tolist()])
+        yv = np.array([y(tau) for tau in taus.tolist()])
+        bad = xv + c <= 0
+        if bad.any():
+            raise DomainError(f"path violates x(tau) > -(1-tau) at tau={taus[bad][0]}")
+        return _J_array(c + xv) - 2.0 * _J_array(c + 0.5 * xv + 0.5j * yv).real + _J_array(c)
 
-    from scipy import integrate
-
-    val, err = integrate.quad(integrand, 0.0, T, epsabs=1e-11, epsrel=1e-11, limit=400)
-    if err > 100 * max(1e-11, abs(val) * 1e-11):
-        raise QuadratureError("path functional quadrature too loose", err)
-    return val
+    return graded_quad(integrand, (0.0, T), 1e-11)
 
 
 def path_action(
@@ -363,27 +363,31 @@ def path_action(
     class _Infinite(Exception):
         pass
 
-    def integrand(tau: float) -> float:
-        h = rate_Ha(phi_dot(tau), psi_dot(tau))
-        if math.isinf(h):
-            raise _Infinite
-        return (1.0 - tau) * h
+    d = complex(d)
 
-    from scipy import integrate
+    def integrand(taus: np.ndarray) -> np.ndarray:
+        # the drift needs phi(T) and psi(T): the same nodes integrate
+        # phi_dot and psi_dot
+        rows = []
+        for tau in taus.tolist():
+            phi, psi = phi_dot(tau), psi_dot(tau)
+            h = rate_Ha(phi, psi)
+            if math.isinf(h):
+                raise _Infinite
+            rows.append(((1.0 - tau) * h, phi, psi))
+        rows = np.array(rows).T
+        return rows if d != 0 else rows[0]
 
-    quad = partial(integrate.quad, a=0.0, b=T, epsabs=1e-10, epsrel=1e-10, limit=400)
     try:
-        val, _ = quad(integrand)
+        val = graded_quad(integrand, (0.0, T), 1e-10)
     except _Infinite:
         return math.inf
-    val += sum((1.0 - loc) * (-mass) for loc, mass in phi_atoms)
-    d = complex(d)
+    action = float(val if d == 0 else val[0])
+    action += sum((1.0 - loc) * (-mass) for loc, mass in phi_atoms)
     if d != 0:
-        phi_T, _ = quad(phi_dot)
-        psi_T, _ = quad(psi_dot)
-        phi_T += sum(mass for _, mass in phi_atoms)
-        val += -2.0 * d.real * phi_T - 2.0 * d.imag * psi_T - shift_constant(T, d)
-    return val
+        phi_T = val[1] + sum(mass for _, mass in phi_atoms)
+        action += -2.0 * d.real * phi_T - 2.0 * d.imag * val[2] - shift_constant(T, d)
+    return float(action)
 
 
 def xi_boundary(T: float) -> float:
@@ -401,24 +405,25 @@ def xi_boundary(T: float) -> float:
 
 def implicit_mean_map(T: float, gamma: float) -> float:
     """The strictly increasing map gamma -> xi on the interior branch:
-    J(1+g) - J(1-T+g) - J(1+g/2) + J(1-T+g/2)."""
-    return (
-        entropy_J(1.0 + gamma)
-        - entropy_J(1.0 - T + gamma)
-        - entropy_J(1.0 + 0.5 * gamma)
-        + entropy_J(1.0 - T + 0.5 * gamma)
-    )
+    J(1+g) - J(1-T+g) - J(1+g/2) + J(1-T+g/2).
+
+    Each difference is evaluated as J(u) - J(u-T) = T log u - (u-T)
+    log(1 - T/u) - T, whose terms are of size T: the four J values grow
+    like g log g and would cancel to the O(T) result, losing the digits
+    that fix gamma once the map flattens toward T log 2."""
+    u, w = 1.0 + gamma, 1.0 + 0.5 * gamma
+    return T * math.log(u / w) - (u - T) * math.log1p(-T / u) + (w - T) * math.log1p(-T / w)
 
 
 def _implicit_mean_slope(T: float, gamma: float) -> float:
-    return math.log((1.0 + gamma) / (1.0 - T + gamma)) - 0.5 * math.log(
-        (1.0 + 0.5 * gamma) / (1.0 - T + 0.5 * gamma)
-    )
+    """d xi / d gamma = log(u / (u-T)) - log(w / (w-T)) / 2, u = 1+g, w = 1+g/2."""
+    return 0.5 * math.log1p(-T / (1.0 + 0.5 * gamma)) - math.log1p(-T / (1.0 + gamma))
 
 
 def _solve_gamma(T: float, xi: float) -> float:
-    """Invert the mean map by bracketed bisection (the map is monotone)
-    followed by Newton polish."""
+    """Invert the mean map by Newton's method inside a bracket, bisecting
+    whenever a step would leave it (the map is increasing), then polish
+    with two plain Newton steps."""
     lo = -(1.0 - T) + 1e-12
     if implicit_mean_map(T, lo) >= xi:
         return lo  # xi at (or within float width of) the branch edge xi_T
@@ -429,11 +434,24 @@ def _solve_gamma(T: float, xi: float) -> float:
         hi *= 2.0
     else:
         raise SolverError("bracket expansion failed", math.inf)
-    from scipy import optimize
-
-    gamma = optimize.brentq(
-        lambda g: implicit_mean_map(T, g) - xi, lo, hi, xtol=1e-13, rtol=1e-14
-    )
+    gamma = hi
+    for _ in range(200):
+        res = implicit_mean_map(T, gamma) - xi
+        if res == 0.0:
+            break
+        if res > 0.0:
+            hi = gamma
+        else:
+            lo = gamma
+        slope = _implicit_mean_slope(T, gamma)
+        new = gamma - res / slope if slope > 0 else hi
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        moved, gamma = abs(new - gamma), new
+        if moved <= 1e-13 + 1e-14 * abs(gamma):
+            break
+    else:
+        raise SolverError("bracketed Newton iteration did not converge", abs(res))
     for _ in range(2):
         slope = _implicit_mean_slope(T, gamma)
         if slope <= 0:
@@ -468,7 +486,9 @@ def marginal_rate_h(point: RatePoint) -> MarginalRateResult:
         xi_t = xi_boundary(T)
         if xi >= xi_t:
             gamma = _solve_gamma(T, xi)
-            value = gamma * xi - _L0(T, gamma, 0.0)
+            # the supremum is at least its value 0 at s = 0; near xi = 0 the
+            # difference below can round to either side of it
+            value = max(gamma * xi - _L0(T, gamma, 0.0), 0.0)
             return shifted(value, Branch.INTERIOR, (gamma, 0.0))
         edge = -(1.0 - T)
         value_edge = edge * xi_t - _L0(T, edge, 0.0)

@@ -21,7 +21,13 @@ g(conj t) = conj g(t) bit for bit (real on the real axis, with arithmetic
 odd in Im t, as numpy's and scipy's complex functions are) may say so with
 ``conjugate_symmetric=True``; the summand is then called on the lines
 x + iy only, which halves the work.  Nodes come from one cache
-(``_gauss_nodes``), shared with the equilibrium quadrature.
+(``_gauss_nodes``), shared with ``graded_quad`` and the equilibrium
+quadrature.
+
+``graded_quad`` is the one rule for integrals over a finite interval with
+endpoint singularities (square-root edges, x log x, log|x|): Gauss-Legendre
+panels geometrically graded toward both ends of every piece, refined level
+by level until two levels agree.
 
 All functions accept scalars or numpy arrays and are pure and stateless,
 so they are safe for unrestricted concurrent use.
@@ -63,6 +69,7 @@ __all__ = [
     "entropy_J",
     "entropy_F",
     "abel_plana_sum",
+    "graded_quad",
 ]
 
 
@@ -75,7 +82,7 @@ class PoleError(DomainError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the requested tolerance."""
 
     def __init__(self, message: str, achieved: float):
         # both arguments stay in args, so the error survives pickling
@@ -488,3 +495,61 @@ def abel_plana_sum(g: Callable, primitive: Callable, m, n: int, conjugate_symmet
     sums = (big[..., -1:] - big[..., :-1]) + (small[..., -1:] - small[..., :-1])
     sums = sums[..., 0] if lows.ndim == 0 else sums
     return complex(sums) if sums.ndim == 0 else sums
+
+
+# The graded rule: each half of a piece [a, b] is cut at distances h s^k,
+# k = 1..layers, from its outer end (h = (b - a) / 2, s = _GRADE), and
+# Gauss-Legendre of one order runs on every panel.  One (order, layers)
+# pair per level; the innermost panel of the last level is 0.2^26 ~ 7e-19
+# of a half piece.  Panels in ratio 0.2 see a singularity at the end in the
+# same proportion, so an algebraic or logarithmic endpoint singularity costs
+# a fixed order per panel and one panel per factor 5 of distance (Davis &
+# Rabinowitz 1984, sec. 2.12).
+_GRADE = 0.2
+_GRADED_LEVELS = ((8, 10), (12, 14), (16, 18), (24, 22), (32, 26))
+
+
+@lru_cache(maxsize=8)
+def _graded_unit(order: int, layers: int):
+    """Nodes and weights on (0, 1) of the panels [0, s^L], [s^L, s^(L-1)],
+    ..., [s, 1], read-only because every caller shares them."""
+    breaks = np.append(0.0, _GRADE ** np.arange(layers, -1, -1.0))
+    x, w = _gauss_nodes(order)
+    half = 0.5 * np.diff(breaks)[:, None]
+    t = (breaks[:-1, None] + half + half * x).ravel()
+    wt = (half * w).ravel()
+    t.flags.writeable = False
+    wt.flags.writeable = False
+    return t, wt
+
+
+def graded_quad(f: Callable, points, tol: float):
+    """Integral of f over [points[0], points[-1]], graded toward every point.
+
+    ``points`` is increasing; each piece between neighbours is halved, and
+    each half graded toward its outer end, so singularities and sharp
+    features belong at the points.  ``f`` maps a 1-d array of nodes to
+    values along its last axis (leading axes hold several integrands, and
+    the result has their shape); it never sees an end point unless a node
+    rounds onto it.  Level by level (``_GRADED_LEVELS``) f is called once,
+    at every node of every piece; the result is the first level whose
+    value agrees with the level before to ``tol * max(1, |value|)`` in
+    every entry.  QuadratureError carries that difference, in the same
+    units, when the last level still misses it.
+    """
+    p = np.asarray(points, dtype=float)
+    lo, hi = p[:-1, None], p[1:, None]
+    h = 0.5 * (hi - lo)
+    prev = None
+    for order, layers in _GRADED_LEVELS:
+        t, w = _graded_unit(order, layers)
+        x = np.concatenate((lo + h * t, hi - h * t), axis=1)
+        v = np.asarray(f(x.ravel()), dtype=float)
+        v = v.reshape(v.shape[:-1] + x.shape)
+        cur = (v[..., : t.size] @ w + v[..., t.size :] @ w) @ h[:, 0]
+        if prev is not None:
+            err = float(np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(cur))))
+            if err <= tol:
+                return float(cur) if cur.ndim == 0 else cur
+        prev = cur
+    raise QuadratureError("graded Gauss-Legendre rule did not converge", err)

@@ -6,8 +6,14 @@ through its partial-fraction series with an analytic tail, trigamma
 through direct series summation, the circle log energy through nested
 adaptive quadrature split at the diagonal, and polygamma and the exact
 moment sums through mpmath, at beta = 2 also in closed form.
+
+The ``quadpack_*`` functions are the adaptive QUADPACK integrals (scipy's
+``quad``) that the package's graded Gauss-Legendre rule replaced, each at
+the tolerance its package call requests; ``mpmath_mean_map_root`` inverts
+the interior mean map in mpmath.
 """
 
+import cmath
 import math
 import warnings
 
@@ -238,3 +244,111 @@ def mpmath_beta2_moment_row(n: int, delta: complex, m: int, dps: int = 40):
         cov = s_del.imag / 2
         var_im = s_del.real / 2
         return complex(mean), np.array([[float(var_re), float(cov)], [float(cov), float(var_im)]])
+
+
+def _quad(f, a, b, tol, **kw):
+    val, err = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=400, **kw)
+    if err > 1e-6 * max(1.0, abs(val)):
+        raise QuadratureError("QUADPACK oracle did not converge", err)
+    return val
+
+
+def quadpack_measure_integral(mu, f, tol: float = 1e-10) -> float:
+    """int f d mu over the support, for a scalar f."""
+    lo, hi = mu.support
+    return _quad(lambda x: f(x) * float(mu.density(x)), lo, hi, tol)
+
+
+def quadpack_log_potential(mu, x: float, tol: float = 1e-10) -> float:
+    """-int log|x - s| d mu(s), with a QUADPACK break point at x."""
+    lo, hi = mu.support
+    return _quad(lambda s: -math.log(abs(x - s)) * float(mu.density(s)), lo, hi, tol, points=[x])
+
+
+def quadpack_constant_B_integral(d: complex, tol: float = 1e-11) -> float:
+    """int_0^1 [(x+2Re d) log(x+2Re d) - 2 Re((x+d) log(x+d))] dx
+    + int_0^1 x log x dx, as two QUADPACK integrals."""
+    d = complex(d)
+
+    def f(x):
+        u = x + 2.0 * d.real
+        first = u * math.log(u) if u > 0 else 0.0
+        zx = complex(x, 0.0) + d
+        return first - (2.0 * (zx * np.log(zx)).real if zx != 0 else 0.0)
+
+    return _quad(f, 0.0, 1.0, tol) + _quad(lambda x: x * math.log(x) if x > 0 else 0.0, 0.0, 1.0, tol)
+
+
+def quadpack_edge_integral(b: float, tol: float = 1e-12) -> float:
+    """int_0^{pi/2} du / (1 + b^2 sin^2 u), the left side of the line
+    equilibrium's endpoint equation."""
+    return _quad(lambda u: 1.0 / (1.0 + (b * math.sin(u)) ** 2), 0.0, 0.5 * math.pi, tol)
+
+
+def quadpack_mass_defect(r: float, tol: float = 1e-12) -> float:
+    """1 - (2/pi) int_0^{pi/2} s f'(s) du at s = sin u, with
+    s f'(s) = (1 + r/2) (b s)^2 / (1 + (b s)^2) and b = 2 sqrt(1+r) / r."""
+    b = 2.0 * math.sqrt(1.0 + r) / r
+    c = 1.0 + 0.5 * r
+
+    def sfp(u):
+        v = b * math.sin(u)
+        return c * v * v / (1.0 + v * v)
+
+    return 1.0 - 2.0 * _quad(sfp, 0.0, 0.5 * math.pi, tol) / math.pi
+
+
+def _entropy(u):
+    """J(u) = u log u - u + 1 for u > 0 or complex u off the cut."""
+    return u * (cmath.log(u) if isinstance(u, complex) else math.log(u)) - u + 1.0
+
+
+def quadpack_path_functional(T: float, x, y, tol: float = 1e-11) -> float:
+    """int_0^T J(1-tau+x) - 2 Re J(1-tau+z) + J(1-tau) d tau, 2z = x + iy."""
+    def f(tau):
+        c = 1.0 - tau
+        xv, yv = x(tau), y(tau)
+        jc = _entropy(c) if c > 0 else 1.0
+        return _entropy(c + xv) - 2.0 * _entropy(complex(c + 0.5 * xv, 0.5 * yv)).real + jc
+
+    return _quad(f, 0.0, T, tol)
+
+
+def quadpack_path_action(T: float, phi_dot, psi_dot, atoms=(), d: complex = 0j,
+                         tol: float = 1e-10) -> float:
+    """int_0^T (1-tau) H(phi_dot, psi_dot) d tau with H(xi, eta) =
+    -xi - log(2 cos eta - e^xi), plus (1 - location) |mass| per atom, and
+    for drift d the shift -2 Re d phi(T) - 2 Im d psi(T) + Lambda_0(T, d)
+    with Lambda_0 from ``mpmath_marginal_cgf``; finite paths only."""
+    def h(tau):
+        xi, eta = phi_dot(tau), psi_dot(tau)
+        return (1.0 - tau) * (-xi - math.log(2.0 * math.cos(eta) - math.exp(xi)))
+
+    val = _quad(h, 0.0, T, tol) + sum((1.0 - loc) * -mass for loc, mass in atoms)
+    d = complex(d)
+    if d != 0:
+        phi_T = _quad(phi_dot, 0.0, T, tol) + sum(mass for _, mass in atoms)
+        psi_T = _quad(psi_dot, 0.0, T, tol)
+        val += (-2.0 * d.real * phi_T - 2.0 * d.imag * psi_T
+                + mpmath_marginal_cgf(T, 2.0 * d.real, 2.0 * d.imag))
+    return val
+
+
+def mpmath_mean_map_root(T: float, xi: float, dps: int = 40) -> float:
+    """The gamma > -(1-T) with J(1+g) - J(1-T+g) - J(1+g/2) + J(1-T+g/2)
+    = xi, by mpmath's bracketing Anderson-Bjorck solver."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        T, xi = mp.mpf(T), mp.mpf(xi)
+
+        def J(u):
+            return u * mp.log(u) - u + 1
+
+        def f(g):
+            return J(1 + g) - J(1 - T + g) - J(1 + g / 2) + J(1 - T + g / 2) - xi
+
+        hi = mp.mpf(1)
+        while f(hi) < 0:
+            hi *= 2
+        return float(mp.findroot(f, (-(1 - T) + mp.mpf(10) ** -30, hi), solver="anderson"))

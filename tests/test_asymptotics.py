@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from circjacobi import asymptotics as asy
 from circjacobi import gammalaw as gl
@@ -366,3 +366,30 @@ class TestLimitCovariance:
     def test_zero_drift_terminal_is_error(self):
         with pytest.raises(sf.DomainError):
             asy.limit_covariance(0.0, 1.0, 2.0)
+
+
+class TestKsNormal:
+    """The in-house Kolmogorov-Smirnov statistic equals scipy's, bit for
+    bit, so ``clt --format json`` keeps its bytes."""
+
+    def scipy_ks(self, x, sd):
+        return stats.kstest(x, stats.norm(0, sd).cdf).statistic
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 400, 4000])
+    @pytest.mark.parametrize("sd", [0.5, 1.0, math.sqrt(0.5)])
+    def test_equals_scipy(self, n, sd):
+        rng = np.random.default_rng(1000 + n)
+        for x in (rng.normal(0.0, sd, n), rng.normal(0.3, 2 * sd, n), rng.standard_t(3, n)):
+            assert asy._ks_normal(x, sd) == self.scipy_ks(x, sd)
+
+    def test_ties_and_signed_zeros(self):
+        rng = np.random.default_rng(7)
+        tied = np.round(rng.normal(0.0, 1.0, 200), 1)
+        for x in (tied, np.zeros(5), np.array([-0.0, 0.0, 0.0]), np.array([1.5, 1.5]),
+                  np.array([-2.0, 3.0, -2.0, 3.0, 0.1])):
+            assert asy._ks_normal(x, 1.0) == self.scipy_ks(x, 1.0)
+
+    def test_input_left_unsorted(self):
+        x = np.array([0.3, -1.2, 0.8])
+        asy._ks_normal(x, 1.0)
+        assert x.tolist() == [0.3, -1.2, 0.8]

@@ -7,7 +7,7 @@ from scipy import integrate
 from circjacobi import ldp
 from circjacobi import specfun as sf
 
-from oracles import golden_section_max, mpmath_marginal_cgf
+from oracles import golden_section_max, mpmath_marginal_cgf, mpmath_mean_map_root
 
 
 class TestRateHa:
@@ -262,6 +262,36 @@ class TestMarginalRate:
             ldp.RatePoint(0.5, math.inf, 0.0)
         with pytest.raises(sf.DomainError):
             ldp.RatePoint(0.5, 0.0, 0.0, -0.3)
+
+
+class TestMeanMapRoot:
+    """``_solve_gamma`` (bracketed Newton and polish) against an mpmath root
+    of the mean map, from just above xi_T to just below T log 2.  Closer to
+    T log 2 the root grows like 1/(T log 2 - xi) and one ulp of xi moves it
+    by more than 1e-13 relative, for any float evaluation of the map."""
+
+    @pytest.mark.parametrize("T", [0.1, 0.5, 0.9, 1.0])
+    def test_matches_mpmath(self, T):
+        lo, hi = ldp.xi_boundary(T), T * math.log(2.0)
+        fracs = (1e-9, 1e-6, 1e-3, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.98, 0.99)
+        for f in fracs:
+            xi = lo + f * (hi - lo)
+            gamma = ldp._solve_gamma(T, xi)
+            ref = mpmath_mean_map_root(T, xi)
+            assert abs(gamma - ref) <= 1e-13 * max(1.0, abs(ref)), (T, xi, gamma, ref)
+
+    def test_mean_is_a_root(self):
+        # below T = 1, xi = 0 is the mean: the root is 0 up to rounding,
+        # and the rate 0 (at T = 1 it is the branch edge xi_T)
+        for T in (0.1, 0.5, 0.9):
+            assert abs(ldp._solve_gamma(T, 0.0)) < 1e-15
+            assert ldp.marginal_rate_h(ldp.RatePoint(T, 0.0, 0.0)).value == 0.0
+
+    def test_slope_is_the_derivative(self):
+        for T, g in ((0.1, -0.85), (0.5, 0.3), (0.9, 4.0), (1.0, 20.0)):
+            h = 1e-6 * max(1.0, abs(g))
+            fd = (ldp.implicit_mean_map(T, g + h) - ldp.implicit_mean_map(T, g - h)) / (2 * h)
+            assert fd == pytest.approx(ldp._implicit_mean_slope(T, g), rel=1e-6)
 
 
 class TestTrajectories:

@@ -1,7 +1,9 @@
-"""Cold start: the commands that never integrate or solve start without
-scipy.integrate, scipy.optimize and scipy.stats, and the first quadrature
-or root solve of a fresh process gives the same bits as a warm one."""
+"""Cold start: no command loads scipy.integrate, scipy.optimize or
+scipy.stats (the package imports nothing from scipy but scipy.special), and
+the first quadrature or root solve of a fresh process gives the same bits
+as a warm one."""
 
+import ast
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from circjacobi import ldp
 from test_golden import CASES, GOLDEN
 
 SRC = str(Path(circjacobi.__file__).resolve().parents[1])
-LAZY = ("scipy.integrate", "scipy.optimize", "scipy.stats")
+OTHER_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.stats")
 
 
 def _python(args, cwd=None):
@@ -38,20 +40,51 @@ runs = [
     ["sample", "--n", "8", "--beta", "2", "--delta-re", "0.5", "--samples", "1", "--out", "s.csv"],
     ["clt", "--n", "16", "--beta", "2", "--samples", "4", "--workers", "1", "--format", "csv",
      "--out", "c.csv"],
+    ["clt", "--n", "16", "--beta", "2", "--samples", "4", "--workers", "1", "--format", "json",
+     "--out", "c.json"],
+    # eta = 0 rows on the linear and interior branches, eta != 0 rows too
+    ["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.15", "--eta-grid=-0.2:0.2:0.2", "--out", "l.csv"],
+    ["equilibrium", "--scaled-d-re", "0.5", "--samples", "8", "--out", "e.csv"],
+    ["equilibrium", "--scaled-d-re", "0.5", "--format", "json", "--out", "e.json"],
+    ["verify", "--checks", "11-equilibrium-circle,12-equilibrium-line,13-energy-duality"],
 ]
 codes = [cli.main(argv) for argv in runs]
 print(json.dumps({"codes": codes, "loaded": [m for m in %r if m in sys.modules]}))
 """
 
 
-def test_light_commands_leave_quadrature_and_stats_unloaded(tmp_path):
-    report = json.loads(_python(["-c", COMMANDS % (LAZY,)], cwd=tmp_path))
-    assert report == {"codes": [0, 0, 0], "loaded": []}
-    assert {p.name for p in tmp_path.iterdir()} == {"m.csv", "s.csv", "c.csv"}
+def test_every_command_leaves_integrate_optimize_and_stats_unloaded(tmp_path):
+    out = _python(["-c", COMMANDS % (OTHER_SCIPY,)], cwd=tmp_path)
+    report = json.loads(out.splitlines()[-1])
+    assert report == {"codes": [0] * 8, "loaded": []}
+    written = {"m.csv", "s.csv", "c.csv", "c.json", "l.csv", "e.csv", "e.line.csv", "e.json"}
+    assert {p.name for p in tmp_path.iterdir()} == written
+    branches = {line.split(",")[6] for line in (tmp_path / "l.csv").read_text().splitlines()[1:]}
+    assert {"linear", "interior"} <= branches
 
 
-# The first quad/brentq users of a process: an eta = 0 interior rate (the
-# brentq route), a path action and a drifted energy rate.
+def test_package_imports_only_scipy_special():
+    """Every scipy import in the package names scipy.special."""
+    offenders = []
+    for path in sorted(Path(circjacobi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                base = node.module
+                names = [f"{base}.{alias.name}" for alias in node.names] if base == "scipy" else [base]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")
+                if top[0] == "scipy" and top[1:2] != ["special"]:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []
+
+
+# The first quadrature and root-solve users of a process: an eta = 0
+# interior rate (the bracketed Newton root), a path action and a drifted
+# energy rate (the graded rule).
 FIRST_CALLS = """
 from circjacobi import equilibrium, ldp
 T, gam, rho = 0.7, 0.6, 0.5
@@ -73,7 +106,7 @@ print(json.dumps({"loaded": loaded, "values": [v.hex() for v in values]}))
 
 
 def test_first_quadrature_calls_match_warm_calls():
-    report = json.loads(_python(["-c", COLD % (LAZY, FIRST_CALLS)]))
+    report = json.loads(_python(["-c", COLD % (OTHER_SCIPY, FIRST_CALLS)]))
     warm = {}
     exec(FIRST_CALLS, warm)
     assert report["loaded"] == []
