@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import specfun
 from .specfun import (
     DomainError,
     abel_plana_sum,
@@ -246,7 +246,7 @@ def _ks_normal(x, sd: float) -> float:
     """Two-sided one-sample Kolmogorov-Smirnov statistic of the sample x
     against N(0, sd^2): the largest gap between the empirical distribution
     function, on either side of each jump, and Phi(x / sd)."""
-    cdf = ndtr(np.sort(x) / sd)
+    cdf = specfun._special.ndtr(np.sort(x) / sd)
     n = cdf.size
     upper = np.arange(1.0, n + 1) / n - cdf
     lower = cdf - np.arange(0.0, n) / n

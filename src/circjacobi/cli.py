@@ -27,7 +27,6 @@ import os
 import stat
 import sys
 from functools import partial
-from multiprocessing import get_context
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -160,6 +159,8 @@ def _log_sums(params: EnsembleParams, seed: int, count: int, workers: int):
     workers = min(workers, count)  # no idle processes when samples are few
     if workers <= 1:
         return np.array(list(map(draw, range(count))))
+    from multiprocessing import get_context  # only a pool needs it
+
     with get_context("fork").Pool(workers) as pool:
         return np.array(pool.map(draw, range(count), chunksize=max(1, count // (4 * workers))))
 

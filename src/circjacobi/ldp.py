@@ -37,8 +37,8 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import xlogy
 
+from . import specfun
 from .specfun import DomainError, entropy_F, entropy_J, graded_quad
 
 __all__ = [
@@ -306,7 +306,7 @@ def shift_constant(T: float, d: complex) -> float:
 def _J_array(u: np.ndarray) -> np.ndarray:
     """J(u) = u log u - u + 1 on an array of u >= 0 (J(0) = 1) or of
     complex u off the cut."""
-    return xlogy(u, u) - u + 1.0
+    return specfun._special.xlogy(u, u) - u + 1.0
 
 
 def path_functional_Lambda0(

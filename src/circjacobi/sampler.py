@@ -121,7 +121,8 @@ def _check_delta(delta: complex) -> complex:
     delta = complex(delta)
     if delta.real < 0:
         raise DomainError(
-            f"sampling requires Re delta >= 0 (weight unbounded otherwise), got {delta}"
+            "the samplers cover Re delta >= 0, and moments and ldp cover"
+            f" -1/2 < Re delta < 0; got delta = {delta}"
         )
     return delta
 

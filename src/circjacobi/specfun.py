@@ -29,8 +29,16 @@ endpoint singularities (square-root edges, x log x, log|x|): Gauss-Legendre
 panels geometrically graded toward both ends of every piece, refined level
 by level until two levels agree.
 
-All functions accept scalars or numpy arrays and are pure and stateless,
-so they are safe for unrestricted concurrent use.
+All functions accept scalars or numpy arrays and are pure, so they are
+safe for unrestricted concurrent use.  The module's one piece of state is
+its binding of ``scipy.special``, the only place the package names it:
+the module is imported on the first call that needs it (a Gamma-family
+function here, ``ldp``'s entropy or ``asymptotics``' normal CDF), so a
+process that never evaluates one, such as ``ldp`` or ``equilibrium``,
+starts on numpy alone.  The first call rebinds a private module global
+to the module itself, so later calls cost one global lookup, as an
+import at the top would; threads racing on that first call all import
+the same module and bind the same object.
 
 ``log_gamma`` and ``digamma`` are ``scipy.special.loggamma`` and ``psi``
 behind this module's domain checks; ``digamma`` takes scipy's real ``psi``
@@ -57,7 +65,6 @@ from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "DomainError",
@@ -71,6 +78,21 @@ __all__ = [
     "abel_plana_sum",
     "graded_quad",
 ]
+
+
+class _LazySpecial:
+    """Stands in for ``scipy.special`` until its first attribute lookup,
+    which imports the module and rebinds ``_special`` to it."""
+
+    def __getattr__(self, name: str):
+        global _special
+        from scipy import special
+
+        _special = special
+        return getattr(special, name)
+
+
+_special = _LazySpecial()
 
 
 class DomainError(ValueError):
@@ -177,7 +199,7 @@ def log_gamma(z):
     """
     arr, scalar = _as_complex_array(z)
     _check_domain(arr, "log_gamma", cut=True)
-    return _finite(special.loggamma(arr), scalar, "log_gamma")
+    return _finite(_special.loggamma(arr), scalar, "log_gamma")
 
 
 def digamma(z):
@@ -198,14 +220,14 @@ def digamma(z):
     if x.dtype.kind == "c" and not x.imag.any():
         x = x.real
     if x.dtype == np.float64 and (x > 0.0).all():
-        return _finite(special.psi(x).astype(np.complex128), False, "digamma")
+        return _finite(_special.psi(x).astype(np.complex128), False, "digamma")
     arr = np.asarray(x, dtype=np.complex128)
     _check_domain(arr, "digamma", cut=False)
-    out = special.psi(arr)
+    out = _special.psi(arr)
     axis = arr.imag == 0.0
     if axis.any():
         axis &= arr.real > 0.0
-        out[axis] = special.psi(arr.real[axis])
+        out[axis] = _special.psi(arr.real[axis])
     return _finite(out, False, "digamma")
 
 
@@ -216,13 +238,13 @@ def _digamma_scalar(z: complex) -> complex:
     array route drops a zero imaginary part, so -0.0 becomes +0.0."""
     if z.imag == 0.0:
         if z.real > 0.0:
-            out = complex(special.psi(z.real))
+            out = complex(_special.psi(z.real))
         elif z.real == np.floor(z.real):
             raise PoleError(f"digamma has a pole at {np.complex128(z.real)}")
         else:
-            out = complex(special.psi(complex(z.real)))
+            out = complex(_special.psi(complex(z.real)))
     else:
-        out = complex(special.psi(z))
+        out = complex(_special.psi(z))
     if not cmath.isfinite(out):
         raise OverflowError("digamma overflow: argument magnitude too large")
     return out

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 from types import SimpleNamespace
 
@@ -137,7 +138,7 @@ class TestCltCommand:
             def map(self, fn, items, chunksize=1):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
         base = [
             "clt", "--n", "16", "--beta", "2", "--samples", str(samples), "--seed", "3",
             "--format", "csv",
@@ -246,6 +247,17 @@ class TestUsageErrors:
 
     def test_domain_error_exit_code(self):
         assert cli.main(["equilibrium", "--scaled-d-re", "-1"]) == 2
+
+    @pytest.mark.parametrize("command", ["sample", "clt"])
+    def test_negative_delta_names_the_sampled_range(self, tmp_path, capsys, command):
+        rc = cli.main(
+            [command, "--n", "8", "--beta", "2", "--delta-re", "-0.3",
+             "--out", str(tmp_path / "x.csv")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Re delta >= 0" in err and "-1/2 < Re delta < 0" in err
+        assert "unbounded" not in err
 
     def test_sampling_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def stalled(params, rng):
