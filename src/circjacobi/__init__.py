@@ -12,6 +12,7 @@ from .asymptotics import (
     exact_mean_logphi,
     limit_covariance,
     limit_mean_functions,
+    limit_moments,
 )
 from .gammalaw import (
     CoefficientLaw,

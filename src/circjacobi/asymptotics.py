@@ -11,10 +11,11 @@ boundary integral is done once per distinct endpoint.  Either way a row of
 a table equals its one-row call bit for bit, and the two routes agree to
 1e-9 at the crossover, which the test suite pins.
 
-``limit_mean_functions`` and ``limit_covariance`` evaluate the
-deterministic drift-regime limits: the entropy-difference mean profiles,
-the first-order mean correction, and the covariance density with its
-closed-form time integral.
+``limit_moments`` is the large-n limit of both at the same m, the one
+home of the limit predictions.  It is built on ``limit_mean_functions``
+(the entropy-difference mean profiles and the first-order mean
+correction) and ``limit_covariance`` (the covariance density and its
+closed-form time integral).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "exact_cov_zeta",
     "limit_mean_functions",
     "limit_covariance",
+    "limit_moments",
     "CROSSOVER_N",
 ]
 
@@ -157,17 +159,22 @@ def _abel_plana_sums(params: EnsembleParams, ms: np.ndarray, summand) -> np.ndar
     return sums
 
 
-def _moment_sums(params: EnsembleParams, m, summand) -> np.ndarray:
-    """The summand's sums over the m highest ranks, one per entry of m:
-    direct up to the crossover size, by Abel-Plana beyond it."""
+def _indices(params: EnsembleParams, m) -> np.ndarray:
+    """m (an int or an int array) as a 1-d array, each entry in 1..n."""
     ms = np.atleast_1d(m)
     if ms.dtype.kind not in "iu":
         raise DomainError(f"m must be an integer, got {m!r}")
     bad = ms[(ms < 1) | (ms > params.n)]
     if bad.size:
         raise DomainError(f"need 1 <= m <= n, got m={bad[0]}, n={params.n}")
+    return ms
+
+
+def _moment_sums(params: EnsembleParams, m, summand) -> np.ndarray:
+    """The summand's sums over the m highest ranks, one per entry of m:
+    direct up to the crossover size, by Abel-Plana beyond it."""
     route = _direct_sums if params.n <= CROSSOVER_N else _abel_plana_sums
-    return route(params, ms, summand)
+    return route(params, _indices(params, m), summand)
 
 
 def exact_mean_logphi(params: EnsembleParams, m):
@@ -207,13 +214,11 @@ def limit_mean_functions(d: complex, t: float) -> Tuple[complex, complex]:
     return complex(e_val), complex(f_val)
 
 
-def limit_covariance(
-    d: complex, t: float, beta: float
-) -> Tuple[np.ndarray, np.ndarray]:
+def limit_covariance(d: complex, t: float, beta: float) -> Tuple[np.ndarray, np.ndarray]:
     """Limit covariance density Z_t and its time integral over [0, t].
 
     At d = 0 the density is I2 / (beta (1-t)) and t = 1 is an explicit
-    error: callers must branch because the normalization changes there.
+    error: the normalization changes there (``limit_moments`` branches).
     For Re d > 0 the closed forms hold on 0 <= t <= 1."""
     d = complex(d)
     if beta <= 0:
@@ -233,13 +238,38 @@ def limit_covariance(
     z = np.array([[z11, w.imag], [w.imag, w.real]]) / bp
     big_l = np.log((1 + d) / (1 - t + d))
     i11 = np.log((1 + 2 * d.real) / (1 - t + 2 * d.real)) - 0.5 * big_l.real
-    integral = (
-        np.array(
-            [[i11, 0.5 * big_l.imag], [0.5 * big_l.imag, 0.5 * big_l.real]]
-        )
-        / bp
-    )
+    off = 0.5 * big_l.imag
+    integral = np.array([[i11, off], [off, 0.5 * big_l.real]]) / bp
     return z, integral
+
+
+def _limit_row(params: EnsembleParams, m: int) -> Tuple[complex, np.ndarray]:
+    """The limit mean and covariance at one m."""
+    n, t = params.n, m / params.n
+    if params.regime == "scaled":
+        e_val, f_val = limit_mean_functions(params.scaled_d, t)
+        # the exact sums converge to this O(1) constant, 0 at beta = 2
+        mean = n * e_val + (1.0 / params.beta - 0.5) * f_val
+        return mean, limit_covariance(params.scaled_d, t, params.beta)[1]
+    scale = params.effective_delta / params.beta_prime
+    if t < 1.0:
+        return -scale * math.log(1.0 - t), limit_covariance(0.0, t, params.beta)[1]
+    # the t = 1 normalization is log n; the additive constant is not modeled
+    return scale * math.log(n), np.eye(2) * (math.log(n) / params.beta)
+
+
+def limit_moments(params: EnsembleParams, m):
+    """The large-n limits of ``exact_mean_logphi`` and ``exact_cov_zeta``
+    at t = m/n, as a (means, covariances) pair in their shapes, each row
+    computed alone.  Fixed deformation: -(delta/beta') log(1-t) and the
+    covariance integral at d = 0, or (delta/beta') log n and I2 log(n)/beta
+    at t = 1.  Drift regime: n E_d(t) + (1/beta - 1/2) F_d(t) and the
+    covariance integral at d."""
+    rows = [_limit_row(params, k) for k in _indices(params, m).tolist()]
+    if np.ndim(m) == 0:
+        return rows[0]
+    means = np.array([mean for mean, _ in rows], dtype=complex)
+    return means, np.array([cov for _, cov in rows]).reshape(-1, 2, 2)
 
 
 def _ks_normal(x, sd: float) -> float:

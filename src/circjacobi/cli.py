@@ -37,12 +37,12 @@ from .asymptotics import (
     _ks_normal,
     exact_cov_zeta,
     exact_mean_logphi,
-    limit_covariance,
-    limit_mean_functions,
+    limit_moments,
 )
 from .equilibrium import (
     cayley_check,
     circle_log_moments,
+    circle_logmod_closed,
     edge_equation_residual,
     line_edge,
     line_equilibrium,
@@ -51,7 +51,7 @@ from .equilibrium import (
 )
 from .process import PATH_HEADER, PATH_ROW, log_path
 from .sampler import DeformedVerblunskySample, SamplingError, ensemble_gammas, substream
-from .specfun import DomainError, entropy_J
+from .specfun import DomainError
 
 __all__ = ["main"]
 
@@ -189,23 +189,10 @@ def _moment_rows(params: EnsembleParams, grid: np.ndarray) -> Iterator[tuple]:
     ms = np.floor(n * grid + 1e-9).astype(int)
     ms = ms[(ms >= 1) & (ms <= n)]
     means, covs = exact_mean_logphi(params, ms), exact_cov_zeta(params, ms)
-    for m, mean, cov in zip(ms.tolist(), means.tolist(), covs):
-        t_n = m / n
-        if params.regime == "scaled":
-            e_val, f_val = limit_mean_functions(params.scaled_d, t_n)
-            # O(1) constant is (1/beta - 1/2) F: the exact digamma sums
-            # converge to it (beta = 2 makes it vanish).
-            asym = n * e_val + (1.0 / params.beta - 0.5) * f_val
-            _, cov_lim = limit_covariance(params.scaled_d, t_n, params.beta)
-        else:
-            delta = params.effective_delta
-            if t_n < 1.0:
-                asym = -(delta / params.beta_prime) * math.log(1.0 - t_n)
-                _, cov_lim = limit_covariance(0.0, t_n, params.beta)
-            else:
-                asym = (delta / params.beta_prime) * math.log(n)
-                cov_lim = np.eye(2) * (math.log(n) / params.beta)
-        yield t_n, m, mean, complex(asym), cov, cov_lim
+    asyms, cov_lims = limit_moments(params, ms)
+    rows = zip(ms.tolist(), means.tolist(), asyms.tolist(), covs, cov_lims)
+    for m, mean, asym, cov, cov_lim in rows:
+        yield m / n, m, mean, asym, cov, cov_lim
 
 
 def _cmd_moments(args) -> int:
@@ -240,13 +227,14 @@ def _cmd_moments(args) -> int:
 
 def _cmd_clt(args) -> int:
     params = _params_from_args(args)
+    if params.regime == "scaled":  # theta's log n centring holds for a fixed deformation
+        raise DomainError("clt takes a fixed deformation only (--delta-re/--delta-im), not --scaled-d-re")
     n = _at_least("--n", params.n, 2)  # theta divides by sqrt(log n)
     # the JSON summary takes sample variances
     count = _at_least("--samples", args.samples, 2 if args.format == "json" else 1)
     workers = _at_least("--workers", args.workers, 1)
     sums = _log_sums(params, args.seed, count, workers)
-    delta = params.effective_delta
-    shift = (delta / params.beta_prime) * math.log(n)
+    shift, _ = limit_moments(params, n)
     theta = (sums - shift) / math.sqrt(math.log(n))
     if args.format == "csv":
         rows = zip(range(theta.size), theta.real.tolist(), theta.imag.tolist())
@@ -309,19 +297,13 @@ def _cmd_equilibrium(args) -> int:
     g = line_equilibrium(r)
     if args.format == "json":
         logmod, argmom = circle_log_moments(a)
-        ref = (
-            entropy_J(1 + 2 * a)
-            - entropy_J(1 + a)
-            - entropy_J(2 * a)
-            + entropy_J(a)
-        )
         cayley = cayley_check(r)
         _write(args.out, _json({
             "a": a,
             "r": r,
             "circle_mass": mu.mass(),
             "line_mass": g.mass(),
-            "logmod_residual": logmod - ref,
+            "logmod_residual": logmod - circle_logmod_closed(a),
             "arg_moment": argmom,
             "edge_equation_residual": edge_equation_residual(r, line_edge(r)),
             "transform_mass_defect": lubinsky_saff_Bf(r),

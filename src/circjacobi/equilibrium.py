@@ -42,7 +42,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_F, graded_quad
+from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_F, entropy_J, graded_quad
 
 __all__ = [
     "RadonMeasure1D",
@@ -50,6 +50,7 @@ __all__ = [
     "CayleyReport",
     "mu_a_measure",
     "circle_log_moments",
+    "circle_logmod_closed",
     "energy_rate",
     "constant_B",
     "constant_B_integral",
@@ -142,16 +143,22 @@ def mu_a_measure(a: float) -> RadonMeasure1D:
 def circle_log_moments(a: float) -> Tuple[float, float]:
     """(log-modulus moment, argument moment) of 1 - z under mu_a.
 
-    The log-modulus moment equals the entropy-difference combination
-    J(1+2a) - J(1+a) - J(2a) + J(a); the argument moment vanishes by the
-    symmetry theta <-> 2 pi - theta.  Both are evaluated by quadrature
-    here, the closed forms being the test targets.
+    The log-modulus moment equals ``circle_logmod_closed(a)``; the
+    argument moment vanishes by the symmetry theta <-> 2 pi - theta.  Both
+    are evaluated by quadrature here, the closed forms being the test
+    targets.
     """
     mu = mu_a_measure(a)
     logmod, argmom = mu.integrate(
         lambda th: (np.log(2.0 * np.sin(th / 2.0)), 0.5 * (th - math.pi))
     )
     return float(logmod), float(argmom)
+
+
+def circle_logmod_closed(a: float) -> float:
+    """The log-modulus moment of 1 - z under mu_a in closed form, the
+    entropy-difference combination J(1+2a) - J(1+a) - J(2a) + J(a)."""
+    return entropy_J(1 + 2 * a) - entropy_J(1 + a) - entropy_J(2 * a) + entropy_J(a)
 
 
 # Log-energy rule: Gauss-Legendre panels in u on [0, pi], about three nodes

@@ -242,18 +242,14 @@ def legendre_numeric(
     return value, point
 
 
-def _F(u) -> complex:
-    return complex(entropy_F(u))
-
-
 def _L0(T: float, s: float, t: float) -> float:
     """Zero-drift normalized cgf: the eight-term F combination with
     2z = s + it; valid for s >= -(1-T) (boundary included by limits)."""
     z = complex(0.5 * s, 0.5 * t)
     real_part = (
-        _F(1.0 + s) - _F(1.0 - T + s) + _F(1.0) - _F(1.0 - T)
-    ).real
-    cross = _F(1.0 + z) - _F(1.0 - T + z)
+        entropy_F(1.0 + s) - entropy_F(1.0 - T + s) + entropy_F(1.0) - entropy_F(1.0 - T)
+    )
+    cross = entropy_F(1.0 + z) - entropy_F(1.0 - T + z)
     return real_part - 2.0 * cross.real
 
 

@@ -368,6 +368,58 @@ class TestLimitCovariance:
             asy.limit_covariance(0.0, 1.0, 2.0)
 
 
+class TestLimitMoments:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            asy.EnsembleParams(50, 2.0, delta=0.3 + 0.1j),
+            asy.EnsembleParams(20_000, 0.8, delta=0.5),
+            asy.EnsembleParams(50, 4.0, scaled_d=0.6 + 0.4j),
+            asy.EnsembleParams(20_000, 2.0, scaled_d=1.0),
+        ],
+        ids=["fixed-n50", "fixed-n2e4", "drift-n50", "drift-n2e4"],
+    )
+    def test_rows_equal_one_row_calls_bitwise(self, params):
+        ms = _table_rows(params.n)  # holds m = n, the fixed regime's t = 1 row
+        means, covs = asy.limit_moments(params, ms)
+        assert means.shape == ms.shape and covs.shape == ms.shape + (2, 2)
+        for m, mean, cov in zip(ms.tolist(), means, covs):
+            one_mean, one_cov = asy.limit_moments(params, m)
+            assert type(one_mean) is complex and one_cov.shape == (2, 2)
+            assert mean == one_mean, m
+            assert np.array_equal(cov, one_cov), m
+
+    def test_fixed_regime_closed_forms(self):
+        p = asy.EnsembleParams(1000, 4.0, delta=0.3 + 0.2j)
+        mean, cov = asy.limit_moments(p, 500)
+        assert mean == pytest.approx(-(0.3 + 0.2j) / 2.0 * math.log(0.5), rel=1e-15)
+        assert np.array_equal(cov, asy.limit_covariance(0.0, 0.5, 4.0)[1])
+        mean, cov = asy.limit_moments(p, 1000)
+        assert mean == pytest.approx((0.3 + 0.2j) / 2.0 * math.log(1000), rel=1e-15)
+        assert np.array_equal(cov, np.eye(2) * math.log(1000) / 4.0)
+
+    @pytest.mark.parametrize("m", [5000, 10**4])
+    def test_drift_mean_tracks_exact_sums_with_its_sign(self, m):
+        # at beta = 4 the O(1) constant (1/beta - 1/2) F is -F/4; the
+        # opposite sign misses the exact sums by F/2, over 5e-2 here
+        n, beta, d = 10**4, 4.0, 1.0
+        p = asy.EnsembleParams(n, beta, scaled_d=d)
+        exact = asy.exact_mean_logphi(p, m)
+        mean, _ = asy.limit_moments(p, m)
+        assert abs(exact - mean) < 1e-5
+        e_val, f_val = asy.limit_mean_functions(d, m / n)
+        assert abs(exact - (n * e_val + (0.5 - 1 / beta) * f_val)) > 5e-2
+
+    def test_empty_and_bad_rows(self):
+        p = asy.EnsembleParams(100, 2.0, delta=0.3)
+        means, covs = asy.limit_moments(p, np.array([], dtype=int))
+        assert means.shape == (0,) and covs.shape == (0, 2, 2)
+        for m, match in ((2.5, "integer"), (np.array([0.5]), "integer"), (0, "m=0"),
+                         (np.array([5, 101]), "m=101")):
+            with pytest.raises(sf.DomainError, match=match):
+                asy.limit_moments(p, m)
+
+
 class TestKsNormal:
     """The in-house Kolmogorov-Smirnov statistic equals scipy's, bit for
     bit, so ``clt --format json`` keeps its bytes."""

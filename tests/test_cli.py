@@ -4,9 +4,10 @@ import multiprocessing
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from circjacobi import cli, ldp, sampler, verification
+from circjacobi import asymptotics, cli, ldp, sampler, verification
 from circjacobi.asymptotics import EnsembleParams
 from circjacobi.process import PATH_ROW, log_path
 
@@ -106,6 +107,22 @@ class TestMomentsCommand:
         assert set(payload[0]) == {
             "t", "m", "exact_mean", "asymptotic_mean", "exact_cov", "limit_cov",
         }
+
+    @pytest.mark.parametrize("params, flags", [
+        (EnsembleParams(40, 4.0, delta=0.3 + 0.2j), ["--delta-re", "0.3", "--delta-im", "0.2"]),
+        (EnsembleParams(40, 4.0, scaled_d=0.5 + 0.3j), ["--scaled-d-re", "0.5", "--scaled-d-im", "0.3"]),
+    ], ids=["fixed", "drift"])
+    def test_asymptotic_columns_are_limit_moments(self, params, flags, tmp_path):
+        # every row of the grid, the t = 1 row included, bit for bit
+        rc, text = run(tmp_path, "m.json", ["moments", "--n", "40", "--beta", "4", *flags,
+                                            "--t-grid", "0:1:0.05", "--format", "json"])
+        assert rc == 0
+        rows = json.loads(text)
+        means, covs = asymptotics.limit_moments(params, np.array([row["m"] for row in rows]))
+        assert len(rows) == 20 and rows[-1]["t"] == 1.0
+        for row, mean, cov in zip(rows, means.tolist(), covs.tolist()):
+            assert row["asymptotic_mean"] == [mean.real, mean.imag]
+            assert row["limit_cov"] == cov
 
 
 class TestCltCommand:
@@ -362,8 +379,27 @@ class TestUsageErrors:
             assert cli.main(base + extra + flags) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
-        assert cli.main(base + extra + ["--scaled-d-re", "0.5", "--scaled-d-im", "0.2"]) == 0
+        # clt's log n centring holds for a fixed deformation only
+        drift_rc = 2 if command == "clt" else 0
+        assert cli.main(base + extra + ["--scaled-d-re", "0.5", "--scaled-d-im", "0.2"]) == drift_rc
+        if command == "clt":
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: clt takes a fixed deformation only")
+            assert "--delta-re/--delta-im" in err[0]
         assert cli.main(base + extra + ["--delta-im", "0.2"]) == 0
+
+    def test_clt_rejects_the_drift_regime_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args):
+            raise AssertionError("clt drew a sample in the drift regime")
+
+        monkeypatch.setattr(cli, "ensemble_gammas", no_draw)
+        out = tmp_path / "c.json"
+        argv = ["clt", "--n", "256", "--beta", "2", "--scaled-d-re", "0.5", "--samples", "200",
+                "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: clt takes a fixed deformation only") and "Traceback" not in err
+        assert not out.exists()
 
     def test_both_regimes_rejected(self, tmp_path):
         rc = cli.main(
@@ -429,7 +465,7 @@ class TestOutputFiles:
         "sample": (["sample", "--n", "16", "--beta", "2", "--samples", "3"],
                    _interrupt(cli, "ensemble_gammas", 2)),
         "moments": (["moments", "--n", "50", "--beta", "2", "--delta-re", "0.3"],
-                    _interrupt(cli, "limit_covariance", 2)),
+                    _interrupt(asymptotics, "limit_covariance", 2)),
         "clt": (["clt", "--n", "16", "--beta", "2", "--samples", "5", "--format", "csv"],
                 _interrupt(cli, "ensemble_gammas", 2)),
         "ldp": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],
