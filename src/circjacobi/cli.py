@@ -3,9 +3,10 @@ rate-surface and measure-table exports, and the verification suite.
 
 Every command is deterministic given its flags: Monte Carlo sample i is
 drawn from substream (i,) of the master seed, workers only partition the
-sample indices, and aggregation fills indexed slots, so outputs are
-byte-identical for any worker count.  Floats are written with 17
-significant digits so CSV outputs round-trip exactly.
+sample indices (``clt``) or the xi rows of a rate grid (``ldp``), and each
+result fills its indexed slot, so outputs are byte-identical for any worker
+count.  Floats are written with 17 significant digits so CSV outputs
+round-trip exactly.
 
 Each command yields the rows of a CSV table or builds one JSON payload,
 and one writer sends the text to stdout or to ``--out``.  A file output is
@@ -148,6 +149,47 @@ def _json(payload) -> Tuple[str]:
 
 # ----------------------------------------------------------------- workers
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset``
+    sets, or the machine's count where the platform has no such call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _guarded(fn, item):
+    """``(fn(item), None)``, or ``(None, exc)`` for any exception.  A worker
+    that let a BaseException such as KeyboardInterrupt escape would die with
+    its task, and the pool would wait for that task forever."""
+    try:
+        return fn(item), None
+    except BaseException as exc:
+        return None, exc
+
+
+def _pool_map(fn, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on at most ``workers`` forked
+    processes, and on none for one item or one worker.
+
+    Results keep item order, so they do not depend on the worker count.
+    The exception of the first item that raised is re-raised here, as the
+    serial loop would raise it, and no worker outlives the call.
+    """
+    workers = min(workers, len(items))  # no idle processes when items are few
+    if workers <= 1:
+        return list(map(fn, items))
+    from multiprocessing import get_context  # only a pool needs it
+
+    chunksize = max(1, len(items) // (4 * workers))
+    with get_context("fork").Pool(workers) as pool:
+        results = pool.map(partial(_guarded, fn), items, chunksize=chunksize)
+    for _, exc in results:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in results]
+
+
 def _draw_log_sum(params: EnsembleParams, seed: int, index: int) -> complex:
     gamma = ensemble_gammas(params, substream(seed, index))
     return complex(np.sum(np.log(1.0 - gamma)))
@@ -155,14 +197,29 @@ def _draw_log_sum(params: EnsembleParams, seed: int, index: int) -> complex:
 
 def _log_sums(params: EnsembleParams, seed: int, count: int, workers: int):
     """Per-sample log Phi_n(1), indexed by sample; worker-count invariant."""
-    draw = partial(_draw_log_sum, params, seed)
-    workers = min(workers, count)  # no idle processes when samples are few
-    if workers <= 1:
-        return np.array(list(map(draw, range(count))))
-    from multiprocessing import get_context  # only a pool needs it
+    return np.array(_pool_map(partial(_draw_log_sum, params, seed), range(count), workers))
 
-    with get_context("fork").Pool(workers) as pool:
-        return np.array(pool.map(draw, range(count), chunksize=max(1, count // (4 * workers))))
+
+RATE_HEADER = "T,xi,eta,d_re,d_im,h,branch,gamma,rho\n"
+RATE_ROW = "%.17g," * 6 + "%s,%s\n"
+
+
+def _rate_row(T: float, d: complex, eta_grid, xi) -> str:
+    """The CSV lines of one xi row of the rate surface, one per eta, as
+    ``_table`` would format them; the last cell holds both multipliers,
+    empty off the interior branch."""
+    lines = []
+    for eta in eta_grid:
+        try:
+            res = ldp.marginal_rate_h(ldp.RatePoint(T, xi, eta, d))
+        except ldp.SolverError:
+            h, branch, mult = math.nan, "unsolved", ","
+        else:
+            h = res.value if math.isfinite(res.value) else math.inf
+            branch = res.branch.value
+            mult = "%.17g,%.17g" % res.multipliers if res.multipliers else ","
+        lines.append(RATE_ROW % (T, xi, eta, d.real, d.imag, h, branch, mult))
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------- commands
@@ -257,28 +314,13 @@ def _cmd_clt(args) -> int:
     return 0
 
 
-def _rate_rows(T: float, d: complex, xi_grid, eta_grid) -> Iterator[tuple]:
-    """One row per grid point; the last cell holds both multipliers, empty
-    off the interior branch."""
-    for xi in xi_grid:
-        for eta in eta_grid:
-            try:
-                res = ldp.marginal_rate_h(ldp.RatePoint(T, xi, eta, d))
-            except ldp.SolverError:
-                yield T, xi, eta, d.real, d.imag, math.nan, "unsolved", ","
-                continue
-            h = res.value if math.isfinite(res.value) else math.inf
-            mult = "%.17g,%.17g" % res.multipliers if res.multipliers else ","
-            yield T, xi, eta, d.real, d.imag, h, res.branch.value, mult
-
-
 def _cmd_ldp(args) -> int:
     d = complex(args.scaled_d_re or 0.0, args.scaled_d_im)
     eta_grid = np.array([0.0]) if args.eta_grid is None else args.eta_grid
-    rows = _rate_rows(args.T, d, args.xi_grid, eta_grid)
-    _write(args.out, _table(
-        "T,xi,eta,d_re,d_im,h,branch,gamma,rho", "%.17g," * 6 + "%s,%s", rows
-    ))
+    # T and d are shared by every point: reject them before any worker starts
+    ldp.RatePoint(args.T, args.xi_grid[0], eta_grid[0], d)
+    rows = _pool_map(partial(_rate_row, args.T, d, eta_grid), args.xi_grid, _usable_cpus())
+    _write(args.out, [RATE_HEADER, *rows])
     return 0
 
 
@@ -380,7 +422,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=_cmd_clt)
 
-    p = sub.add_parser("ldp", help="marginal rate surface export")
+    p = sub.add_parser(
+        "ldp", help="marginal rate surface export",
+        description="Tabulate the marginal rate h(T, xi, eta) with its branch and multipliers. "
+        "The xi rows run on the CPUs this process may use (limit them with taskset); "
+        "the output is byte-identical for any CPU count.",
+    )
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--xi-grid", type=_parse_grid, required=True)
     p.add_argument("--eta-grid", type=_parse_grid, default=None)

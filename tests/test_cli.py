@@ -11,11 +11,36 @@ from circjacobi import asymptotics, cli, ldp, sampler, verification
 from circjacobi.asymptotics import EnsembleParams
 from circjacobi.process import PATH_ROW, log_path
 
+from test_startup import _python
+
 
 def run(tmp_path, name, args):
     out = tmp_path / name
     rc = cli.main(args + ["--out", str(out)])
     return rc, out.read_text()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Run every worker pool in process; the list gets the size of each pool
+    started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+    return sizes
 
 
 class TestSampleCommand:
@@ -139,29 +164,13 @@ class TestCltCommand:
         assert texts[0].splitlines()[0] == "sample,re_theta,im_theta"
 
     @pytest.mark.parametrize("workers, samples, pools", [(64, 2, [2]), (3, 5, [3]), (8, 1, [])])
-    def test_pool_never_outnumbers_samples(self, workers, samples, pools, tmp_path, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, size):
-                sizes.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return list(map(fn, items))
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+    def test_pool_never_outnumbers_samples(self, workers, samples, pools, tmp_path, pool_sizes):
         base = [
             "clt", "--n", "16", "--beta", "2", "--samples", str(samples), "--seed", "3",
             "--format", "csv",
         ]
         _, text = run(tmp_path, "w.csv", base + ["--workers", str(workers)])
-        assert sizes == pools
+        assert pool_sizes == pools
         _, serial = run(tmp_path, "s.csv", base + ["--workers", "1"])
         assert text == serial
 
@@ -220,6 +229,122 @@ class TestLdpCommand:
         assert cli.main(base + ["--format", "json"]) == 2
         assert cli.main(base + ["--format", "csv"]) == 2
         assert cli.main(base) == 0
+
+    # each grid has interior, linear, infinite and unsolved points
+    GRIDS = {
+        "no-drift": ["--T", "0.5", "--xi-grid=-0.6:0.4:0.2", "--eta-grid=0:0.5:0.25"],
+        "drift": ["--T", "1", "--scaled-d-re", "0.5", "--xi-grid=-0.4:0.8:0.3",
+                  "--eta-grid=0:0.6:0.3"],
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_cpu_count_invariance(self, grid, tmp_path, monkeypatch):
+        texts = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            rc, text = run(tmp_path, f"l{cpus}.csv", ["ldp", *self.GRIDS[grid]])
+            assert rc == 0 and multiprocessing.active_children() == []
+            texts.append(text)
+        assert texts[0] == texts[1] == texts[2]
+        branches = {line.split(",")[6] for line in texts[0].splitlines()[1:]}
+        assert branches == {"interior", "linear", "infinite", "unsolved"}
+
+    @pytest.mark.parametrize("cpus, rows, pools", [(64, 2, [2]), (3, 5, [3]), (8, 1, [])])
+    def test_pool_never_outnumbers_rows(self, cpus, rows, pools, tmp_path, monkeypatch, pool_sizes):
+        argv = ["ldp", "--T", "0.5", f"--xi-grid=-0.6:{-0.6 + 0.1 * (rows - 1):.1f}:0.1",
+                "--eta-grid=-0.2:0.2:0.2"]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        _, text = run(tmp_path, "w.csv", argv)
+        assert pool_sizes == pools
+        assert len(text.splitlines()) == 1 + 3 * rows
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        _, serial = run(tmp_path, "s.csv", argv)
+        assert text == serial
+
+    @pytest.mark.parametrize("args, message", [
+        (["--T", "1", "--xi-grid=0:0.1:0.1"], "T = 1 requires Re d > 0"),
+        (["--T", "1.5", "--xi-grid=0:0.1:0.1"], "need 0 < T <= 1"),
+        (["--T", "0.5", "--xi-grid=0:0.1:0.1", "--scaled-d-re", "-0.5"], "need Re d >= 0"),
+    ])
+    def test_domain_is_checked_before_forking(self, args, message, tmp_path, monkeypatch, capsys):
+        def no_pool(method):
+            raise AssertionError("ldp started a pool for a grid outside the domain")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "l.csv"
+        assert cli.main(["ldp", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not out.exists()
+
+
+# A worker pool that fails in its workers, run in a fresh interpreter so
+# that a pool which hangs fails the test at the timeout instead.
+POOL_FAILURE = """
+import contextlib, io, json, multiprocessing, os
+import circjacobi.cli as cli
+from circjacobi import ldp
+from circjacobi.sampler import SamplingError
+from circjacobi.specfun import DomainError
+
+cli._usable_cpus = lambda: 3
+error = %s
+argv = %r
+if argv[0] == "ldp":
+    original = ldp.marginal_rate_h
+
+    def failing(point):
+        if error is not None and point.xi > 0.05:  # the rows from xi = 0.1 on
+            raise error("raised in a worker")
+        return original(point)
+
+    ldp.marginal_rate_h = failing
+elif error is not None:
+    def failing(*args):
+        raise error("raised in a worker")
+
+    cli.ensemble_gammas = failing
+stderr = io.StringIO()
+with contextlib.redirect_stderr(stderr):
+    try:
+        outcome = cli.main(argv + ["--out", "out.csv"])
+    except KeyboardInterrupt:
+        outcome = "KeyboardInterrupt"
+print(json.dumps({"outcome": outcome, "stderr": stderr.getvalue().splitlines(),
+                  "children": len(multiprocessing.active_children()), "files": os.listdir(".")}))
+"""
+
+POOLED_COMMANDS = {
+    "ldp": ["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1", "--eta-grid=-0.2:0.2:0.2"],
+    "clt": ["clt", "--n", "16", "--beta", "2", "--samples", "12", "--workers", "3",
+            "--format", "csv"],
+}
+
+
+class TestWorkerFailures:
+    """An exception raised in a worker reaches the caller of ``cli.main`` as
+    it would from the serial loop, and no worker outlives the command."""
+
+    @pytest.mark.parametrize("command", sorted(POOLED_COMMANDS))
+    @pytest.mark.parametrize("error, outcome", [
+        ("KeyboardInterrupt", "KeyboardInterrupt"),
+        ("DomainError", 2),
+        ("SamplingError", 3),
+    ])
+    def test_worker_exception_reaches_the_caller(self, command, error, outcome, tmp_path):
+        script = POOL_FAILURE % (error, POOLED_COMMANDS[command])
+        report = json.loads(_python(["-c", script], cwd=tmp_path, timeout=60))
+        stderr = [] if outcome == "KeyboardInterrupt" else ["error: raised in a worker"]
+        assert report == {"outcome": outcome, "stderr": stderr, "children": 0, "files": []}
+
+    @pytest.mark.parametrize("command", sorted(POOLED_COMMANDS))
+    def test_success_leaves_no_worker(self, command, tmp_path):
+        script = POOL_FAILURE % (None, POOLED_COMMANDS[command])
+        report = json.loads(_python(["-c", script], cwd=tmp_path, timeout=60))
+        assert report == {"outcome": 0, "stderr": [], "children": 0, "files": ["out.csv"]}
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert len(lines) == 1 + (30 if command == "ldp" else 12)
 
 
 class TestEquilibriumCommand:
@@ -470,6 +595,10 @@ class TestOutputFiles:
                 _interrupt(cli, "ensemble_gammas", 2)),
         "ldp": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],
                 _interrupt(ldp, "marginal_rate_h", 3)),
+        # serial, so call 3 is the third row
+        "ldp-one-cpu": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],
+                        lambda mp: (_interrupt(ldp, "marginal_rate_h", 3)(mp),
+                                    mp.setattr(cli, "_usable_cpus", lambda: 1))),
         # interrupted in the companion line table: neither table may be left
         "equilibrium": (["equilibrium", "--scaled-d-re", "0.5", "--samples", "8"],
                         _interrupt_line_density),

@@ -26,13 +26,13 @@ SRC = str(Path(circjacobi.__file__).resolve().parents[1])
 OTHER_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.stats")
 
 
-def _python(args, cwd=None):
+def _python(args, cwd=None, timeout=300):
     """Run a fresh interpreter that imports circjacobi from this source tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])
     ))
     proc = subprocess.run(
-        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=300
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=timeout
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
