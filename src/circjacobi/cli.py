@@ -3,10 +3,10 @@ rate-surface and measure-table exports, and the verification suite.
 
 Every command is deterministic given its flags: Monte Carlo sample i is
 drawn from substream (i,) of the master seed, workers only partition the
-sample indices (``clt``) or the xi rows of a rate grid (``ldp``), and each
-result fills its indexed slot, so outputs are byte-identical for any worker
-count.  Floats are written with 17 significant digits so CSV outputs
-round-trip exactly.
+sample indices (``clt`` and ``verify``, in ``process.log_phi_sums``) or
+the xi rows of a rate grid (``ldp``), and each result fills its indexed
+slot, so outputs are byte-identical for any worker count.  Floats are
+written with 17 significant digits so CSV outputs round-trip exactly.
 
 Each command yields the rows of a CSV table or builds one JSON payload,
 and one writer sends the text to stdout or to ``--out``.  A file output is
@@ -50,7 +50,7 @@ from .equilibrium import (
     lubinsky_saff_Bf,
     mu_a_measure,
 )
-from .process import PATH_HEADER, PATH_ROW, log_path
+from .process import PATH_HEADER, PATH_ROW, _pool_map, _usable_cpus, log_path, log_phi_sums
 from .sampler import DeformedVerblunskySample, SamplingError, ensemble_gammas, substream
 from .specfun import DomainError
 
@@ -61,8 +61,11 @@ def _parse_seed(text: str) -> int:
     return int(text, 0)  # accepts decimal and 0x-prefixed hex
 
 
+MAX_GRID_POINTS = 10**7
+
+
 def _parse_grid(spec: str) -> np.ndarray:
-    """Parse 'a:b:step' into an inclusive grid."""
+    """Parse 'a:b:step' into an inclusive grid of at most MAX_GRID_POINTS points."""
     try:
         a, b, step = (float(part) for part in spec.split(":"))
     except ValueError as exc:
@@ -73,8 +76,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid parts must be finite, got {spec!r}")
     if step <= 0 or b < a:
         raise argparse.ArgumentTypeError(f"bad grid bounds {spec!r}")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
-    return a + step * np.arange(count)
+    steps = (b - a) / step + 1e-9  # inf when b - a overflows
+    if not steps < MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return a + step * np.arange(int(math.floor(steps)) + 1)
 
 
 def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
@@ -145,59 +150,6 @@ def _table(header: str, row_format: str, rows: Iterable[tuple]) -> Iterator[str]
 
 def _json(payload) -> Tuple[str]:
     return (json.dumps(payload, indent=2) + "\n",)
-
-
-# ----------------------------------------------------------------- workers
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, which ``taskset``
-    sets, or the machine's count where the platform has no such call."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _guarded(fn, item):
-    """``(fn(item), None)``, or ``(None, exc)`` for any exception.  A worker
-    that let a BaseException such as KeyboardInterrupt escape would die with
-    its task, and the pool would wait for that task forever."""
-    try:
-        return fn(item), None
-    except BaseException as exc:
-        return None, exc
-
-
-def _pool_map(fn, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]`` on at most ``workers`` forked
-    processes, and on none for one item or one worker.
-
-    Results keep item order, so they do not depend on the worker count.
-    The exception of the first item that raised is re-raised here, as the
-    serial loop would raise it, and no worker outlives the call.
-    """
-    workers = min(workers, len(items))  # no idle processes when items are few
-    if workers <= 1:
-        return list(map(fn, items))
-    from multiprocessing import get_context  # only a pool needs it
-
-    chunksize = max(1, len(items) // (4 * workers))
-    with get_context("fork").Pool(workers) as pool:
-        results = pool.map(partial(_guarded, fn), items, chunksize=chunksize)
-    for _, exc in results:
-        if exc is not None:
-            raise exc
-    return [value for value, _ in results]
-
-
-def _draw_log_sum(params: EnsembleParams, seed: int, index: int) -> complex:
-    gamma = ensemble_gammas(params, substream(seed, index))
-    return complex(np.sum(np.log(1.0 - gamma)))
-
-
-def _log_sums(params: EnsembleParams, seed: int, count: int, workers: int):
-    """Per-sample log Phi_n(1), indexed by sample; worker-count invariant."""
-    return np.array(_pool_map(partial(_draw_log_sum, params, seed), range(count), workers))
 
 
 RATE_HEADER = "T,xi,eta,d_re,d_im,h,branch,gamma,rho\n"
@@ -290,7 +242,7 @@ def _cmd_clt(args) -> int:
     # the JSON summary takes sample variances
     count = _at_least("--samples", args.samples, 2 if args.format == "json" else 1)
     workers = _at_least("--workers", args.workers, 1)
-    sums = _log_sums(params, args.seed, count, workers)
+    sums = log_phi_sums(params, args.seed, count, workers)
     shift, _ = limit_moments(params, n)
     theta = (sums - shift) / math.sqrt(math.log(n))
     if args.format == "csv":

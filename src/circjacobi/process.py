@@ -4,6 +4,8 @@ Three independent evaluation routes are maintained for the monic
 orthogonal polynomials at z = 1:
 
 1. the running product of (1 - gamma_j) over the deformed coefficients,
+   as sums of ``log_one_minus``, the one spelling of log(1 - gamma): the
+   path in ``log_path``, one Monte Carlo sample each in ``log_phi_sums``,
 2. the Szego recursion driven by the Schur coefficients alpha_j,
 3. the determinant of I_k minus the top-left k x k block of the GGT
    (Hessenberg) matrix built from the alpha_j.
@@ -17,19 +19,23 @@ imaginary parts, which the test suite pins at desk scale.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import partial
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .asymptotics import EnsembleParams, mean_increments
-from .sampler import DeformedVerblunskySample
+from .sampler import DeformedVerblunskySample, ensemble_gammas, substream
 
 __all__ = [
     "LogPolyPath",
     "SchurCoefficients",
     "DegenerateMatrixError",
+    "log_one_minus",
     "log_path",
+    "log_phi_sums",
     "gamma_to_alpha",
     "alpha_to_gamma",
     "szego_eval",
@@ -96,23 +102,71 @@ class LogPolyPath:
         )
 
 
-def log_path(sample: DeformedVerblunskySample, centered: bool = True) -> LogPolyPath:
-    """Cumulative principal-branch logs of (1 - gamma_j).
+def log_one_minus(gamma: np.ndarray) -> np.ndarray:
+    """Principal log(1 - gamma), elementwise; Im in [-pi/2, pi/2] on the closed disc."""
+    return np.log(1.0 - gamma)
 
-    Each increment has imaginary part in [-pi/2, pi/2] because
-    Re(1 - gamma) >= 0 on the closed unit disc.  ``centered`` also
-    stores the path minus its exact mean.
-    """
-    gamma = sample.gamma
-    if np.any(gamma == 1.0):
-        raise ValueError("gamma = 1 encountered; log(1 - gamma) undefined")
-    increments = np.log(1.0 - gamma)
-    values = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
+
+def log_path(sample: DeformedVerblunskySample, centered: bool = True) -> LogPolyPath:
+    """Cumulative sums of ``log_one_minus(gamma_j)``; ``centered`` also
+    stores the path minus its exact mean."""
+    values = np.concatenate([[0.0 + 0.0j], np.cumsum(log_one_minus(sample.gamma))])
     zeta = None
     if centered:
         mean = np.concatenate([[0.0 + 0.0j], np.cumsum(mean_increments(sample.params))])
         zeta = values - mean
     return LogPolyPath(values=values, params=sample.params, zeta=zeta)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset``
+    sets, or the machine's count where the platform has no such call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _guarded(fn, item):
+    """``(fn(item), None)``, or ``(None, exc)`` for any exception.  A worker
+    that let a BaseException such as KeyboardInterrupt escape would die with
+    its task, and the pool would wait for that task forever."""
+    try:
+        return fn(item), None
+    except BaseException as exc:
+        return None, exc
+
+
+def _pool_map(fn, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on at most ``workers`` forked
+    processes, and on none for one item or one worker.
+
+    Results keep item order, so they do not depend on the worker count.
+    The exception of the first item that raised is re-raised here, as the
+    serial loop would raise it, and no worker outlives the call.
+    """
+    workers = min(workers, len(items))  # no idle processes when items are few
+    if workers <= 1:
+        return list(map(fn, items))
+    from multiprocessing import get_context  # only a pool needs it
+
+    chunksize = max(1, len(items) // (4 * workers))
+    with get_context("fork").Pool(workers) as pool:
+        results = pool.map(partial(_guarded, fn), items, chunksize=chunksize)
+    for _, exc in results:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in results]
+
+
+def _log_phi(params: EnsembleParams, seed: int, index: int) -> complex:
+    return complex(np.sum(log_one_minus(ensemble_gammas(params, substream(seed, index)))))
+
+
+def log_phi_sums(params: EnsembleParams, seed: int, count: int, workers: int) -> np.ndarray:
+    """log Phi_n(1) of samples 0..count-1 of ``seed``, indexed by sample, on
+    at most ``workers`` processes; bit-identical for any worker count."""
+    return np.array(_pool_map(partial(_log_phi, params, seed), range(count), workers))
 
 
 def gamma_to_alpha(gamma: np.ndarray) -> SchurCoefficients:

@@ -10,6 +10,7 @@ Statistical checks run on pinned seeds so outcomes are deterministic;
 where a finite-size limit carries a known bias (the n = 4096 variance of
 the normalized log-determinant is 0.5948, not its 1/2 limit), the check
 also cross-validates the simulation against the exact finite-n value.
+Checks 05 and 14 take log Phi_n(1) per sample from ``process.log_phi_sums``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def check_triple_determinant() -> CheckResult:
         n = int(rng.integers(2, 13))
         gamma = _random_coefficients(rng, n)
         alpha = pr.gamma_to_alpha(gamma)
-        logs = np.concatenate([[0.0 + 0.0j], np.cumsum(np.log(1 - gamma))])
+        logs = np.concatenate([[0.0 + 0.0j], np.cumsum(pr.log_one_minus(gamma))])
         phis = pr.szego_eval(alpha, 1.0)
         for k in (1, max(1, n // 2), n):
             ref = np.exp(logs[k])
@@ -112,7 +113,7 @@ def check_moment_exactness() -> CheckResult:
             vals = sp.sample_gamma_disc(r, delta, stream, size=draws)
         else:
             vals = sp.sample_gamma_circle(delta, stream, size=draws)
-        lg = np.log(1 - vals)
+        lg = pr.log_one_minus(vals)
         root = math.sqrt(draws)
         pairs = [
             (lg.real.mean(), cs.mean.real, lg.real.std(ddof=1) / root),
@@ -215,8 +216,7 @@ def check_second_regime_mean() -> CheckResult:
         worst = max(worst, float(np.abs(dev).max()))
     drift = asy.EnsembleParams(64, 2.0, scaled_d=0.5)
     samples = 4000
-    g = sp.sample_ensemble_batch(drift, DRIFT_MC_SEED, samples)
-    logphi = np.log(1 - g).sum(axis=1)
+    logphi = pr.log_phi_sums(drift, DRIFT_MC_SEED, samples, pr._usable_cpus())
     exact = asy.exact_mean_logphi(drift, drift.n)
     root = math.sqrt(samples)
     z_mc = max(
@@ -510,8 +510,7 @@ def check_clt_smoke() -> CheckResult:
     t0 = time.perf_counter()
     n, beta, samples = 4096, 2.0, 4000
     p = asy.EnsembleParams(n, beta, delta=0.0)
-    g = sp.sample_ensemble_batch(p, CLT_SEED, samples)
-    theta = np.log(1 - g).sum(axis=1) / math.sqrt(math.log(n))
+    theta = pr.log_phi_sums(p, CLT_SEED, samples, pr._usable_cpus()) / math.sqrt(math.log(n))
     exact = asy.exact_cov_zeta(p, n) / math.log(n)
     root = math.sqrt(samples)
     checks = []

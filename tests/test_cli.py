@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import multiprocessing
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from circjacobi import asymptotics, cli, ldp, sampler, verification
+from circjacobi import asymptotics, cli, ldp, process, sampler, verification
 from circjacobi.asymptotics import EnsembleParams
 from circjacobi.process import PATH_ROW, log_path
 
@@ -284,7 +285,7 @@ class TestLdpCommand:
 POOL_FAILURE = """
 import contextlib, io, json, multiprocessing, os
 import circjacobi.cli as cli
-from circjacobi import ldp
+from circjacobi import ldp, process
 from circjacobi.sampler import SamplingError
 from circjacobi.specfun import DomainError
 
@@ -304,7 +305,7 @@ elif error is not None:
     def failing(*args):
         raise error("raised in a worker")
 
-    cli.ensemble_gammas = failing
+    process.ensemble_gammas = failing
 stderr = io.StringIO()
 with contextlib.redirect_stderr(stderr):
     try:
@@ -491,6 +492,27 @@ class TestUsageErrors:
         assert "error: " in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        # the span overflows to inf, and 1e18 points
+        ["ldp", "--T", "0.5", "--xi-grid=-1e308:1e308:1e300"],
+        ["ldp", "--T", "0.5", "--xi-grid=0:1e12:1e-6"],
+        ["moments", "--n", "8", "--beta", "2", "--t-grid=-1e308:1e308:1e300"],
+        ["moments", "--n", "8", "--beta", "2", "--t-grid=0:1e12:1e-6"],
+    ], ids=lambda args: " ".join(args))
+    def test_grid_too_large_to_build_is_a_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert cli.main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert errors[0].endswith(f"has more than {cli.MAX_GRID_POINTS} points")
+        assert not out.exists()
+
+    def test_grid_size_limit(self):
+        assert cli._parse_grid("0:1:1e-6").size == 10**6 + 1
+        with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+            cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
+
     @pytest.mark.parametrize("command", ["sample", "moments", "clt"])
     def test_flags_of_the_other_regime_are_rejected(self, command, tmp_path, capsys):
         # each would otherwise be ignored, with output identical to the run without it
@@ -517,7 +539,7 @@ class TestUsageErrors:
         def no_draw(*args):
             raise AssertionError("clt drew a sample in the drift regime")
 
-        monkeypatch.setattr(cli, "ensemble_gammas", no_draw)
+        monkeypatch.setattr(process, "ensemble_gammas", no_draw)
         out = tmp_path / "c.json"
         argv = ["clt", "--n", "256", "--beta", "2", "--scaled-d-re", "0.5", "--samples", "200",
                 "--seed", "1", "--out", str(out)]
@@ -592,7 +614,7 @@ class TestOutputFiles:
         "moments": (["moments", "--n", "50", "--beta", "2", "--delta-re", "0.3"],
                     _interrupt(asymptotics, "limit_covariance", 2)),
         "clt": (["clt", "--n", "16", "--beta", "2", "--samples", "5", "--format", "csv"],
-                _interrupt(cli, "ensemble_gammas", 2)),
+                _interrupt(process, "ensemble_gammas", 2)),
         "ldp": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],
                 _interrupt(ldp, "marginal_rate_h", 3)),
         # serial, so call 3 is the third row

@@ -1,9 +1,12 @@
+import ast
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import circjacobi
 from circjacobi import process as pr
 from circjacobi import sampler as sp
 from circjacobi.asymptotics import EnsembleParams, exact_cov_zeta
@@ -73,6 +76,66 @@ class TestLogPath:
             path = pr.log_path(sp.sample_ensemble(params, 2), centered=True)
             for k in range(1, params.n + 1):
                 assert path.zeta[k] == path.values[k] - exact_mean_logphi(params, k), k
+
+
+class TestLogPhiSums:
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_equal_the_batch_sums_bit_for_bit(self, workers):
+        for params, seed in ((EnsembleParams(64, 2.0, scaled_d=0.5), 5),
+                             (EnsembleParams(256, 2.0, delta=0.3 + 0.2j), 3)):
+            batch = np.log(1 - sp.sample_ensemble_batch(params, seed, 40)).sum(axis=1)
+            sums = pr.log_phi_sums(params, seed, 40, workers)
+            assert sums.dtype == np.complex128
+            assert np.array_equal(sums.view(np.float64), batch.view(np.float64))
+
+    def test_sample_zero_ends_the_path_of_sample_ensemble(self):
+        # the same increments, summed pairwise rather than cumulatively
+        p = EnsembleParams(32, 2.0, delta=0.5)
+        end = pr.log_path(sp.sample_ensemble(p, 7)).values[-1]
+        assert abs(pr.log_phi_sums(p, 7, 1, 1)[0] - end) <= 1e-14 * abs(end)
+
+
+def _log_one_minus_spellings(tree):
+    """(enclosing function, line) of every np.log(1 - x) or np.log(1.0 - x)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "log"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and node.args
+            and isinstance(node.args[0], ast.BinOp)
+            and isinstance(node.args[0].op, ast.Sub)
+            and isinstance(node.args[0].left, ast.Constant)
+            and node.args[0].left.value == 1
+        ):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_log_one_minus_is_spelled_once():
+    """Every log(1 - gamma) of the package goes through
+    ``process.log_one_minus``; the one other spelling is ``ggt_check``'s log
+    of eigenvalues, which are not coefficients."""
+    allowed = {("process.py", "log_one_minus"), ("process.py", "ggt_check")}
+    spellings = set()
+    offenders = []
+    for path in sorted(Path(circjacobi.__file__).parent.glob("*.py")):
+        for func, line in _log_one_minus_spellings(ast.parse(path.read_text(), str(path))):
+            spellings.add((path.name, func))
+            if (path.name, func) not in allowed:
+                offenders.append(f"{path.name}:{line} in {func}")
+    assert offenders == []
+    assert spellings == allowed
 
 
 class TestConversions:
