@@ -154,6 +154,13 @@ def _json(payload) -> Tuple[str]:
 
 RATE_HEADER = "T,xi,eta,d_re,d_im,h,branch,gamma,rho\n"
 RATE_ROW = "%.17g," * 6 + "%s,%s\n"
+# Fewest rate points an ldp worker is given.  A pool costs about 15 ms to
+# start; on 2 CPUs a grid with eta != 0 won that back from about 150 points
+# (110 points: 71 ms serial, 80 ms pooled; 220 points: 141 against 88 ms),
+# so a pool starts from 200 points there.  An eta = 0 point costs tens of
+# microseconds, so such lines still lose up to 15 ms pooled below about
+# 1,000 points; the count cannot tell the two kinds apart.
+LDP_POINTS_PER_WORKER = 100
 
 
 def _rate_row(T: float, d: complex, eta_grid, xi) -> str:
@@ -271,7 +278,8 @@ def _cmd_ldp(args) -> int:
     eta_grid = np.array([0.0]) if args.eta_grid is None else args.eta_grid
     # T and d are shared by every point: reject them before any worker starts
     ldp.RatePoint(args.T, args.xi_grid[0], eta_grid[0], d)
-    rows = _pool_map(partial(_rate_row, args.T, d, eta_grid), args.xi_grid, _usable_cpus())
+    workers = min(_usable_cpus(), len(args.xi_grid) * len(eta_grid) // LDP_POINTS_PER_WORKER)
+    rows = _pool_map(partial(_rate_row, args.T, d, eta_grid), args.xi_grid, workers)
     _write(args.out, [RATE_HEADER, *rows])
     return 0
 

@@ -240,6 +240,7 @@ class TestLdpCommand:
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_cpu_count_invariance(self, grid, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "LDP_POINTS_PER_WORKER", 1)  # pool these small grids
         texts = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -254,6 +255,7 @@ class TestLdpCommand:
     def test_pool_never_outnumbers_rows(self, cpus, rows, pools, tmp_path, monkeypatch, pool_sizes):
         argv = ["ldp", "--T", "0.5", f"--xi-grid=-0.6:{-0.6 + 0.1 * (rows - 1):.1f}:0.1",
                 "--eta-grid=-0.2:0.2:0.2"]
+        monkeypatch.setattr(cli, "LDP_POINTS_PER_WORKER", 1)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         _, text = run(tmp_path, "w.csv", argv)
         assert pool_sizes == pools
@@ -261,6 +263,23 @@ class TestLdpCommand:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         _, serial = run(tmp_path, "s.csv", argv)
         assert text == serial
+
+    @pytest.mark.parametrize("cpus, points, pools", [
+        (2, 151, []), (2, 199, []), (2, 200, [2]), (8, 450, [4]), (8, 1000, [8]),
+    ])
+    def test_each_worker_gets_enough_points(self, cpus, points, pools, tmp_path, monkeypatch,
+                                            pool_sizes):
+        # an eta = 0 line of ``points`` rows; a pool starts only when each
+        # worker gets LDP_POINTS_PER_WORKER of them, and changes no byte
+        assert cli.LDP_POINTS_PER_WORKER == 100
+        argv = ["ldp", "--T", "0.9", f"--xi-grid=-0.6:{-0.6 + 0.001 * (points - 1):.3f}:0.001"]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        _, text = run(tmp_path, "w.csv", argv)
+        assert pool_sizes == pools
+        assert len(text.splitlines()) == 1 + points
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        _, serial = run(tmp_path, "s.csv", argv)
+        assert pool_sizes == pools and text == serial
 
     @pytest.mark.parametrize("args, message", [
         (["--T", "1", "--xi-grid=0:0.1:0.1"], "T = 1 requires Re d > 0"),
@@ -273,6 +292,7 @@ class TestLdpCommand:
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "LDP_POINTS_PER_WORKER", 1)  # a pool would start
         out = tmp_path / "l.csv"
         assert cli.main(["ldp", *args, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -290,6 +310,7 @@ from circjacobi.sampler import SamplingError
 from circjacobi.specfun import DomainError
 
 cli._usable_cpus = lambda: 3
+cli.LDP_POINTS_PER_WORKER = 1  # pool the small ldp grid
 error = %s
 argv = %r
 if argv[0] == "ldp":
@@ -615,8 +636,10 @@ class TestOutputFiles:
                     _interrupt(asymptotics, "limit_covariance", 2)),
         "clt": (["clt", "--n", "16", "--beta", "2", "--samples", "5", "--format", "csv"],
                 _interrupt(process, "ensemble_gammas", 2)),
+        # pooled, as each worker may take one point
         "ldp": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],
-                _interrupt(ldp, "marginal_rate_h", 3)),
+                lambda mp: (_interrupt(ldp, "marginal_rate_h", 3)(mp),
+                            mp.setattr(cli, "LDP_POINTS_PER_WORKER", 1))),
         # serial, so call 3 is the third row
         "ldp-one-cpu": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],
                         lambda mp: (_interrupt(ldp, "marginal_rate_h", 3)(mp),

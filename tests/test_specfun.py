@@ -374,6 +374,30 @@ def test_each_entry_alone_equals_its_entry_in_a_long_array():
         assert alone == together, name
 
 
+def _polygamma_arguments(kind: str, size: int = 10_000) -> np.ndarray:
+    rng = np.random.default_rng(["real", "complex", "reflected", "shifted"].index(kind))
+    if kind == "real":  # the real route, shifted below 16
+        return rng.uniform(0.5, 40.0, size)
+    im = rng.uniform(-30.0, 30.0, size)
+    im[::9] = 0.0  # on the real axis, as the cumulants' first entry
+    re = {"complex": (16.0, 80.0), "reflected": (-40.0, 0.5), "shifted": (0.5, 16.0)}[kind]
+    return rng.uniform(*re, size) + 1j * im
+
+
+@pytest.mark.parametrize("orders", [(1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("kind", ["real", "complex", "reflected", "shifted"])
+def test_every_short_slice_equals_its_entries_in_a_long_array(kind, orders):
+    # slices up to specfun._SHORT entries repeat w once per order and take
+    # same-shape operands, longer ones broadcast (orders, 1) columns
+    # against a row; bit for bit, so a mis-shaped or misaligned tile shows
+    z = _polygamma_arguments(kind)
+    together = sf.polygamma(orders, z)
+    for size in range(1, 71):
+        for start in (0, 4321):
+            alone = sf.polygamma(orders, z[start:start + size])
+            assert alone.tobytes() == together[:, start:start + size].tobytes(), (size, start)
+
+
 class TestEntropy:
     def test_J_values(self):
         assert sf.entropy_J(1.0) == 0.0
