@@ -58,7 +58,10 @@ __all__ = ["main"]
 
 
 def _parse_seed(text: str) -> int:
-    return int(text, 0)  # accepts decimal and 0x-prefixed hex
+    seed = int(text, 0)  # accepts decimal and 0x-prefixed hex
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text!r}")
+    return seed
 
 
 MAX_GRID_POINTS = 10**7

@@ -332,14 +332,10 @@ def lubinsky_saff_density(r: float, t: float) -> float:
     return main + bf / (math.pi * math.sqrt(1.0 - t * t))
 
 
+@functools.lru_cache(maxsize=64)
 def lubinsky_saff_Bf(r: float) -> float:
     """Mass defect B_f = 1 - (1/pi) int_-1^1 s f'(s)/sqrt(1-s^2) ds;
     zero for this field (that is the endpoint equation)."""
-    return _mass_defect(r)
-
-
-@functools.lru_cache(maxsize=64)
-def _mass_defect(r: float) -> float:
     # depends on r alone, so each density table pays for one quadrature
     sfp = _scaled_field_sfprime(r, line_edge(r))
     val = graded_quad(lambda u: sfp(np.sin(u)), (0.0, 0.5 * math.pi), 1e-12)

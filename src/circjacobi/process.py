@@ -18,7 +18,6 @@ imaginary parts, which the test suite pins at desk scale.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -41,7 +40,6 @@ __all__ = [
     "szego_eval",
     "ggt_matrix",
     "ggt_check",
-    "export_path_csv",
     "PATH_HEADER",
     "PATH_ROW",
 ]
@@ -254,11 +252,3 @@ def ggt_check(alpha: SchurCoefficients, k: int) -> complex:
             f"eigenvalue {eigs[bad][0]} on [1, inf); log det undefined"
         )
     return complex(np.sum(np.log(1.0 - eigs)))
-
-
-def export_path_csv(path: LogPolyPath, fh: io.TextIOBase) -> None:
-    """Write one trajectory with the pinned schema and 17 significant
-    digits (round-trip exact for doubles)."""
-    fh.write(PATH_HEADER + "\n")
-    row_format = PATH_ROW + "\n"
-    fh.writelines(row_format % row for row in path.rows())

@@ -1,7 +1,8 @@
 """One-shot verification suite.
 
 Each check pins one acceptance criterion at its stated tolerance and
-returns a :class:`CheckResult`; ``run_all`` drives the full table.  The
+returns a :class:`CheckResult`; ``run_all`` drives the full table and
+times each check, so ``seconds`` is the wall time of the whole check.  The
 suite combines exact-identity checks (near machine precision) with
 statistical and convergence-trend checks at desk scale, and is shared
 between ``tests/test_acceptance.py`` and the ``verify`` CLI command.
@@ -43,24 +44,15 @@ class CheckResult:
     seconds: float = 0.0
     detail: str = ""
 
+    def __post_init__(self):
+        self.passed = bool(self.passed)  # numpy comparisons give np.bool_, which JSON rejects
+
     def row(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"[{status}] {self.check}: computed {self.computed} vs {self.reference}"
             f" (tol {self.tolerance}, {self.seconds:.1f}s)"
         )
-
-
-def _result(check, passed, computed, reference, tolerance, t0, detail=""):
-    return CheckResult(
-        check=check,
-        passed=bool(passed),
-        computed=computed,
-        reference=reference,
-        tolerance=tolerance,
-        seconds=time.perf_counter() - t0,
-        detail=detail,
-    )
 
 
 def _random_coefficients(rng, n: int) -> np.ndarray:
@@ -88,13 +80,12 @@ def check_triple_determinant() -> CheckResult:
             lg = pr.ggt_check(alpha, k)
             worst = max(worst, abs(lg - logs[k]) / max(1.0, abs(logs[k])))
             worst = max(worst, abs(np.exp(lg) - ref) / abs(ref))
-    return _result(
+    return CheckResult(
         "triple determinant agreement",
         worst < 1e-8 and time.perf_counter() - t0 < 10.0,
         f"max pairwise rel dev {worst:.2e}",
         "0",
         "1e-8, < 10 s",
-        t0,
     )
 
 
@@ -132,13 +123,12 @@ def check_moment_exactness() -> CheckResult:
         zmax = max(abs(a - b) / se for a, b, se in pairs)
         details.append(f"(r={r}, delta={delta}): max |z| = {zmax:.2f}")
         worst_z = max(worst_z, zmax)
-    return _result(
+    return CheckResult(
         "moment exactness (Monte Carlo)",
         worst_z < 4.0 and time.perf_counter() - t0 < 60.0,
         f"max z-score {worst_z:.2f}",
         "0",
         "4 SE, < 60 s",
-        t0,
         detail="; ".join(details),
     )
 
@@ -165,20 +155,18 @@ def check_cgf_identity() -> CheckResult:
             continue
         worst = max(worst, abs(math.exp(lam) - mf) / abs(mf))
         count += 1
-    return _result(
+    return CheckResult(
         "cgf / Mellin-Fourier identity",
         worst < 1e-12 and time.perf_counter() - t0 < 1.0,
         f"max rel dev {worst:.2e}",
         "0",
         "1e-12, < 1 s",
-        t0,
     )
 
 
 def check_first_regime_mean() -> CheckResult:
     """4. The exact mean's distance from its limit -(delta/beta') log(1-t)
     decreases over n in {1e2, 1e3, 1e4} and is below 0.01 at n = 1e4."""
-    t0 = time.perf_counter()
     delta, beta = 0.3, 2.0
     ts = np.array([0.25, 0.5, 0.75])
     errs = []
@@ -188,13 +176,12 @@ def check_first_regime_mean() -> CheckResult:
         errs.append(np.abs(asy.exact_mean_logphi(p, ms) - asy.limit_moments(p, ms)[0]))
     ok = np.all((errs[0] > errs[1]) & (errs[1] > errs[2]) & (errs[2] <= 0.01))
     worst_last = float(errs[2].max())
-    return _result(
+    return CheckResult(
         "first-regime mean decay",
         ok,
         f"monotone, final dev {worst_last:.2e}",
         "monotone, <= 0.01",
         "0.01 at n=1e4",
-        t0,
     )
 
 
@@ -207,7 +194,6 @@ def check_second_regime_mean() -> CheckResult:
     t in {0.5, 1}; and in the drift regime n = 64, beta = 2, d = 0.5 the
     Monte Carlo mean of log Phi_n(1) over 4000 exact samples is within
     4 SE of the exact sum."""
-    t0 = time.perf_counter()
     n, ms = 10**4, np.array([5000, 10**4])
     worst = 0.0
     for beta in (2.0, 4.0):
@@ -223,13 +209,12 @@ def check_second_regime_mean() -> CheckResult:
         abs(logphi.real.mean() - exact.real) / (logphi.real.std(ddof=1) / root),
         abs(logphi.imag.mean() - exact.imag) / (logphi.imag.std(ddof=1) / root),
     )
-    return _result(
+    return CheckResult(
         "second-regime mean constants",
         worst < 1e-2 and z_mc < 4.0,
         f"max dev {worst:.2e}, drift MC z-score {z_mc:.2f}",
         "0",
         "1e-2; 4 SE",
-        t0,
         detail=f"n=64 beta=2 d=0.5: {samples} samples, exact mean {exact.real:.6f}",
     )
 
@@ -238,7 +223,6 @@ def check_covariance_scaling() -> CheckResult:
     """6. The Abel-Plana covariance at n = 1e8 is within 10% of I2 / beta
     after log-n normalization; the Abel-Plana and direct routes agree at
     n = 1e4 to 1e-9."""
-    t0 = time.perf_counter()
     beta, delta = 2.0, 0.3 + 0.2j
     p8 = asy.EnsembleParams(10**8, beta, delta=delta)
     cov = asy.exact_cov_zeta(p8, 10**8) / math.log(10**8)
@@ -249,20 +233,18 @@ def check_covariance_scaling() -> CheckResult:
     direct = asy._direct_sums(p4, ms, summand)
     fast = asy._abel_plana_sums(p4, ms, summand)
     agree = float(np.max(np.abs(direct - fast) / np.maximum(1.0, np.abs(direct))))
-    return _result(
+    return CheckResult(
         "covariance log-n scaling",
         diag_dev < 0.10 and off < 0.10 and agree < 1e-9,
         f"diag dev {diag_dev:.3f}, offdiag {off:.3f}, crossover {agree:.2e}",
         "0 (10%), crossover 0",
         "10% / 1e-9",
-        t0,
     )
 
 
 def check_abel_plana() -> CheckResult:
     """7. The summation engine reproduces sum j^2 = 385 to 1e-10 and the
     digamma-difference sum at n = 100 to 1e-10."""
-    t0 = time.perf_counter()
     poly = sf.abel_plana_sum(lambda t: t * t, lambda t: t**3 / 3, 0, 10)
     poly_dev = abs(poly - 385.0)
     # the exact mean's summand at beta = 2, delta = 0.3 + 0.2i, over k = x + 1
@@ -270,20 +252,18 @@ def check_abel_plana() -> CheckResult:
     direct = complex(np.sum(term(np.arange(100.0))))
     ap = sf.abel_plana_sum(lambda k: term(k - 1), lambda k: prim(k - 1), 0, 100)
     dig_dev = abs(ap - direct) / abs(direct)
-    return _result(
+    return CheckResult(
         "Abel-Plana engine",
         poly_dev < 1e-10 and dig_dev < 1e-10,
         f"poly dev {poly_dev:.2e}, digamma rel dev {dig_dev:.2e}",
         "385 / direct sum",
         "1e-10",
-        t0,
     )
 
 
 def check_legendre_duality() -> CheckResult:
     """8. Numerical Legendre dual of the Lagrangian equals the pointwise
     rate to 1e-6 on the admissible grid; recession slope -xi for xi < 0."""
-    t0 = time.perf_counter()
     worst = 0.0
     for eta in np.linspace(-1.2, 1.2, 13):
         hi = math.log(2 * math.cos(eta) - 0.05)  # e^xi <= 2 cos(eta) - 0.05
@@ -301,13 +281,12 @@ def check_legendre_duality() -> CheckResult:
         rec_dev = max(rec_dev, dev64)
         recession_ok = recession_ok and dev64 <= math.log(2) / 64 + 1e-9
         recession_ok = recession_ok and dev64 < dev32
-    return _result(
+    return CheckResult(
         "Legendre duality",
         worst < 1e-6 and recession_ok,
         f"grid dev {worst:.2e}, recession dev {rec_dev:.4f} (bound {math.log(2)/64:.4f})",
         "0 / -xi",
         "1e-6 / log2 over kappa",
-        t0,
     )
 
 
@@ -316,7 +295,6 @@ def check_hkoc_forms() -> CheckResult:
     closed imaginary form to 1e-8; the limiting slope of the imaginary
     form is pi/2 within 1e-3 (Richardson-extrapolated; the plain slope
     at t carries an exact -1/t correction)."""
-    t0 = time.perf_counter()
     worst_r = max(
         abs(ldp.cgf_L0(1.0, s, 0.0) - ldp.hkoc_forms("real", s))
         for s in np.arange(0.1, 5.0001, 0.1)
@@ -332,13 +310,12 @@ def check_hkoc_forms() -> CheckResult:
         )
 
     slope_dev = abs(2 * slope(64.0) - slope(32.0) - 0.5 * math.pi)
-    return _result(
+    return CheckResult(
         "limiting cgf closed forms",
         worst_r < 1e-10 and worst_i < 1e-8 and slope_dev < 1e-3,
         f"real {worst_r:.2e}, imag {worst_i:.2e}, slope dev {slope_dev:.2e}",
         "0 / 0 / pi/2",
         "1e-10 / 1e-8 / 1e-3",
-        t0,
     )
 
 
@@ -371,7 +348,6 @@ def check_marginal_rate_branches() -> CheckResult:
     """10. Interior values match grid-sup duality to 1e-8; continuity and
     slope -(1-T) at the branch edge; infinite at T log 2; drift shift
     identity constant to 1e-10 on a 5 x 5 grid."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(14142)
     dual_dev = 0.0
     for _ in range(50):
@@ -404,7 +380,7 @@ def check_marginal_rate_branches() -> CheckResult:
             hd = ldp.marginal_rate_h(ldp.RatePoint(T, xi, eta, d)).value
             const = hd - h0 + 2 * d.real * xi + 2 * d.imag * eta
             shift_dev = max(shift_dev, abs(const + ldp.shift_constant(T, d)))
-    return _result(
+    return CheckResult(
         "marginal rate branches",
         dual_dev < 1e-8
         and cont_dev < 1e-6
@@ -415,14 +391,12 @@ def check_marginal_rate_branches() -> CheckResult:
         f"shift {shift_dev:.2e}",
         "0 everywhere, infinite at T log 2",
         "1e-8 / 1e-6 / 1e-10",
-        t0,
     )
 
 
 def check_equilibrium_circle() -> CheckResult:
     """11. Circle equilibrium: unit mass to 1e-8, log-modulus moment
     equals the entropy combination to 1e-8, argument moment 0 to 1e-10."""
-    t0 = time.perf_counter()
     mass_dev = logm_dev = arg_dev = 0.0
     for a in (0.25, 0.5, 1.0, 2.0):
         mu = eq.mu_a_measure(a)
@@ -430,13 +404,12 @@ def check_equilibrium_circle() -> CheckResult:
         logmod, argmom = eq.circle_log_moments(a)
         logm_dev = max(logm_dev, abs(logmod - eq.circle_logmod_closed(a)))
         arg_dev = max(arg_dev, abs(argmom))
-    return _result(
+    return CheckResult(
         "circle equilibrium measure",
         mass_dev < 1e-8 and logm_dev < 1e-8 and arg_dev < 1e-10,
         f"mass {mass_dev:.2e}, logmod {logm_dev:.2e}, arg {arg_dev:.2e}",
         "1 / entropy combination / 0",
         "1e-8 / 1e-8 / 1e-10",
-        t0,
     )
 
 
@@ -444,7 +417,6 @@ def check_equilibrium_line() -> CheckResult:
     """12. Line equilibrium: the closed-form edge solves its defining
     equation to 1e-8, unit mass, constancy of potential + log kernel,
     integral-transform reconstruction to 1e-6, exact Cayley endpoint."""
-    t0 = time.perf_counter()
     r = 2.0
     b = eq.line_edge(r)
     aux_dev = abs(eq.edge_equation_residual(r, b))
@@ -459,7 +431,7 @@ def check_equilibrium_line() -> CheckResult:
         ref = b * float(g.density(b * tt))
         ls_dev = max(ls_dev, abs(ls - ref))
     cayley = eq.cayley_check(r)
-    return _result(
+    return CheckResult(
         "line equilibrium measure",
         aux_dev < 1e-8
         and mass_dev < 1e-8
@@ -470,7 +442,6 @@ def check_equilibrium_line() -> CheckResult:
         f"transform {ls_dev:.2e}, endpoint {cayley.endpoint_residual:.2e}",
         "0 everywhere",
         "1e-8 / 1e-8 / 1e-5 / 1e-6 / 1e-12",
-        t0,
     )
 
 
@@ -487,13 +458,12 @@ def check_energy_duality() -> CheckResult:
         xi, _ = eq.circle_log_moments(a)
         closed = 2.0 * a * xi - eq.constant_B(a)
         worst = max(worst, abs(-sigma - closed))
-    return _result(
+    return CheckResult(
         "energy / rate duality",
         worst < 1e-9 and time.perf_counter() - t0 < 1.0,
         f"max dev {worst:.2e}",
         "0",
         "1e-9, < 1 s",
-        t0,
     )
 
 
@@ -507,7 +477,6 @@ def check_clt_smoke() -> CheckResult:
     variance is 0.5948 (log-n bias), which the 20% band absorbs; the
     sample is additionally required to match the exact finite-n variance
     within 4 SE."""
-    t0 = time.perf_counter()
     n, beta, samples = 4096, 2.0, 4000
     p = asy.EnsembleParams(n, beta, delta=0.0)
     theta = pr.log_phi_sums(p, CLT_SEED, samples, pr._usable_cpus()) / math.sqrt(math.log(n))
@@ -526,13 +495,12 @@ def check_clt_smoke() -> CheckResult:
         checks.append(zs[-1] < 4.0)
     var_re, var_im = theta.real.var(ddof=1), theta.imag.var(ddof=1)
     ks = asy._ks_normal(theta.real, math.sqrt(0.5))
-    return _result(
+    return CheckResult(
         "normalized log-determinant limit (smoke)",
         all(checks),
         f"var ({var_re:.4f}, {var_im:.4f}), exact-z ({zs[0]:.2f}, {zs[1]:.2f})",
         "1/2 (band; exact 0.5948)",
         "20% band, 3 SE mean, 4 SE vs exact",
-        t0,
         detail=f"KS vs limit normal {ks:.4f} (positive bias expected at n=4096)",
     )
 
@@ -540,7 +508,6 @@ def check_clt_smoke() -> CheckResult:
 def check_fourth_moment_sums() -> CheckResult:
     """15. Partial sums of the fourth-moment bound scale like 1/n within
     a factor 4 across n in {1e2, 1e3, 1e4}."""
-    t0 = time.perf_counter()
     beta, delta = 2.0, 0.3 + 0.2j
     scaled = []
     for n in (10**2, 10**3, 10**4):
@@ -549,13 +516,12 @@ def check_fourth_moment_sums() -> CheckResult:
         total = gl.cumulants(law).fourth_bound.sum()
         scaled.append(n * total)
     ratio = max(scaled) / min(scaled)
-    return _result(
+    return CheckResult(
         "fourth-moment sum scaling",
         ratio < 4.0,
         f"n * sum spread factor {ratio:.2f}",
         "constant",
         "factor 4",
-        t0,
         detail=f"n*S = {[f'{v:.4f}' for v in scaled]}",
     )
 
@@ -566,54 +532,32 @@ def check_determinism() -> CheckResult:
     import tempfile
     from . import cli
 
-    t0 = time.perf_counter()
-    outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workers in (1, 4, 16):
-            path = f"{tmp}/clt_w{workers}.csv"
-            rc = cli.main(
-                [
-                    "clt",
-                    "--n", "64",
-                    "--beta", "2",
-                    "--delta-re", "0.5",
-                    "--samples", "60",
-                    "--seed", "0x2a",
-                    "--workers", str(workers),
-                    "--out", path,
-                    "--format", "csv",
-                ]
-            )
+
+        def run(name, argv):
+            """Exit code and output bytes of one command writing to a file."""
+            path = f"{tmp}/{name}.csv"
+            rc = cli.main(argv + ["--out", path])
             with open(path, "rb") as fh:
-                outputs[workers] = (rc, fh.read())
+                return rc, fh.read()
+
+        clt = ["clt", "--n", "64", "--beta", "2", "--delta-re", "0.5", "--samples", "60",
+               "--seed", "0x2a", "--format", "csv"]
+        outputs = [run(f"clt_w{w}", clt + ["--workers", str(w)]) for w in (1, 4, 16)]
         same_workers = (
-            outputs[1][1] == outputs[4][1] == outputs[16][1]
-            and all(rc == 0 for rc, _ in outputs.values())
+            outputs[0][1] == outputs[1][1] == outputs[2][1]
+            and all(rc == 0 for rc, _ in outputs)
         )
-        reruns = []
-        for run in range(2):
-            path = f"{tmp}/sample_{run}.csv"
-            cli.main(
-                [
-                    "sample",
-                    "--n", "256",
-                    "--beta", "2",
-                    "--delta-re", "0.5",
-                    "--samples", "2",
-                    "--seed", "7",
-                    "--out", path,
-                ]
-            )
-            with open(path, "rb") as fh:
-                reruns.append(fh.read())
+        sample = ["sample", "--n", "256", "--beta", "2", "--delta-re", "0.5", "--samples", "2",
+                  "--seed", "7"]
+        reruns = [run(f"sample_{i}", sample)[1] for i in range(2)]
         same_reruns = reruns[0] == reruns[1] and len(reruns[0]) > 0
-    return _result(
+    return CheckResult(
         "deterministic parallel outputs",
         same_workers and same_reruns,
         f"workers identical: {same_workers}, reruns identical: {same_reruns}",
         "byte-identical",
         "exact",
-        t0,
     )
 
 
@@ -645,7 +589,14 @@ def run_check(check_id: str) -> CheckResult:
 
 def run_all(ids: Optional[Sequence[str]] = None) -> List[CheckResult]:
     ids = tuple(ids or CHECK_IDS)
-    unknown = ", ".join(cid for cid in ids if cid not in CHECKS)
+    unknown = [cid for cid in ids if cid not in CHECKS]
     if unknown:
-        raise sf.DomainError(f"unknown check id(s) {unknown}; valid ids: {', '.join(CHECK_IDS)}")
-    return [CHECKS[cid]() for cid in ids]
+        names = ", ".join(map(repr, unknown))
+        raise sf.DomainError(f"unknown check id(s) {names}; valid ids: {', '.join(CHECK_IDS)}")
+    results = []
+    for cid in ids:
+        start = time.perf_counter()
+        result = CHECKS[cid]()
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results

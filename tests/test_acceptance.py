@@ -10,4 +10,5 @@ from circjacobi import verification
 def test_acceptance_criterion(check_id):
     result = verification.run_check(check_id)
     print(result.row())
+    assert type(result.passed) is bool  # verify --out writes it with json.dumps
     assert result.passed, result.row()

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -529,6 +530,20 @@ class TestUsageErrors:
         assert errors[0].endswith(f"has more than {cli.MAX_GRID_POINTS} points")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "clt"])
+    @pytest.mark.parametrize("seed, text", [
+        (["--seed", "-1"], "'-1'"), (["--seed=-5"], "'-5'"), (["--seed=-0x2a"], "'-0x2a'"),
+    ], ids=["-1", "-5", "-0x2a"])
+    def test_negative_seed_is_a_usage_error(self, command, seed, text, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        argv = [command, "--n", "4", "--beta", "2", "--samples", "2", *seed, "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert errors[0].endswith("argument --seed: seed must be non-negative, got " + text)
+        assert not out.exists()
+
     def test_grid_size_limit(self):
         assert cli._parse_grid("0:1:1e-6").size == 10**6 + 1
         with pytest.raises(argparse.ArgumentTypeError, match="more than"):
@@ -593,8 +608,26 @@ class TestVerifySubset:
     def test_unknown_check_id(self, capsys):
         assert cli.main(["verify", "--checks", "99"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown check id(s) 99")
+        assert err.startswith("error: unknown check id(s) '99'; valid ids: ")
         assert "01-triple-determinant" in err and "16-determinism" in err
+
+    def test_empty_check_id(self, capsys):
+        # a trailing comma leaves an empty id, which is unknown like any other
+        assert cli.main(["verify", "--checks", "07-abel-plana,"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown check id(s) ''; valid ids: ")
+        assert captured.out == ""
+
+    def test_runner_times_the_whole_check(self, monkeypatch):
+        original = verification.CHECKS["07-abel-plana"]
+
+        def slow_check():
+            time.sleep(0.05)
+            return original()
+
+        monkeypatch.setitem(verification.CHECKS, "07-abel-plana", slow_check)
+        assert verification.run_check("07-abel-plana").seconds >= 0.05
 
 
 def _fail_on_call(func, call):

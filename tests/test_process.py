@@ -1,5 +1,4 @@
 import ast
-import io
 import math
 from pathlib import Path
 
@@ -274,17 +273,3 @@ class TestPathStatistics:
             root = math.sqrt(count)
             assert abs(inc.real.mean()) < 4 * inc.real.std() / root
             assert abs(inc.imag.mean()) < 4 * inc.imag.std() / root
-
-
-class TestExport:
-    def test_csv_schema(self):
-        p = EnsembleParams(4, 2.0, delta=0.25)
-        path = pr.log_path(sp.sample_ensemble(p, 11))
-        buf = io.StringIO()
-        pr.export_path_csv(path, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "k,t,re_log_phi,im_log_phi,re_zeta,im_zeta"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[0] == "0" and float(first[1]) == 0.0
-        assert float(first[2]) == 0.0

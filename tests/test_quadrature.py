@@ -110,8 +110,8 @@ class TestLineQuadratures:
 
     @pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 2.0, 5.0])
     def test_mass_defect(self, r):
-        eq._mass_defect.cache_clear()
-        assert close(eq._mass_defect(r), quadpack_mass_defect(r), 1e-12)
+        eq.lubinsky_saff_Bf.cache_clear()
+        assert close(eq.lubinsky_saff_Bf(r), quadpack_mass_defect(r), 1e-12)
 
     @pytest.mark.parametrize("d", [0.0, 1e-6j, 1e-3, 0.3, 1.0, 0.5 + 0.5j, 2.0 - 1.5j])
     def test_constant_B_integral(self, d):
