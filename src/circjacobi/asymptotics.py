@@ -20,7 +20,6 @@ closed-form time integral).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -73,8 +72,11 @@ class EnsembleParams:
             raise DomainError(f"need finite beta > 0, got {self.beta}")
         if self.delta is not None and self.scaled_d is not None:
             raise DomainError("give either delta or scaled_d, not both")
-        if not (cmath.isfinite(self.delta or 0) and cmath.isfinite(self.scaled_d or 0)):
-            raise DomainError(f"need finite delta and scaled_d, got {self.delta}, {self.scaled_d}")
+        # finite parameters, small enough that the sampler's 2G and the
+        # moment sums' x + 1 + 2 Re delta are finite at the largest rank
+        if not math.isfinite(2 * (self.beta_prime * (self.n - 1) + 1 + 2 * abs(self.effective_delta))):
+            raise DomainError(f"need finite delta, scaled_d and Gamma shapes, got n={self.n}, "
+                              f"beta={self.beta}, delta={self.delta}, scaled_d={self.scaled_d}")
         if self.scaled_d is not None and complex(self.scaled_d).real <= 0:
             raise DomainError(f"scaled drift needs Re d > 0, got {self.scaled_d}")
         if self.delta is not None and complex(self.delta).real <= -0.5:

@@ -177,8 +177,7 @@ def _rate_row(T: float, d: complex, eta_grid, xi) -> str:
         except ldp.SolverError:
             h, branch, mult = math.nan, "unsolved", ","
         else:
-            h = res.value if math.isfinite(res.value) else math.inf
-            branch = res.branch.value
+            h, branch = res.value, res.branch.value
             mult = "%.17g,%.17g" % res.multipliers if res.multipliers else ","
         lines.append(RATE_ROW % (T, xi, eta, d.real, d.imag, h, branch, mult))
     return "".join(lines)
@@ -279,8 +278,9 @@ def _cmd_clt(args) -> int:
 def _cmd_ldp(args) -> int:
     d = complex(args.scaled_d_re or 0.0, args.scaled_d_im)
     eta_grid = np.array([0.0]) if args.eta_grid is None else args.eta_grid
-    # T and d are shared by every point: reject them before any worker starts
+    # T, d and d's shift hold for every point: reject them before any worker starts
     ldp.RatePoint(args.T, args.xi_grid[0], eta_grid[0], d)
+    ldp.shift_constant(args.T, d)
     workers = min(_usable_cpus(), len(args.xi_grid) * len(eta_grid) // LDP_POINTS_PER_WORKER)
     rows = _pool_map(partial(_rate_row, args.T, d, eta_grid), args.xi_grid, workers)
     _write(args.out, [RATE_HEADER, *rows])
@@ -316,14 +316,12 @@ def _cmd_equilibrium(args) -> int:
             "cayley_max_density_rel_err": cayley.max_density_rel_err,
         }))
         return 0
-    # The circle table goes to --out; a file also gets the line table as a
-    # companion <stem>.line.<suffix>.  Both tables are computed before
-    # either is written.
+    # The circle table goes to --out, a file's line table to <stem>.line<suffix>
+    # (os.path.splitext); both are computed before either is written.
     tables = [(args.out, "theta,density", _density_rows(mu, npts))]
     if args.out and args.out != "-":
-        stem, dot, suffix = args.out.rpartition(".")
-        line_path = f"{stem}.line.{suffix}" if dot else f"{args.out}.line"
-        tables.append((line_path, "x,density", _density_rows(g, npts)))
+        stem, suffix = os.path.splitext(args.out)
+        tables.append((f"{stem}.line{suffix}", "x,density", _density_rows(g, npts)))
     for path, header, rows in tables:
         _write(path, _table(header, "%.17g,%.17g", rows))
     return 0
@@ -332,7 +330,7 @@ def _cmd_equilibrium(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verification
 
-    ids = args.checks.split(",") if args.checks else None
+    ids = args.checks.split(",") if args.checks is not None else None
     results = verification.run_all(ids)
     for res in results:
         print(res.row())

@@ -42,7 +42,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_F, entropy_J, graded_quad
+from .ldp import shift_constant
+from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_J, graded_quad
 
 __all__ = [
     "RadonMeasure1D",
@@ -52,7 +53,6 @@ __all__ = [
     "circle_log_moments",
     "circle_logmod_closed",
     "energy_rate",
-    "constant_B",
     "constant_B_integral",
     "line_edge",
     "edge_equation_residual",
@@ -201,27 +201,9 @@ def field_Qd(d: complex) -> Callable[[np.ndarray], np.ndarray]:
     return q
 
 
-def constant_B(d: complex) -> float:
-    """Normalizing constant of the drifted rate, in entropy-primitive form:
-    F(1+2 Re d) - F(2 Re d) - 2 Re F(1+d) + 2 Re F(d) + F(1)."""
-    d = complex(d)
-    if d.real < 0:
-        raise DomainError(f"need Re d >= 0, got {d}")
-    two = 2.0 * d.real
-    fd = complex(entropy_F(d)) if d != 0 else 0.0
-    f1d = complex(entropy_F(1 + d))
-    return float(
-        entropy_F(1.0 + two)
-        - entropy_F(two)
-        - 2.0 * f1d.real
-        + 2.0 * fd.real
-        + entropy_F(1.0)
-    )
-
-
 def constant_B_integral(d: complex) -> float:
-    """The same constant by direct quadrature of its defining integral:
-    int_0^1 [(x+2Re d) log(x+2Re d) - 2 Re((x+d) log(x+d)) + x log x] dx."""
+    """B(d) = -ldp.shift_constant(1, d) by direct quadrature of its defining
+    integral: int_0^1 [(x+2Re d) log(x+2Re d) - 2 Re((x+d) log(x+d)) + x log x] dx."""
     d = complex(d)
 
     def f(x):
@@ -235,14 +217,14 @@ def constant_B_integral(d: complex) -> float:
 def energy_rate(mu: RadonMeasure1D, d: complex) -> EnergyReport:
     """Logarithmic energy of mu, the drifted rate value, and the constant.
 
-    rate = -Sigma(mu) + int Q_d d mu + B(d); vanishes at mu = mu_a for
-    real drift d = a.
+    rate = -Sigma(mu) + int Q_d d mu + B(d), B(d) = -ldp.shift_constant(1, d);
+    vanishes at mu = mu_a for real drift d = a.
     """
     d = complex(d)
+    b = -shift_constant(1.0, d)
     sigma = _log_energy_circle(mu)
     q = field_Qd(d)
     q_int = mu.integrate(q) if d != 0 else 0.0
-    b = constant_B(d)
     return EnergyReport(sigma=sigma, rate=-sigma + q_int + b, constant=b)
 
 

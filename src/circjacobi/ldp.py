@@ -13,8 +13,8 @@ the normalized cumulant generating function ``cgf_L0`` by
 one-dimensional convex duality on the real axis (three explicit
 branches: interior, linear extension below the left boundary xi_T,
 infinite at and beyond T log 2) and by a two-dimensional interior solve
-for general arguments.  Nonzero drift d enters through an affine shift
-with constant -cgf_L0(T, 2 Re d, 2 Im d).
+for general arguments.  Nonzero drift d enters through one affine shift
+with one constant, ``shift_constant`` = -cgf_L0(T, 2 Re d, 2 Im d).
 
 Both numerical duals run one damped-Newton ascent, ``_ascend``, over a
 half-plane {p[0] > floor}: X > -1 for the Lagrangian, s > -(1-T) for the
@@ -83,6 +83,19 @@ class SolverError(RuntimeError):
         return f"{self.args[0]} (residual {self.residual:.3e})"
 
 
+def _check_T(T: float) -> None:
+    if not 0 < T <= 1:
+        raise DomainError(f"need 0 < T <= 1, got T={T}")
+
+
+def _check_drift(d: complex) -> complex:
+    """d as a complex number, which must be finite with Re d >= 0."""
+    d = complex(d)
+    if not cmath.isfinite(d) or d.real < 0:
+        raise DomainError(f"need Re d >= 0 and a finite d, got d={d}")
+    return d
+
+
 @dataclass(frozen=True)
 class RatePoint:
     """Marginal evaluation point (T, xi, eta) with drift d.
@@ -98,14 +111,10 @@ class RatePoint:
     d: complex = 0j
 
     def __post_init__(self):
-        if not 0 < self.T <= 1:
-            raise DomainError(f"need 0 < T <= 1, got T={self.T}")
+        _check_T(self.T)
         if not (math.isfinite(self.xi) and math.isfinite(self.eta)):
             raise DomainError(f"need finite (xi, eta), got ({self.xi}, {self.eta})")
-        d = complex(self.d)
-        if d.real < 0:
-            raise DomainError(f"need Re d >= 0, got d={d}")
-        if d.real == 0 and self.T == 1:
+        if _check_drift(self.d).real == 0 and self.T == 1:
             raise DomainError("T = 1 requires Re d > 0 (tightness boundary)")
 
 
@@ -257,19 +266,12 @@ def cgf_L0(T: float, s: float, t: float, d: complex = 0j) -> float:
     """Normalized cumulant generating function of the time-T marginal,
     with drift d folded in by the affine shift.  Domain:
     s > -(1-T) - 2 Re d (the boundary itself is allowed as a limit)."""
-    if not 0 < T <= 1:
-        raise DomainError(f"need 0 < T <= 1, got T={T}")
+    shift = shift_constant(T, d)
     d = complex(d)
-    if d.real < 0:
-        raise DomainError(f"need Re d >= 0, got d={d}")
     floor = -(1.0 - T) - 2.0 * d.real
     if s < floor:
         raise DomainError(f"need s >= {floor}, got s={s}")
-    if d == 0:
-        return _L0(T, s, t)
-    return _L0(T, s + 2.0 * d.real, t + 2.0 * d.imag) - _L0(
-        T, 2.0 * d.real, 2.0 * d.imag
-    )
+    return _L0(T, s + 2.0 * d.real, t + 2.0 * d.imag) + shift
 
 
 def _grad_L0(T: float, s: float, t: float) -> Tuple[float, float]:
@@ -291,12 +293,22 @@ def _hess_L0(T: float, s: float, t: float) -> np.ndarray:
 
 
 def shift_constant(T: float, d: complex) -> float:
-    """Additive constant of the drift shift: -cgf_L0(T, 2 Re d, 2 Im d) of
-    the zero-drift function (appears in both the path and marginal rates)."""
-    d = complex(d)
+    """Additive constant of the drift shift: -cgf_L0(T, 2 Re d, 2 Im d) of the
+    zero-drift function, in the cgf, the path and marginal rates and (at T = 1)
+    the energy rate.  A drift too large for it to be finite is a DomainError."""
+    _check_T(T)
+    d = _check_drift(d)
     if d == 0:
         return 0.0
-    return -_L0(T, 2.0 * d.real, 2.0 * d.imag)
+    shift = -_L0(T, 2.0 * d.real, 2.0 * d.imag)
+    if not math.isfinite(shift):
+        raise DomainError(f"drift d={d} overflows the shift constant")
+    return shift
+
+
+def _drift_shift(T: float, d: complex, x: float, y: float) -> float:
+    """What drift d adds to a zero-drift rate at the end point (x, y)."""
+    return -2.0 * d.real * x - 2.0 * d.imag * y - shift_constant(T, d)
 
 
 def _J_array(u: np.ndarray) -> np.ndarray:
@@ -316,8 +328,7 @@ def path_functional_Lambda0(
     Requires x(tau) > -(1-tau) on [0, T] (equivalently X > -1 after the
     (1-tau) time change).  Constant paths x = s, y = t reproduce
     cgf_L0(T, s, t)."""
-    if not 0 < T <= 1:
-        raise DomainError(f"need 0 < T <= 1, got T={T}")
+    _check_T(T)
 
     def integrand(taus: np.ndarray) -> np.ndarray:
         c = 1.0 - taus
@@ -348,6 +359,8 @@ def path_action(
     path at +inf).  Drift d adds -2 Re d phi(T) - 2 Im d psi(T) minus the
     shift constant.
     """
+    _check_T(T)
+    d = _check_drift(d)
     if psi_has_singular_part:
         return math.inf
     for loc, mass in phi_atoms:
@@ -358,8 +371,6 @@ def path_action(
 
     class _Infinite(Exception):
         pass
-
-    d = complex(d)
 
     def integrand(taus: np.ndarray) -> np.ndarray:
         # the drift needs phi(T) and psi(T): the same nodes integrate
@@ -382,15 +393,14 @@ def path_action(
     action += sum((1.0 - loc) * (-mass) for loc, mass in phi_atoms)
     if d != 0:
         phi_T = val[1] + sum(mass for _, mass in phi_atoms)
-        action += -2.0 * d.real * phi_T - 2.0 * d.imag * val[2] - shift_constant(T, d)
+        action += _drift_shift(T, d, phi_T, val[2])
     return float(action)
 
 
 def xi_boundary(T: float) -> float:
     """Left edge xi_T of the interior branch:
     J(T) - 1 - J((1+T)/2) + J((1-T)/2); nonpositive on (0, 1]."""
-    if not 0 < T <= 1:
-        raise DomainError(f"need 0 < T <= 1, got T={T}")
+    _check_T(T)
     return (
         entropy_J(T)
         - 1.0
@@ -401,7 +411,13 @@ def xi_boundary(T: float) -> float:
 
 def implicit_mean_map(T: float, gamma: float) -> float:
     """The strictly increasing map gamma -> xi on the interior branch:
-    J(1+g) - J(1-T+g) - J(1+g/2) + J(1-T+g/2).
+    J(1+g) - J(1-T+g) - J(1+g/2) + J(1-T+g/2), for gamma > -(1-T)."""
+    _check_T(T)
+    return _mean_map(T, gamma)
+
+
+def _mean_map(T: float, gamma: float) -> float:
+    """``implicit_mean_map`` without the check of T.
 
     Each difference is evaluated as J(u) - J(u-T) = T log u - (u-T)
     log(1 - T/u) - T, whose terms are of size T: the four J values grow
@@ -421,18 +437,18 @@ def _solve_gamma(T: float, xi: float) -> float:
     whenever a step would leave it (the map is increasing), then polish
     with two plain Newton steps."""
     lo = -(1.0 - T) + 1e-12
-    if implicit_mean_map(T, lo) >= xi:
+    if _mean_map(T, lo) >= xi:
         return lo  # xi at (or within float width of) the branch edge xi_T
     hi = max(1.0, lo + 1.0)
     for _ in range(200):
-        if implicit_mean_map(T, hi) > xi:
+        if _mean_map(T, hi) > xi:
             break
         hi *= 2.0
     else:
         raise SolverError("bracket expansion failed", math.inf)
     gamma = hi
     for _ in range(200):
-        res = implicit_mean_map(T, gamma) - xi
+        res = _mean_map(T, gamma) - xi
         if res == 0.0:
             break
         if res > 0.0:
@@ -452,7 +468,7 @@ def _solve_gamma(T: float, xi: float) -> float:
         slope = _implicit_mean_slope(T, gamma)
         if slope <= 0:
             break
-        step = (implicit_mean_map(T, gamma) - xi) / slope
+        step = (_mean_map(T, gamma) - xi) / slope
         if gamma - step <= -(1.0 - T):
             break
         gamma -= step
@@ -469,10 +485,12 @@ def marginal_rate_h(point: RatePoint) -> MarginalRateResult:
     as the affine shift of the zero-drift rate.
     """
     T, xi, eta, d = point.T, point.xi, point.eta, complex(point.d)
+    # taken first, so that a drift whose shift overflows fails on every branch
+    shift = _drift_shift(T, d, xi, eta) if d != 0 else 0.0
 
     def shifted(value: float, branch: Branch, mult=None) -> MarginalRateResult:
         if d != 0 and math.isfinite(value):
-            value += -2.0 * d.real * xi - 2.0 * d.imag * eta - shift_constant(T, d)
+            value += shift
         return MarginalRateResult(value=value, branch=branch, multipliers=mult)
 
     if abs(eta) >= 0.5 * math.pi * T or xi >= T * _LOG2:
@@ -542,6 +560,7 @@ def optimal_trajectory(
 
     Integrating them over [0, T] recovers the (xi, eta) whose marginal
     rate has multipliers (gamma, rho)."""
+    _check_T(T)
     if gamma <= -(1.0 - T):
         raise DomainError(f"need gamma > -(1-T) = {-(1.0 - T)}, got {gamma}")
 

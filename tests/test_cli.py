@@ -286,6 +286,10 @@ class TestLdpCommand:
         (["--T", "1", "--xi-grid=0:0.1:0.1"], "T = 1 requires Re d > 0"),
         (["--T", "1.5", "--xi-grid=0:0.1:0.1"], "need 0 < T <= 1"),
         (["--T", "0.5", "--xi-grid=0:0.1:0.1", "--scaled-d-re", "-0.5"], "need Re d >= 0"),
+        # a drift that is not finite, or whose shift constant overflows
+        (["--T", "0.5", "--xi-grid=0:0.1:0.1", "--scaled-d-re", "nan"], "finite d"),
+        (["--T", "0.5", "--xi-grid=0:0.1:0.1", "--scaled-d-im", "inf"], "finite d"),
+        (["--T", "1", "--xi-grid=0:0.1:0.1", "--scaled-d-re", "1e308"], "overflows"),
     ])
     def test_domain_is_checked_before_forking(self, args, message, tmp_path, monkeypatch, capsys):
         def no_pool(method):
@@ -395,6 +399,14 @@ class TestEquilibriumCommand:
         assert abs(payload["line_mass"] - 1) < 1e-8
         assert abs(payload["logmod_residual"]) < 1e-8
         assert abs(payload["cayley_endpoint_residual"]) < 1e-12
+
+    def test_companion_of_a_name_without_suffix(self, tmp_path):
+        # a dot in a directory name is not a suffix
+        out = tmp_path / "run.1" / "eq"
+        out.parent.mkdir()
+        assert cli.main(["equilibrium", "--scaled-d-re", "0.5", "--samples", "4", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == ["eq", "eq.line"]
+        assert (out.parent / "eq.line").read_text().startswith("x,density\n")
 
     def test_removed_flags_fail(self, tmp_path):
         base = ["equilibrium", "--scaled-d-re", "0.5", "--samples", "4",
@@ -515,6 +527,21 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
+        ["moments", "--n", "8", "--beta", "2", "--delta-re", "1e308"],
+        ["moments", "--n", "8", "--beta", "1e308", "--delta-re", "0.3"],
+        ["sample", "--n", "4", "--beta", "2", "--delta-re", "1e308"],
+        ["sample", "--n", "4", "--beta", "1e308", "--delta-re", "0.3"],
+        ["clt", "--n", "8", "--beta", "2", "--delta-re", "1e308", "--samples", "3"],
+        ["clt", "--n", "8", "--beta", "1e308", "--delta-re", "0.3", "--samples", "3"],
+    ], ids=lambda args: " ".join(args))
+    def test_overflowing_gamma_shape_is_a_domain_error(self, args, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert cli.main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "Gamma shapes" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
         # the span overflows to inf, and 1e18 points
         ["ldp", "--T", "0.5", "--xi-grid=-1e308:1e308:1e300"],
         ["ldp", "--T", "0.5", "--xi-grid=0:1e12:1e-6"],
@@ -611,9 +638,11 @@ class TestVerifySubset:
         assert err.startswith("error: unknown check id(s) '99'; valid ids: ")
         assert "01-triple-determinant" in err and "16-determinism" in err
 
-    def test_empty_check_id(self, capsys):
-        # a trailing comma leaves an empty id, which is unknown like any other
-        assert cli.main(["verify", "--checks", "07-abel-plana,"]) == 2
+    @pytest.mark.parametrize("checks", ["07-abel-plana,", ""])
+    def test_empty_check_id(self, checks, capsys):
+        # a trailing comma, or an empty value, leaves an empty id, which is
+        # unknown like any other
+        assert cli.main(["verify", "--checks", checks]) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: unknown check id(s) ''; valid ids: ")

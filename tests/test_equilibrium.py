@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from circjacobi import equilibrium as eq
+from circjacobi import ldp
 from circjacobi import specfun as sf
 from circjacobi.asymptotics import limit_mean_functions
 from oracles import nested_log_energy
@@ -100,7 +101,11 @@ class TestEnergies:
 
     def test_constant_forms_agree(self):
         for d in (0.3, 1.0, 0.5 + 0.5j):
-            assert abs(eq.constant_B(d) - eq.constant_B_integral(d)) < 1e-8
+            assert abs(-ldp.shift_constant(1.0, d) - eq.constant_B_integral(d)) < 1e-8
+
+    def test_energy_rate_rejects_a_nan_drift(self):
+        with pytest.raises(sf.DomainError):
+            eq.energy_rate(eq.mu_a_measure(0.5), complex(math.nan, 0.0))
 
     def test_energy_duality_closed_form(self):
         # -Sigma(mu_a) equals the closed rate value with multiplier 2a

@@ -104,6 +104,13 @@ class TestCgf:
         with pytest.raises(sf.DomainError):
             ldp.cgf_L0(0.5, -0.3, 0.0, d=-0.1)
 
+    @pytest.mark.parametrize("d", [math.nan, complex(0, math.inf), 1e308])
+    def test_drift_must_be_finite_with_a_finite_shift(self, d):
+        with pytest.raises(sf.DomainError):
+            ldp.cgf_L0(0.5, 0.1, 0.0, d)
+        with pytest.raises(sf.DomainError):
+            ldp.shift_constant(0.5, d)
+
 
 class TestHkocForms:
     def test_values(self):
@@ -262,6 +269,13 @@ class TestMarginalRate:
             ldp.RatePoint(0.5, math.inf, 0.0)
         with pytest.raises(sf.DomainError):
             ldp.RatePoint(0.5, 0.0, 0.0, -0.3)
+        with pytest.raises(sf.DomainError):
+            ldp.RatePoint(0.5, 0.0, 0.0, complex(math.nan, 0.0))
+
+    def test_overflowing_drift_fails_on_every_branch(self):
+        for xi, eta in ((0.0, 0.0), (-0.9, 0.0), (0.0, 0.2), (1.0, 0.0)):
+            with pytest.raises(sf.DomainError, match="overflows"):
+                ldp.marginal_rate_h(ldp.RatePoint(0.5, xi, eta, 1e200))
 
 
 class TestMeanMapRoot:
@@ -286,6 +300,10 @@ class TestMeanMapRoot:
         for T in (0.1, 0.5, 0.9):
             assert abs(ldp._solve_gamma(T, 0.0)) < 1e-15
             assert ldp.marginal_rate_h(ldp.RatePoint(T, 0.0, 0.0)).value == 0.0
+
+    def test_map_checks_T(self):
+        with pytest.raises(sf.DomainError, match="need 0 < T <= 1"):
+            ldp.implicit_mean_map(2.0, 0.5)
 
     def test_slope_is_the_derivative(self):
         for T, g in ((0.1, -0.85), (0.5, 0.3), (0.9, 4.0), (1.0, 20.0)):
@@ -318,6 +336,8 @@ class TestTrajectories:
     def test_domain(self):
         with pytest.raises(sf.DomainError):
             ldp.optimal_trajectory(0.5, -0.5, 0.0)
+        with pytest.raises(sf.DomainError):
+            ldp.optimal_trajectory(1.5, 1.0, 0.0)
 
 
 class TestPathAction:
@@ -355,6 +375,13 @@ class TestPathAction:
         act = ldp.path_action(T, pd, sd, d=d)
         ref = ldp.marginal_rate_h(ldp.RatePoint(T, xi, eta, d)).value
         assert abs(act - ref) < 1e-9
+
+
+    @pytest.mark.parametrize("T, d", [(2.0, 0j), (-0.5, 0j), (math.nan, 0j), (0.5, -0.2)])
+    def test_domain(self, T, d):
+        pd, sd = ldp.optimal_trajectory(0.5, 0.6, 0.5)
+        with pytest.raises(sf.DomainError):
+            ldp.path_action(T, pd, sd, d=d)
 
 
 class TestTightnessBound:
