@@ -110,10 +110,23 @@ def _mean_summand(params: EnsembleParams):
     # a real deformation keeps a_con real, so real ranks take digamma's
     # real route without a complex array to scan and copy back
     a_sym, a_con = 1 + 2 * d.real, 1 + (d.conjugate() if d.imag else d.real)
-    return (
-        lambda x: digamma(x + a_sym) - digamma(x + a_con),
-        lambda x: log_gamma(x + a_sym) - log_gamma(x + a_con),
-    )
+    # both shifts on a leading axis, so each function is called once,
+    # except digamma at a complex deformation: stacked there, the a_sym
+    # half of real ranks would take its complex route, several times slower
+    shift = np.array([[a_sym], [a_con]])
+
+    def primitive(x):
+        v = log_gamma(x + shift)
+        return v[0] - v[1]
+
+    if d.imag:
+        return lambda x: digamma(x + a_sym) - digamma(x + a_con), primitive
+
+    def term(x):
+        v = digamma(x + shift)
+        return v[0] - v[1]
+
+    return term, primitive
 
 
 def _cov_summand(params: EnsembleParams):

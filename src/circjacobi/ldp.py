@@ -265,10 +265,13 @@ def _L0(T: float, s: float, t: float) -> float:
 def cgf_L0(T: float, s: float, t: float, d: complex = 0j) -> float:
     """Normalized cumulant generating function of the time-T marginal,
     with drift d folded in by the affine shift.  Domain:
-    s > -(1-T) - 2 Re d (the boundary itself is allowed as a limit)."""
+    s > -(1-T) - 2 Re d (the boundary itself is allowed as a limit), with
+    s and t finite."""
     shift = shift_constant(T, d)
     d = complex(d)
     floor = -(1.0 - T) - 2.0 * d.real
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise DomainError(f"need finite s and t, got s={s}, t={t}")
     if s < floor:
         raise DomainError(f"need s >= {floor}, got s={s}")
     return _L0(T, s + 2.0 * d.real, t + 2.0 * d.imag) + shift
@@ -411,8 +414,10 @@ def xi_boundary(T: float) -> float:
 
 def implicit_mean_map(T: float, gamma: float) -> float:
     """The strictly increasing map gamma -> xi on the interior branch:
-    J(1+g) - J(1-T+g) - J(1+g/2) + J(1-T+g/2), for gamma > -(1-T)."""
+    J(1+g) - J(1-T+g) - J(1+g/2) + J(1-T+g/2), for a finite gamma > -(1-T)."""
     _check_T(T)
+    if not (math.isfinite(gamma) and gamma > -(1.0 - T)):
+        raise DomainError(f"need a finite gamma > -(1-T) = {-(1.0 - T)}, got gamma={gamma}")
     return _mean_map(T, gamma)
 
 

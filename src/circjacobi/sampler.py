@@ -42,6 +42,15 @@ Drawing W, with m = r + Re delta and b = Im delta:
 Samplers require Re delta >= 0; the singular-weight range
 -1/2 < Re delta < 0 is covered by the closed-form modules only.
 
+Kernel.  Every sampler calls ``_draw``.  It draws each variate by one
+whole-array generator call, in a fixed order (the angle step makes two
+per rejection wave), and only then turns the variates into coefficients,
+block by block over ``_BLOCK`` entries, so a block's temporaries stay in
+cache and no full-length temporary is held.  numpy's elementwise
+functions give the same bits on any slice, so blocking changes no draw;
+a draw of up to ``_BLOCK`` entries, every ensemble up to n = 32768, is
+one block on the whole arrays.
+
 Randomness contract (pinned): numpy ``PCG64`` bit generators seeded via
 ``SeedSequence(seed, spawn_key=(i,))``.  Ensemble sample i of master
 seed s is ``ensemble_gammas(params, substream(s, i))``: all n slots come
@@ -127,6 +136,27 @@ def _check_delta(delta: complex) -> complex:
     return delta
 
 
+# ---------------------------------------------------------------- blocks
+
+# Entries per block of the kernel's arithmetic: 2^15 float64 values are
+# 256 KB, so a block's temporaries stay in cache.
+_BLOCK = 1 << 15
+
+
+def _blockwise(f, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    """``out`` after f(out, *args), which writes entry i of ``out`` from
+    entry i of each array in ``args``, run block by block over ``_BLOCK``
+    entries; an array of shape (1,) is shared by every block.  f may also
+    write elsewhere at positions its block's arguments name, as a
+    rejection wave writes accepted angles to the slots in its block of
+    indices.  numpy's elementwise functions give the same bits on any
+    slice, so the result does not depend on ``_BLOCK``."""
+    for lo in range(0, out.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        f(out[block], *(a if a.size == 1 else a[block] for a in args))
+    return out
+
+
 # ------------------------------------------------------------ angle step
 
 class _AngleEnvelope(NamedTuple):
@@ -188,14 +218,12 @@ def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int):
     env = _angle_envelope(m, b)
     shared = m.size == 1
     phi = np.empty(size)
-    open_idx = np.arange(size)
-    proposals = 0
-    while open_idx.size:
-        k = open_idx.size
-        e, mk = (env, m) if shared or k == size else (env.take(open_idx), m[open_idx])
+
+    def wave(accept, idx, w, v):
+        # the slots idx propose x; accepted ones are written to phi
+        e, mk = (env, m) if shared or idx.size == size else (env.take(idx), m[idx])
         a_left, a_flat, _ = e.area
-        w = rng.random(k) * e.area.sum(axis=0)
-        v = rng.random(k)
+        w = w * e.area.sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             y_left = -np.log1p(-e.s_left * w) / e.s_left
             y_right = np.log1p(e.s_right * (w - a_left - a_flat)) / e.s_right
@@ -210,8 +238,16 @@ def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int):
             log_ratio = (
                 2.0 * mk * (np.log(np.cos(x)) - e.log_cos_mode) + 2.0 * b * (x - e.mode) - log_env
             )
-        accept = v <= np.exp(log_ratio)
-        phi[open_idx[accept]] = x[accept]
+        np.less_equal(v, np.exp(log_ratio), out=accept)
+        phi[idx[accept]] = x[accept]
+
+    open_idx = np.arange(size)
+    proposals = 0
+    while open_idx.size:
+        k = open_idx.size
+        w = rng.random(k)
+        v = rng.random(k)
+        accept = _blockwise(wave, np.empty(k, dtype=bool), open_idx, w, v)
         open_idx = open_idx[~accept]
         proposals += k
         if open_idx.size and proposals > ITERATION_CAP * size:
@@ -224,38 +260,60 @@ def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int):
 
 # ---------------------------------------------------------------- kernel
 
+def _radial(out, ranks, u, v):
+    # delta = 0: |z|^2 = 1 - (1-u)^(1/r) on a disc slot, 1 on a circle
+    # slot, and the angle 2 pi v
+    with np.errstate(divide="ignore"):
+        radius = np.where(ranks > 0, np.sqrt(1.0 - (1.0 - u) ** (1.0 / ranks)), 1.0)
+    np.multiply(radius, np.exp(1j * (2.0 * math.pi * v)), out=out)
+
+
+def _circle_from_t(out, normal, g):
+    # W = -(1+iT)/(1-iT) with T = N/D, D^2 = 2G
+    d2 = 2.0 * g
+    q = normal * normal + d2
+    out.real = (normal * normal - d2) / q
+    out.imag = -2.0 * normal * np.sqrt(d2) / q
+
+
+def _circle_from_angle(out, phi):
+    # W = -e^(2 i phi)
+    np.negative(np.exp(2j * phi), out=out)
+
+
+def _mix(out, g1, g2):
+    # gamma = S W + (1 - S), with 1 - S = G2 / (G1 + G2)
+    total = g1 + g2
+    out *= g1 / total
+    out += g2 / total
+
+
 def _draw(rng: np.random.Generator, ranks: np.ndarray, delta: complex, size: int) -> np.ndarray:
     """The sampling kernel: ``size`` exact coefficients with deformation
     delta.  ``ranks`` holds the rank weight of each slot (shape (size,))
     or one weight shared by all slots (shape (1,)); 0 selects the circle
-    law."""
-    disc = ranks > 0
+    law.  Every variate is drawn whole-array, in a fixed order; only the
+    arithmetic that turns them into coefficients runs in blocks."""
     if delta == 0:
         u = rng.random(size)
-        theta = 2.0 * math.pi * rng.random(size)
-        with np.errstate(divide="ignore"):
-            radius = np.where(disc, np.sqrt(1.0 - (1.0 - u) ** (1.0 / ranks)), 1.0)
-        return radius * np.exp(1j * theta)
+        v = rng.random(size)
+        return _blockwise(_radial, np.empty(size, dtype=np.complex128), ranks, u, v)
     m = ranks + delta.real
+    # each variate array is released once W is formed from it
     if delta.imag == 0:
-        # W = -(1+iT)/(1-iT) with T = N/D, D^2 = 2G
         normal = rng.standard_normal(size)
-        d2 = 2.0 * rng.standard_gamma(m + 0.5, size)
-        q = normal * normal + d2
-        w = np.empty(size, dtype=np.complex128)
-        w.real = (normal * normal - d2) / q
-        w.imag = -2.0 * normal * np.sqrt(d2) / q
+        g = rng.standard_gamma(m + 0.5, size)
+        out = _blockwise(_circle_from_t, np.empty(size, dtype=np.complex128), normal, g)
+        del normal, g
     else:
         phi, _ = _draw_angles(rng, m, delta.imag, size)
-        w = -np.exp(2j * phi)
-    if not disc.any():
-        return w
+        out = _blockwise(_circle_from_angle, np.empty(size, dtype=np.complex128), phi)
+        del phi
+    if not (ranks > 0).any():
+        return out
     g1 = rng.standard_gamma(ranks + 1.0 + 2.0 * delta.real, size)
     g2 = rng.standard_gamma(ranks, size)  # 0 on a circle slot, where S = 1
-    total = g1 + g2
-    w *= g1 / total  # S W
-    w += g2 / total  # + (1 - S)
-    return w
+    return _blockwise(_mix, out, g1, g2)
 
 
 def _check_open_disc(gamma: np.ndarray, ranks: np.ndarray) -> np.ndarray:

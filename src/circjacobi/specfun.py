@@ -22,7 +22,8 @@ odd in Im t, as numpy's and scipy's complex functions are) may say so with
 ``conjugate_symmetric=True``; the summand is then called on the lines
 x + iy only, which halves the work.  Nodes come from one cache
 (``_gauss_nodes``), shared with ``graded_quad`` and the equilibrium
-quadrature.
+quadrature; each order's boundary rule is built from them once
+(``_boundary_rule``).
 
 ``graded_quad`` is the one rule for integrals over a finite interval with
 endpoint singularities (square-root edges, x log x, log|x|): Gauss-Legendre
@@ -494,6 +495,21 @@ _AP_ORDERS = (16, 32, 64, 128, 256, 512)
 _AP_TOL = 1e-13
 
 
+@lru_cache(maxsize=len(_AP_ORDERS))
+def _boundary_rule(order: int):
+    """The order-``order`` rule on the panels ``_AP_BREAKS``: nodes y and
+    weights divided by e^(2 pi y) - 1, read-only because every caller
+    shares them."""
+    nodes, w = _gauss_nodes(order)
+    half = 0.5 * np.diff(_AP_BREAKS)[:, None]
+    mid = _AP_BREAKS[:-1, None] + half
+    y = (mid + half * nodes).ravel()
+    weights = (half * w).ravel() / np.expm1(2.0 * math.pi * y)
+    y.flags.writeable = False
+    weights.flags.writeable = False
+    return y, weights
+
+
 def _boundary_quad(f: Callable, x: np.ndarray) -> np.ndarray:
     """int_0^inf f(x, y) / (e^(2 pi y) - 1) dy for each endpoint of ``x``;
     ``f(x, y)`` has shape (..., x.size, y.size).  A composite Gauss-Legendre
@@ -502,13 +518,9 @@ def _boundary_quad(f: Callable, x: np.ndarray) -> np.ndarray:
     in every leading entry, and only endpoints not done are evaluated at the
     next order, so an endpoint gets the same bits whatever endpoints come
     with it.  QuadratureError when the last order leaves one undone."""
-    half = 0.5 * np.diff(_AP_BREAKS)[:, None]
-    mid = _AP_BREAKS[:-1, None] + half
     todo, out, prev = np.arange(x.size), None, None
     for order in _AP_ORDERS:
-        nodes, w = _gauss_nodes(order)
-        y = (mid + half * nodes).ravel()
-        weights = (half * w).ravel() / np.expm1(2.0 * math.pi * y)
+        y, weights = _boundary_rule(order)
         cur = np.sum(weights * f(x[todo], y), axis=-1)
         if prev is None:
             out = np.empty(cur.shape[:-1] + x.shape, dtype=np.complex128)

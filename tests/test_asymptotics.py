@@ -195,6 +195,19 @@ class TestMomentTables:
             # of the covariance's arguments
             assert sizes == [m, m, 2 * m], m
 
+    def test_real_delta_row_calls_digamma_once(self, monkeypatch):
+        # a real deformation keeps both of the mean's shifts real, so they
+        # go to digamma stacked, in one call, with the two calls' bits
+        p = asy.EnsembleParams(10**4, 2.0, delta=0.5)
+        term, _ = asy._mean_summand(p)
+        x = p.coefficient_ranks(100)
+        assert np.array_equal(term(x), asy.digamma(x + 2.0) - asy.digamma(x + 1.5))
+        sizes = []
+        digamma = asy.digamma
+        monkeypatch.setattr(asy, "digamma", lambda z: sizes.append(np.size(z)) or digamma(z))
+        asy.exact_mean_logphi(p, 100)
+        assert sizes == [200]
+
 
 class TestConjugateSymmetry:
     """A real deformation makes both summands real on the real axis, so the

@@ -104,6 +104,12 @@ class TestCgf:
         with pytest.raises(sf.DomainError):
             ldp.cgf_L0(0.5, -0.3, 0.0, d=-0.1)
 
+    @pytest.mark.parametrize("s, t", [(math.nan, 0.0), (0.1, math.nan), (math.inf, 0.0),
+                                      (0.1, -math.inf)])
+    def test_point_must_be_finite(self, s, t):
+        with pytest.raises(sf.DomainError, match="need finite s and t"):
+            ldp.cgf_L0(0.5, s, t)
+
     @pytest.mark.parametrize("d", [math.nan, complex(0, math.inf), 1e308])
     def test_drift_must_be_finite_with_a_finite_shift(self, d):
         with pytest.raises(sf.DomainError):
@@ -304,6 +310,13 @@ class TestMeanMapRoot:
     def test_map_checks_T(self):
         with pytest.raises(sf.DomainError, match="need 0 < T <= 1"):
             ldp.implicit_mean_map(2.0, 0.5)
+
+    @pytest.mark.parametrize("gamma", [-0.6, -0.5, math.nan, math.inf, -math.inf])
+    def test_map_checks_gamma(self, gamma):
+        # the branch is gamma > -(1-T); at and below it the map's logs are
+        # undefined
+        with pytest.raises(sf.DomainError, match="need a finite gamma"):
+            ldp.implicit_mean_map(0.5, gamma)
 
     def test_slope_is_the_derivative(self):
         for T, g in ((0.1, -0.85), (0.5, 0.3), (0.9, 4.0), (1.0, 20.0)):

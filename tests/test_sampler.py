@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,3 +270,73 @@ class TestSupport:
         for i, d in enumerate((0.5, 0.5 + 0.5j, 2j)):
             g = sp.sample_gamma_circle(d, sp.substream(78, i), size=10**5)
             assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-15
+
+
+class TestBlockedKernel:
+    """The kernel's arithmetic runs in blocks of ``_BLOCK`` entries after
+    whole-array generator calls; no draw may depend on the block length."""
+
+    ONE_BLOCK = 1 << 20
+    # delta = 0, real delta, complex delta (the angle step)
+    DELTAS = (0.0, 0.5, 0.3 + 0.2j, 2j)
+
+    @staticmethod
+    def _sizes(block):
+        return (0, 1, block - 1, block, block + 1, 3 * block + 5)
+
+    def _assert_block_free(self, monkeypatch, block, draw):
+        monkeypatch.setattr(sp, "_BLOCK", block)
+        blocked = draw()
+        monkeypatch.setattr(sp, "_BLOCK", self.ONE_BLOCK)
+        assert blocked.tobytes() == draw().tobytes()
+
+    @pytest.mark.parametrize("block", [7, sp._BLOCK])
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_shared_law(self, monkeypatch, block, delta):
+        for i, size in enumerate(self._sizes(block)):
+            for r in (3.0, 0.0):  # a disc law and the circle law
+                def draw():
+                    rng = sp.substream(31, i)
+                    if r == 0:
+                        return sp.sample_gamma_circle(delta, rng, size=size)
+                    return sp.sample_gamma_disc(r, delta, rng, size=size)
+
+                self._assert_block_free(monkeypatch, block, draw)
+
+    @pytest.mark.parametrize("block", [7, sp._BLOCK])
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_per_slot_ranks(self, monkeypatch, block, delta):
+        # ranks from the circle slot up, so per-slot envelopes are taken
+        # block by block in every rejection wave
+        for i, size in enumerate(self._sizes(block)):
+            ranks = np.linspace(0.0, 40.0, size)
+
+            def draw():
+                return sp._draw(sp.substream(32, i), ranks, delta, size)
+
+            self._assert_block_free(monkeypatch, block, draw)
+
+    @pytest.mark.parametrize("kw", [{"delta": 0.0}, {"delta": 0.5}, {"delta": 0.3 + 0.2j},
+                                    {"scaled_d": 0.5 + 0.5j}])
+    def test_ensembles(self, monkeypatch, kw):
+        for block, n in ((7, 12), (7, 26), (sp._BLOCK, sp._BLOCK + 1)):
+            params = EnsembleParams(n, 2.0, **kw)
+
+            def draw():
+                return sp.ensemble_gammas(params, sp.substream(33, n))
+
+            self._assert_block_free(monkeypatch, block, draw)
+
+    def test_bulk_draw_holds_no_full_length_temporaries(self):
+        # a 1e6 real-delta disc draw: the output (16 MB) and at most three
+        # float64 arrays of its length are live at once
+        size = 10**6
+        rng = sp.substream(34, 0)
+        tracemalloc.start()
+        try:
+            g = sp.sample_gamma_disc(3.0, 0.5, rng, size=size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.nbytes == 16 * size
+        assert peak <= g.nbytes + 3 * 8 * size
