@@ -66,8 +66,8 @@ class EnsembleParams:
     scaled_d: Optional[complex] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"need n >= 1, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise DomainError(f"need an integer n >= 1, got {self.n!r}")
         if not 0 < self.beta < math.inf:
             raise DomainError(f"need finite beta > 0, got {self.beta}")
         if self.delta is not None and self.scaled_d is not None:
@@ -110,23 +110,14 @@ def _mean_summand(params: EnsembleParams):
     # a real deformation keeps a_con real, so real ranks take digamma's
     # real route without a complex array to scan and copy back
     a_sym, a_con = 1 + 2 * d.real, 1 + (d.conjugate() if d.imag else d.real)
-    # both shifts on a leading axis, so each function is called once,
-    # except digamma at a complex deformation: stacked there, the a_sym
-    # half of real ranks would take its complex route, several times slower
+    # both shifts on a leading axis: one call of log_gamma, complex anyway
     shift = np.array([[a_sym], [a_con]])
 
     def primitive(x):
         v = log_gamma(x + shift)
         return v[0] - v[1]
 
-    if d.imag:
-        return lambda x: digamma(x + a_sym) - digamma(x + a_con), primitive
-
-    def term(x):
-        v = digamma(x + shift)
-        return v[0] - v[1]
-
-    return term, primitive
+    return lambda x: digamma(x + a_sym) - digamma(x + a_con), primitive
 
 
 def _cov_summand(params: EnsembleParams):
@@ -216,8 +207,8 @@ def limit_mean_functions(d: complex, t: float) -> Tuple[complex, complex]:
     and F(t) the first-order correction factor.  Requires Re d > 0 and
     0 <= t <= 1 (t = 0 returns the limit (0, 0))."""
     d = complex(d)
-    if d.real <= 0:
-        raise DomainError(f"need Re d > 0, got {d}")
+    if not np.isfinite(d) or d.real <= 0:
+        raise DomainError(f"need a finite d with Re d > 0, got {d}")
     if not 0 <= t <= 1:
         raise DomainError(f"need 0 <= t <= 1, got {t}")
     if t == 0:
@@ -236,10 +227,10 @@ def limit_covariance(d: complex, t: float, beta: float) -> Tuple[np.ndarray, np.
     error: the normalization changes there (``limit_moments`` branches).
     For Re d > 0 the closed forms hold on 0 <= t <= 1."""
     d = complex(d)
-    if beta <= 0:
-        raise DomainError(f"need beta > 0, got {beta}")
-    if d.real < 0:
-        raise DomainError(f"need Re d >= 0, got {d}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"need finite beta > 0, got {beta}")
+    if not np.isfinite(d) or d.real < 0:
+        raise DomainError(f"need a finite d with Re d >= 0, got {d}")
     if not 0 <= t <= 1:
         raise DomainError(f"need 0 <= t <= 1, got {t}")
     if d.real == 0 and t == 1:

@@ -50,7 +50,7 @@ from .equilibrium import (
     lubinsky_saff_Bf,
     mu_a_measure,
 )
-from .process import PATH_HEADER, PATH_ROW, _pool_map, _usable_cpus, log_path, log_phi_sums
+from .process import _pool_map, _usable_cpus, log_path, log_phi_sums
 from .sampler import DeformedVerblunskySample, SamplingError, ensemble_gammas, substream
 from .specfun import DomainError
 
@@ -155,6 +155,9 @@ def _json(payload) -> Tuple[str]:
     return (json.dumps(payload, indent=2) + "\n",)
 
 
+# one path-table row per k of ``LogPolyPath.rows()``
+PATH_HEADER = "k,t,re_log_phi,im_log_phi,re_zeta,im_zeta"
+PATH_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
 RATE_HEADER = "T,xi,eta,d_re,d_im,h,branch,gamma,rho\n"
 RATE_ROW = "%.17g," * 6 + "%s,%s\n"
 # Fewest rate points an ldp worker is given.  A pool costs about 15 ms to
@@ -189,7 +192,7 @@ def _sample_rows(params: EnsembleParams, seed: int, count: int) -> Iterator[tupl
     for i in range(count):
         gamma = ensemble_gammas(params, substream(seed, i))
         sample = DeformedVerblunskySample(gamma=gamma, seed=seed, params=params)
-        for row in log_path(sample, centered=True).rows():
+        for row in log_path(sample).rows():
             yield (i, *row)
 
 

@@ -15,6 +15,7 @@ All operations are pure and stateless.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -40,24 +41,29 @@ class CoefficientLaw:
 
     ``r`` is the rank weight (r = 0 selects the circle law), or a 1-D array
     of rank weights, one law each, which only ``cumulants`` takes; ``delta``
-    is the deformation, constrained by r + 2 Re delta + 1 > 0.  A rank
-    array that breaks a constraint raises the DomainError of its lowest
-    rank.
+    is the deformation, constrained by r + 2 Re delta + 1 > 0.  Both must
+    be finite, every entry of a rank array too.  A rank array that breaks
+    a constraint raises the DomainError of its lowest rank.
     """
 
     r: float
     delta: complex
 
     def __post_init__(self):
-        r = self.r
+        r, delta = self.r, complex(self.delta)
         # the isinstance test spares the common scalar law an np.ndim call
         if not isinstance(r, (int, float)) and np.ndim(r):
             if np.ndim(r) > 1:
                 raise DomainError(f"rank weights must be a number or a 1-D array, got {r!r}")
+            finite = np.isfinite(r).all()
             r = np.min(r, initial=np.inf)
+        else:
+            finite = math.isfinite(r)
+        if not (finite and cmath.isfinite(delta)):
+            raise DomainError(f"need finite rank weights and delta, got r={self.r}, delta={self.delta}")
         if r < 0:
             raise DomainError(f"rank weight must be nonnegative, got {r}")
-        if r + 2.0 * complex(self.delta).real + 1.0 <= 0.0:
+        if r + 2.0 * delta.real + 1.0 <= 0.0:
             raise DomainError(f"need r + 2 Re delta + 1 > 0, got r={r}, delta={self.delta}")
 
 

@@ -83,6 +83,12 @@ class SolverError(RuntimeError):
         return f"{self.args[0]} (residual {self.residual:.3e})"
 
 
+def _check_finite(**args: float) -> None:
+    if not all(map(math.isfinite, args.values())):
+        got = ", ".join(f"{k}={v}" for k, v in args.items())
+        raise DomainError(f"need finite {' and '.join(args)}, got {got}")
+
+
 def _check_T(T: float) -> None:
     if not 0 < T <= 1:
         raise DomainError(f"need 0 < T <= 1, got T={T}")
@@ -112,8 +118,7 @@ class RatePoint:
 
     def __post_init__(self):
         _check_T(self.T)
-        if not (math.isfinite(self.xi) and math.isfinite(self.eta)):
-            raise DomainError(f"need finite (xi, eta), got ({self.xi}, {self.eta})")
+        _check_finite(xi=self.xi, eta=self.eta)
         if _check_drift(self.d).real == 0 and self.T == 1:
             raise DomainError("T = 1 requires Re d > 0 (tightness boundary)")
 
@@ -130,7 +135,8 @@ class MarginalRateResult:
 
 def rate_Ha(xi: float, eta: float) -> float:
     """Pointwise rate: -xi - log(2 cos eta - e^xi) when |eta| < pi/2 and
-    2 cos eta > e^xi, +inf otherwise."""
+    2 cos eta > e^xi, +inf otherwise; xi and eta must be finite."""
+    _check_finite(xi=xi, eta=eta)
     if abs(eta) >= 0.5 * math.pi:
         return math.inf
     c = 2.0 * math.cos(eta)
@@ -235,8 +241,9 @@ def legendre_numeric(
     Ascent seeded at the closed-form stationary point when the target is
     admissible, converged to a gradient residual of 1e-9; returns (value,
     argmax), or (inf, None) when the iterates diverge (inadmissible
-    target).
+    target).  xi and eta must be finite.
     """
+    _check_finite(xi=xi, eta=eta)
     start = (0.0, 0.0)
     denom = math.cos(eta) - 0.5 * math.exp(xi) if abs(eta) < 0.5 * math.pi else 0.0
     if denom > 1e-12:
@@ -270,8 +277,7 @@ def cgf_L0(T: float, s: float, t: float, d: complex = 0j) -> float:
     shift = shift_constant(T, d)
     d = complex(d)
     floor = -(1.0 - T) - 2.0 * d.real
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise DomainError(f"need finite s and t, got s={s}, t={t}")
+    _check_finite(s=s, t=t)
     if s < floor:
         raise DomainError(f"need s >= {floor}, got s={s}")
     return _L0(T, s + 2.0 * d.real, t + 2.0 * d.imag) + shift
@@ -530,10 +536,11 @@ def hkoc_forms(which: str, arg: float) -> float:
 
     ``which = "real"``: (1+s)^2/2 log(1+s) - (1+s/2)^2 log(1+s/2)
     - s^2/4 log(2s) for s >= 0.  ``which = "imag"``:
-    t^2/8 log(1+4/t^2) - 1/2 log(1+t^2/4) + t arctan(t/2), any t.
+    t^2/8 log(1+4/t^2) - 1/2 log(1+t^2/4) + t arctan(t/2), any finite t.
     """
     if which == "real":
         s = float(arg)
+        _check_finite(s=s)
         if s < 0:
             raise DomainError(f"real form needs s >= 0, got {s}")
         if s == 0:
@@ -545,6 +552,7 @@ def hkoc_forms(which: str, arg: float) -> float:
         )
     if which == "imag":
         t = float(arg)
+        _check_finite(t=t)
         if t == 0:
             return 0.0
         return (
@@ -564,8 +572,9 @@ def optimal_trajectory(
     psi'(tau) = arctan(rho / (2(1-tau) + gamma)).
 
     Integrating them over [0, T] recovers the (xi, eta) whose marginal
-    rate has multipliers (gamma, rho)."""
+    rate has multipliers (gamma, rho), which must be finite."""
     _check_T(T)
+    _check_finite(gamma=gamma, rho=rho)
     if gamma <= -(1.0 - T):
         raise DomainError(f"need gamma > -(1-T) = {-(1.0 - T)}, got {gamma}")
 

@@ -5,7 +5,8 @@ orthogonal polynomials at z = 1:
 
 1. the running product of (1 - gamma_j) over the deformed coefficients,
    as sums of ``log_one_minus``, the one spelling of log(1 - gamma): the
-   path in ``log_path``, one Monte Carlo sample each in ``log_phi_sums``,
+   path and its centred form (minus the exact mean) in ``log_path``, one
+   Monte Carlo sample each in ``log_phi_sums``,
 2. the Szego recursion driven by the Schur coefficients alpha_j,
 3. the determinant of I_k minus the top-left k x k block of the GGT
    (Hessenberg) matrix built from the alpha_j.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,8 +41,6 @@ __all__ = [
     "szego_eval",
     "ggt_matrix",
     "ggt_check",
-    "PATH_HEADER",
-    "PATH_ROW",
 ]
 
 
@@ -68,35 +67,23 @@ class SchurCoefficients:
         return self.alpha.size
 
 
-# The path table: its CSV header and the printf-style format of one row
-# (17 significant digits round-trip doubles exactly).
-PATH_HEADER = "k,t,re_log_phi,im_log_phi,re_zeta,im_zeta"
-PATH_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-
-
 @dataclass(frozen=True)
 class LogPolyPath:
-    """values[k] = log Phi_{k,n}(1) for k = 0..n, with values[0] = 0;
-    ``zeta`` is the centered path values[k] - E values[k] when present."""
+    """values[k] = log Phi_{k,n}(1) for k = 0..n, with values[0] = 0, and
+    the centered path zeta[k] = values[k] - E values[k]."""
 
     values: np.ndarray
-    params: EnsembleParams
-    zeta: Optional[np.ndarray] = None
-
-    @property
-    def n(self) -> int:
-        return self.values.size - 1
+    zeta: np.ndarray
 
     def rows(self) -> Iterator[tuple]:
-        """Rows of the path table (``PATH_HEADER``, ``PATH_ROW``) as Python
-        numbers, k = 0..n; the uncentered values stand in for a missing
-        ``zeta``."""
-        k = np.arange(self.n + 1)
-        zeta = self.values if self.zeta is None else self.zeta
+        """Rows (k, t = k/n, Re, Im of values[k], Re, Im of zeta[k]) of the
+        path table, as Python numbers, k = 0..n."""
+        n = self.values.size - 1
+        k = np.arange(n + 1)
         return zip(
-            k.tolist(), (k / self.n).tolist(),
+            k.tolist(), (k / n).tolist(),
             self.values.real.tolist(), self.values.imag.tolist(),
-            zeta.real.tolist(), zeta.imag.tolist(),
+            self.zeta.real.tolist(), self.zeta.imag.tolist(),
         )
 
 
@@ -105,15 +92,12 @@ def log_one_minus(gamma: np.ndarray) -> np.ndarray:
     return np.log(1.0 - gamma)
 
 
-def log_path(sample: DeformedVerblunskySample, centered: bool = True) -> LogPolyPath:
-    """Cumulative sums of ``log_one_minus(gamma_j)``; ``centered`` also
-    stores the path minus its exact mean."""
+def log_path(sample: DeformedVerblunskySample) -> LogPolyPath:
+    """Cumulative sums of ``log_one_minus(gamma_j)``, and the path minus its
+    exact mean (``mean_increments``, summed the same way)."""
     values = np.concatenate([[0.0 + 0.0j], np.cumsum(log_one_minus(sample.gamma))])
-    zeta = None
-    if centered:
-        mean = np.concatenate([[0.0 + 0.0j], np.cumsum(mean_increments(sample.params))])
-        zeta = values - mean
-    return LogPolyPath(values=values, params=sample.params, zeta=zeta)
+    mean = np.concatenate([[0.0 + 0.0j], np.cumsum(mean_increments(sample.params))])
+    return LogPolyPath(values=values, zeta=values - mean)
 
 
 def _usable_cpus() -> int:

@@ -2,7 +2,8 @@
 
 Each check pins one acceptance criterion at its stated tolerance and
 returns a :class:`CheckResult`; ``run_all`` drives the full table and
-times each check, so ``seconds`` is the wall time of the whole check.  The
+times each check, so ``seconds`` is the wall time of the whole check, and
+fails a check that overruns its limit in ``TIME_LIMITS``.  The
 suite combines exact-identity checks (near machine precision) with
 statistical and convergence-trend checks at desk scale, and is shared
 between ``tests/test_acceptance.py`` and the ``verify`` CLI command.
@@ -65,7 +66,6 @@ def _random_coefficients(rng, n: int) -> np.ndarray:
 def check_triple_determinant() -> CheckResult:
     """1. Product formula, Szego recursion at z = 1 and the GGT block
     determinant agree pairwise to 1e-8 relative on 200 random arrays."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20240601)
     worst = 0.0
     for trial in range(200):
@@ -82,17 +82,16 @@ def check_triple_determinant() -> CheckResult:
             worst = max(worst, abs(np.exp(lg) - ref) / abs(ref))
     return CheckResult(
         "triple determinant agreement",
-        worst < 1e-8 and time.perf_counter() - t0 < 10.0,
+        worst < 1e-8,
         f"max pairwise rel dev {worst:.2e}",
         "0",
-        "1e-8, < 10 s",
+        "1e-8",
     )
 
 
 def check_moment_exactness() -> CheckResult:
     """2. Monte Carlo mean/covariance of log(1-gamma) matches the closed
     forms within 4 standard errors at 1e6 draws."""
-    t0 = time.perf_counter()
     draws = 10**6
     worst_z = 0.0
     details = []
@@ -125,10 +124,10 @@ def check_moment_exactness() -> CheckResult:
         worst_z = max(worst_z, zmax)
     return CheckResult(
         "moment exactness (Monte Carlo)",
-        worst_z < 4.0 and time.perf_counter() - t0 < 60.0,
+        worst_z < 4.0,
         f"max z-score {worst_z:.2f}",
         "0",
-        "4 SE, < 60 s",
+        "4 SE",
         detail="; ".join(details),
     )
 
@@ -136,7 +135,6 @@ def check_moment_exactness() -> CheckResult:
 def check_cgf_identity() -> CheckResult:
     """3. exp(cgf) equals the Mellin-Fourier moment at conjugate
     exponents to 1e-12 relative on 100 random valid points."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(31337)
     worst = 0.0
     count = 0
@@ -157,10 +155,10 @@ def check_cgf_identity() -> CheckResult:
         count += 1
     return CheckResult(
         "cgf / Mellin-Fourier identity",
-        worst < 1e-12 and time.perf_counter() - t0 < 1.0,
+        worst < 1e-12,
         f"max rel dev {worst:.2e}",
         "0",
-        "1e-12, < 1 s",
+        "1e-12",
     )
 
 
@@ -449,7 +447,6 @@ def check_energy_duality() -> CheckResult:
     """13. The log energy of mu_a (the Fourier sum of
     ``equilibrium._log_energy_circle``) equals 2a xi + ldp.shift_constant(1, a),
     where ``energy_rate`` vanishes, within 1e-9 and in under 1 s, for a in {0.5, 1}."""
-    t0 = time.perf_counter()
     worst = 0.0
     for a in (0.5, 1.0):
         mu = eq.mu_a_measure(a)
@@ -459,10 +456,10 @@ def check_energy_duality() -> CheckResult:
         worst = max(worst, abs(-sigma - closed))
     return CheckResult(
         "energy / rate duality",
-        worst < 1e-9 and time.perf_counter() - t0 < 1.0,
+        worst < 1e-9,
         f"max dev {worst:.2e}",
         "0",
-        "1e-9, < 1 s",
+        "1e-9",
     )
 
 
@@ -581,6 +578,10 @@ CHECKS: Dict[str, Callable[[], CheckResult]] = {
 
 CHECK_IDS = tuple(CHECKS)
 
+# Wall-time limits in seconds, enforced by ``run_all`` and named in the tolerance.
+TIME_LIMITS: Dict[str, float] = {"01-triple-determinant": 10.0, "02-moment-exactness": 60.0,
+                                 "03-cgf-identity": 1.0, "13-energy-duality": 1.0}
+
 
 def run_check(check_id: str) -> CheckResult:
     return run_all([check_id])[0]
@@ -597,5 +598,8 @@ def run_all(ids: Optional[Sequence[str]] = None) -> List[CheckResult]:
         start = time.perf_counter()
         result = CHECKS[cid]()
         result.seconds = time.perf_counter() - start
+        if cid in TIME_LIMITS:
+            result.passed = result.passed and result.seconds < TIME_LIMITS[cid]
+            result.tolerance += f", < {TIME_LIMITS[cid]:g} s"
         results.append(result)
     return results

@@ -25,6 +25,16 @@ class TestEnsembleParams:
         with pytest.raises(sf.DomainError):
             asy.EnsembleParams(8, 2.0, delta=0.1, scaled_d=0.1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_n_must_be_an_integer(self, n):
+        # 2.5 would give three rank slots, one with a negative weight
+        with pytest.raises(sf.DomainError, match="integer n"):
+            asy.EnsembleParams(n, 2.0)
+
+    def test_numpy_integer_n(self):
+        p = asy.EnsembleParams(np.int64(3), 2.0)
+        assert p.coefficient_ranks().tolist() == [2.0, 1.0, 0.0]
+
     def test_effective_delta(self):
         p = asy.EnsembleParams(100, 2.0, scaled_d=0.5 + 0.5j)
         assert p.effective_delta == 1.0 * (0.5 + 0.5j) * 100
@@ -195,9 +205,9 @@ class TestMomentTables:
             # of the covariance's arguments
             assert sizes == [m, m, 2 * m], m
 
-    def test_real_delta_row_calls_digamma_once(self, monkeypatch):
-        # a real deformation keeps both of the mean's shifts real, so they
-        # go to digamma stacked, in one call, with the two calls' bits
+    def test_real_delta_row_calls_digamma_once_per_shift(self, monkeypatch):
+        # one term at every deformation: a digamma call per shift, as at a
+        # complex deformation, with the two calls' bits
         p = asy.EnsembleParams(10**4, 2.0, delta=0.5)
         term, _ = asy._mean_summand(p)
         x = p.coefficient_ranks(100)
@@ -206,7 +216,7 @@ class TestMomentTables:
         digamma = asy.digamma
         monkeypatch.setattr(asy, "digamma", lambda z: sizes.append(np.size(z)) or digamma(z))
         asy.exact_mean_logphi(p, 100)
-        assert sizes == [200]
+        assert sizes == [100, 100]
 
 
 class TestConjugateSymmetry:
@@ -334,6 +344,11 @@ class TestLimitFunctions:
         with pytest.raises(sf.DomainError):
             asy.limit_mean_functions(1.0, 1.5)
 
+    @pytest.mark.parametrize("d", [complex(1.0, math.nan), complex(math.inf, 0.0), math.nan])
+    def test_non_finite_drift(self, d):
+        with pytest.raises(sf.DomainError, match="finite d"):
+            asy.limit_mean_functions(d, 0.5)
+
 
 class TestLimitCovariance:
     def test_explicit_point(self):
@@ -379,6 +394,13 @@ class TestLimitCovariance:
     def test_zero_drift_terminal_is_error(self):
         with pytest.raises(sf.DomainError):
             asy.limit_covariance(0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "d, beta", [(0.5, math.nan), (0.5, math.inf), (complex(0.5, math.nan), 2.0), (math.inf, 2.0)]
+    )
+    def test_non_finite_arguments(self, d, beta):
+        with pytest.raises(sf.DomainError, match="finite"):
+            asy.limit_covariance(d, 0.5, beta)
 
 
 class TestLimitMoments:

@@ -11,7 +11,8 @@ import pytest
 
 from circjacobi import asymptotics, cli, ldp, process, sampler, verification
 from circjacobi.asymptotics import EnsembleParams
-from circjacobi.process import PATH_ROW, log_path
+from circjacobi.cli import PATH_ROW
+from circjacobi.process import log_path
 
 from test_startup import _python
 
@@ -657,6 +658,17 @@ class TestVerifySubset:
 
         monkeypatch.setitem(verification.CHECKS, "07-abel-plana", slow_check)
         assert verification.run_check("07-abel-plana").seconds >= 0.05
+
+
+    def test_time_limit_fails_an_overrun(self, monkeypatch):
+        # the runner owns the wall-time limits and names them in the tolerance
+        assert verification.TIME_LIMITS == {"01-triple-determinant": 10.0, "02-moment-exactness": 60.0,
+                                            "03-cgf-identity": 1.0, "13-energy-duality": 1.0}
+        result = verification.run_check("03-cgf-identity")
+        assert (result.passed, result.tolerance) == (True, "1e-12, < 1 s")
+        monkeypatch.setitem(verification.TIME_LIMITS, "03-cgf-identity", 0.0)
+        result = verification.run_check("03-cgf-identity")
+        assert (result.passed, result.tolerance) == (False, "1e-12, < 0 s")
 
 
 def _fail_on_call(func, call):

@@ -316,6 +316,20 @@ class TestCumulantsOverRanks:
             gl.CoefficientLaw(2.0, 0.3)
         )
 
+    @pytest.mark.parametrize(
+        "r, delta",
+        [(math.nan, 0.5), (math.inf, 0.5), (np.float64(math.inf), 0.5), (np.array(math.nan), 0.5),
+         (2.0, math.nan), (2.0, complex(0.5, math.inf)), (np.array([1.0, math.inf, 2.0]), 0.5),
+         (np.array([1.0, math.nan]), 0.5), (np.array([1.0, 2.0]), complex(math.nan, 0.0))],
+    )
+    def test_non_finite_law_is_rejected(self, r, delta):
+        # not accepted, to fail later in ``cumulants`` with a digamma OverflowError
+        with pytest.raises(sf.DomainError, match="need finite rank weights and delta"):
+            gl.CoefficientLaw(r, delta)
+
+    def test_empty_rank_array_is_a_law(self):
+        assert gl.cumulants(gl.CoefficientLaw(np.array([]), 0.5)).mean.size == 0
+
     def test_ranks_must_be_one_axis(self):
         with pytest.raises(sf.DomainError, match="1-D"):
             gl.CoefficientLaw(np.ones((2, 2)), 0.3)

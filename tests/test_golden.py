@@ -64,6 +64,13 @@ def test_golden_bytes(name, tmp_path):
         assert (tmp_path / each).read_bytes() == (GOLDEN / each).read_bytes()
 
 
+def test_17_digit_formats_live_in_cli():
+    # the float format these files pin has one home, beside the tables
+    package = pathlib.Path(cli.__file__).parent
+    holders = [path.name for path in sorted(package.glob("*.py")) if "%.17g" in path.read_text()]
+    assert holders == ["cli.py"]
+
+
 def _moments_n50_rows():
     """(m, exact mean, exact covariance) of each row of both moments_n50
     golden files."""

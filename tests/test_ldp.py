@@ -25,6 +25,11 @@ class TestRateHa:
         assert ldp.rate_Ha(math.log(2.0), 0.0) == math.inf
         assert ldp.rate_Ha(5.0, 0.0) == math.inf
 
+    @pytest.mark.parametrize("xi, eta", [(math.nan, 0.0), (0.0, math.nan), (-math.inf, 0.0), (0.0, math.inf)])
+    def test_non_finite_target(self, xi, eta):
+        with pytest.raises(sf.DomainError, match="need finite xi and eta"):
+            ldp.rate_Ha(xi, eta)
+
 
 class TestLagrangian:
     def test_origin(self):
@@ -72,6 +77,12 @@ class TestLegendre:
     def test_divergence_flagged(self):
         assert ldp.legendre_numeric(1.0, 0.0)[0] == math.inf
         assert ldp.legendre_numeric(0.0, 1.7)[0] == math.inf
+
+    @pytest.mark.parametrize("xi, eta", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    def test_non_finite_target(self, xi, eta):
+        # not (inf, None), which reports a divergent ascent
+        with pytest.raises(sf.DomainError, match="need finite xi and eta"):
+            ldp.legendre_numeric(xi, eta)
 
     def test_recession(self):
         for xi in (-0.5, -1.0, -2.0):
@@ -147,6 +158,12 @@ class TestHkocForms:
             ldp.hkoc_forms("real", -0.1)
         with pytest.raises(sf.DomainError):
             ldp.hkoc_forms("other", 1.0)
+
+    @pytest.mark.parametrize("which", ["real", "imag"])
+    @pytest.mark.parametrize("arg", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument(self, which, arg):
+        with pytest.raises(sf.DomainError, match="need finite"):
+            ldp.hkoc_forms(which, arg)
 
 
 class TestPathFunctional:
@@ -351,6 +368,11 @@ class TestTrajectories:
             ldp.optimal_trajectory(0.5, -0.5, 0.0)
         with pytest.raises(sf.DomainError):
             ldp.optimal_trajectory(1.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("gamma, rho", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.5, -math.inf)])
+    def test_non_finite_multipliers(self, gamma, rho):
+        with pytest.raises(sf.DomainError, match="need finite gamma and rho"):
+            ldp.optimal_trajectory(0.5, gamma, rho)
 
 
 class TestPathAction:

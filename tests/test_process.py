@@ -46,7 +46,7 @@ class TestLogPath:
         sample = sp.DeformedVerblunskySample(
             gamma=gamma, seed=0, params=EnsembleParams(5, 2.0, delta=0.0)
         )
-        path = pr.log_path(sample, centered=False)
+        path = pr.log_path(sample)
         assert path.values[-1] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_increment_branch(self):
@@ -72,7 +72,7 @@ class TestLogPath:
             EnsembleParams(24, 2.0, scaled_d=0.5 - 0.25j),
         ):
             assert params.n <= CROSSOVER_N
-            path = pr.log_path(sp.sample_ensemble(params, 2), centered=True)
+            path = pr.log_path(sp.sample_ensemble(params, 2))
             for k in range(1, params.n + 1):
                 assert path.zeta[k] == path.values[k] - exact_mean_logphi(params, k), k
 
