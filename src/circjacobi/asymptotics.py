@@ -66,7 +66,7 @@ class EnsembleParams:
     scaled_d: Optional[complex] = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
             raise DomainError(f"need an integer n >= 1, got {self.n!r}")
         if not 0 < self.beta < math.inf:
             raise DomainError(f"need finite beta > 0, got {self.beta}")

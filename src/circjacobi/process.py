@@ -152,14 +152,16 @@ def log_phi_sums(params: EnsembleParams, seed: int, count: int, workers: int) ->
 
 
 def gamma_to_alpha(gamma: np.ndarray) -> SchurCoefficients:
-    """Invert the deformed coefficients: alpha_j is conj(gamma_j) rotated
-    by the phase of the running product Phi_j(1) = prod_{k<j} (1-gamma_k)."""
+    """Invert the deformed coefficients: alpha_j = conj(gamma_j)
+    conj(u_j) / u_j, where u_j, the running product of the unit factors
+    (1 - gamma_k) / |1 - gamma_k| over k < j, is the phase of
+    Phi_j(1) = prod_{k<j} (1 - gamma_k).  u_j stays on the circle, so a
+    long product cannot overflow or underflow as Phi_j(1) itself does on
+    drift ensembles."""
     gamma = np.asarray(gamma, dtype=np.complex128)
-    prefix = np.concatenate([[1.0 + 0.0j], np.cumprod(1.0 - gamma)[:-1]])
-    if np.any(np.abs(prefix) < 1e-300):
-        raise ZeroDivisionError("running product Phi_j(1) vanished")
-    phase = np.conj(prefix) / prefix
-    return SchurCoefficients(alpha=np.conj(gamma) * phase)
+    step = 1.0 - gamma[:-1]
+    unit = np.concatenate([[1.0 + 0.0j], np.cumprod(step / np.abs(step))])
+    return SchurCoefficients(alpha=np.conj(gamma) * (np.conj(unit) / unit))
 
 
 def alpha_to_gamma(alpha: SchurCoefficients) -> np.ndarray:

@@ -44,12 +44,16 @@ Samplers require Re delta >= 0; the singular-weight range
 
 Kernel.  Every sampler calls ``_draw``.  It draws each variate by one
 whole-array generator call, in a fixed order (the angle step makes two
-per rejection wave), and only then turns the variates into coefficients,
-block by block over ``_BLOCK`` entries, so a block's temporaries stay in
-cache and no full-length temporary is held.  numpy's elementwise
-functions give the same bits on any slice, so blocking changes no draw;
-a draw of up to ``_BLOCK`` entries, every ensemble up to n = 32768, is
-one block on the whole arrays.
+per rejection wave); a Gamma shape shared by all slots goes to the
+generator as a Python float, which draws the same bits as a shape-(1,)
+array without numpy's broadcast loop.  Only then does it turn the
+variates into coefficients, block by block over ``_BLOCK`` entries, so a
+block's temporaries stay in cache and no full-length temporary is held;
+the writers reuse the variates' blocks for their temporaries, and a
+rejection wave evaluates each envelope piece only on the proposals that
+land in it.  numpy's elementwise functions give the same bits on any
+slice, so blocking changes no draw; a draw of up to ``_BLOCK`` entries,
+every ensemble up to n = 32768, is one block on the whole arrays.
 
 Randomness contract (pinned): numpy ``PCG64`` bit generators seeded via
 ``SeedSequence(seed, spawn_key=(i,))``.  Ensemble sample i of master
@@ -146,11 +150,12 @@ _BLOCK = 1 << 15
 def _blockwise(f, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
     """``out`` after f(out, *args), which writes entry i of ``out`` from
     entry i of each array in ``args``, run block by block over ``_BLOCK``
-    entries; an array of shape (1,) is shared by every block.  f may also
-    write elsewhere at positions its block's arguments name, as a
-    rejection wave writes accepted angles to the slots in its block of
-    indices.  numpy's elementwise functions give the same bits on any
-    slice, so the result does not depend on ``_BLOCK``."""
+    entries; an array of shape (1,) is shared by every block.  f may use
+    the blocks of a full-length argument as scratch, and may also write
+    elsewhere at positions its block's arguments name, as a rejection
+    wave writes accepted angles to the slots in its block of indices.
+    numpy's elementwise functions give the same bits on any slice, so
+    the result does not depend on ``_BLOCK``."""
     for lo in range(0, out.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         f(out[block], *(a if a.size == 1 else a[block] for a in args))
@@ -163,7 +168,8 @@ class _AngleEnvelope(NamedTuple):
     """Per-slot envelope of the log-density h(phi) = 2m log cos(phi) +
     2b phi, measured from its peak h(mode): 0 on [t_left, t_right], the
     tangent lines with slopes s_left > 0 and s_right < 0 outside it.
-    ``area`` holds the left, flat and right areas of exp(envelope)."""
+    a_left and a_flat are the areas of exp(envelope) over the left tail
+    and the flat piece, and total its whole area."""
 
     mode: np.ndarray
     log_cos_mode: np.ndarray
@@ -171,10 +177,12 @@ class _AngleEnvelope(NamedTuple):
     t_right: np.ndarray
     s_left: np.ndarray
     s_right: np.ndarray
-    area: np.ndarray  # shape (3, slots)
+    a_left: np.ndarray
+    a_flat: np.ndarray
+    total: np.ndarray
 
     def take(self, idx: np.ndarray) -> "_AngleEnvelope":
-        return _AngleEnvelope(*(f[..., idx] for f in self))
+        return _AngleEnvelope(*(f[idx] for f in self))
 
 
 def _angle_envelope(m: np.ndarray, b: float) -> _AngleEnvelope:
@@ -197,14 +205,15 @@ def _angle_envelope(m: np.ndarray, b: float) -> _AngleEnvelope:
 
     t_right, s_right = tangent(mode + step, 1.0)
     t_left, s_left = tangent(mode - step, -1.0)
-    area = np.stack(
-        [
-            -np.expm1(-s_left * (t_left + _HALF_PI)) / s_left,
-            t_right - t_left,
-            np.expm1(s_right * (_HALF_PI - t_right)) / s_right,
-        ]
-    )
-    return _AngleEnvelope(mode, log_cos_mode, t_left, t_right, s_left, s_right, area)
+    a_left = -np.expm1(-s_left * (t_left + _HALF_PI)) / s_left
+    a_flat = t_right - t_left
+    total = a_left + a_flat + np.expm1(s_right * (_HALF_PI - t_right)) / s_right
+    return _AngleEnvelope(mode, log_cos_mode, t_left, t_right, s_left, s_right, a_left, a_flat, total)
+
+
+def _at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Entries idx of a per-slot field, or the shared field of shape (1,)."""
+    return a if a.size == 1 else a[idx]
 
 
 def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int):
@@ -220,25 +229,34 @@ def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int):
     phi = np.empty(size)
 
     def wave(accept, idx, w, v):
-        # the slots idx propose x; accepted ones are written to phi
+        # the slots idx propose x; accepted ones are written to phi.  Each
+        # tail is evaluated only on the proposals that land in it: x is
+        # t_left + (w - a_left) on the flat piece, where the log-envelope
+        # is 0, and t_left - y_left or t_right + y_right on the tails,
+        # where it is -s_left y_left or s_right y_right
         e, mk = (env, m) if shared or idx.size == size else (env.take(idx), m[idx])
-        a_left, a_flat, _ = e.area
-        w = w * e.area.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            y_left = -np.log1p(-e.s_left * w) / e.s_left
-            y_right = np.log1p(e.s_right * (w - a_left - a_flat)) / e.s_right
-        in_left = w < a_left
-        in_right = w >= a_left + a_flat
-        x = np.where(
-            in_left, e.t_left - y_left, np.where(in_right, e.t_right + y_right, e.t_left + (w - a_left))
-        )
-        log_env = np.where(in_left, -e.s_left * y_left, np.where(in_right, e.s_right * y_right, 0.0))
-        x = np.clip(x, -_HALF_PI, _HALF_PI)
+        w *= e.total
+        left = (w < e.a_left).nonzero()[0]
+        right = (w >= e.a_left + e.a_flat).nonzero()[0]
+        x = w - e.a_left
+        s_l, s_r = _at(e.s_left, left), _at(e.s_right, right)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = (
-                2.0 * mk * (np.log(np.cos(x)) - e.log_cos_mode) + 2.0 * b * (x - e.mode) - log_env
-            )
-        np.less_equal(v, np.exp(log_ratio), out=accept)
+            y_left = -np.log1p(-s_l * w[left]) / s_l
+            y_right = np.log1p(s_r * (x[right] - _at(e.a_flat, right))) / s_r
+            x += e.t_left
+            x[left] = _at(e.t_left, left) - y_left
+            x[right] = _at(e.t_right, right) + y_right
+            np.clip(x, -_HALF_PI, _HALF_PI, out=x)
+            # 2m (log cos x - log cos mode) + 2b (x - mode) - log_env, in that order
+            log_ratio = np.log(np.cos(x))
+        log_ratio -= e.log_cos_mode
+        log_ratio *= 2.0 * mk
+        tilt = x - e.mode
+        tilt *= 2.0 * b
+        log_ratio += tilt
+        log_ratio[left] -= -s_l * y_left
+        log_ratio[right] -= s_r * y_right
+        np.less_equal(v, np.exp(log_ratio, out=log_ratio), out=accept)
         phi[idx[accept]] = x[accept]
 
     open_idx = np.arange(size)
@@ -269,23 +287,38 @@ def _radial(out, ranks, u, v):
 
 
 def _circle_from_t(out, normal, g):
-    # W = -(1+iT)/(1-iT) with T = N/D, D^2 = 2G
-    d2 = 2.0 * g
-    q = normal * normal + d2
-    out.real = (normal * normal - d2) / q
-    out.imag = -2.0 * normal * np.sqrt(d2) / q
+    # W = -(1+iT)/(1-iT) with T = N/D, D^2 = 2G; normal and g are
+    # overwritten
+    d2 = np.multiply(g, 2.0, out=g)
+    re = normal * normal
+    q = re + d2
+    re -= d2
+    re /= q
+    out.real = re
+    normal *= -2.0
+    normal *= np.sqrt(d2, out=d2)
+    normal /= q
+    out.imag = normal
 
 
 def _circle_from_angle(out, phi):
     # W = -e^(2 i phi)
-    np.negative(np.exp(2j * phi), out=out)
+    np.multiply(phi, 2j, out=out)
+    np.negative(np.exp(out, out=out), out=out)
 
 
 def _mix(out, g1, g2):
-    # gamma = S W + (1 - S), with 1 - S = G2 / (G1 + G2)
+    # gamma = S W + (1 - S), with 1 - S = G2 / (G1 + G2); g1 and g2 are
+    # overwritten
     total = g1 + g2
-    out *= g1 / total
-    out += g2 / total
+    out *= np.divide(g1, total, out=g1)
+    out += np.divide(g2, total, out=g2)
+
+
+def _shape(a: np.ndarray):
+    """A Gamma shape for the generator: a Python float when shared (shape
+    (1,)), which skips numpy's broadcast loop and draws the same bits."""
+    return float(a[0]) if a.size == 1 else a
 
 
 def _draw(rng: np.random.Generator, ranks: np.ndarray, delta: complex, size: int) -> np.ndarray:
@@ -302,7 +335,7 @@ def _draw(rng: np.random.Generator, ranks: np.ndarray, delta: complex, size: int
     # each variate array is released once W is formed from it
     if delta.imag == 0:
         normal = rng.standard_normal(size)
-        g = rng.standard_gamma(m + 0.5, size)
+        g = rng.standard_gamma(_shape(m + 0.5), size)
         out = _blockwise(_circle_from_t, np.empty(size, dtype=np.complex128), normal, g)
         del normal, g
     else:
@@ -311,8 +344,8 @@ def _draw(rng: np.random.Generator, ranks: np.ndarray, delta: complex, size: int
         del phi
     if not (ranks > 0).any():
         return out
-    g1 = rng.standard_gamma(ranks + 1.0 + 2.0 * delta.real, size)
-    g2 = rng.standard_gamma(ranks, size)  # 0 on a circle slot, where S = 1
+    g1 = rng.standard_gamma(_shape(ranks + 1.0 + 2.0 * delta.real), size)
+    g2 = rng.standard_gamma(_shape(ranks), size)  # 0 on a circle slot, where S = 1
     return _blockwise(_mix, out, g1, g2)
 
 
@@ -414,5 +447,5 @@ def disc_acceptance_rate(r: float, delta: complex) -> float:
     m, b = r + delta.real, delta.imag
     env = _angle_envelope(np.array([m]), b)
     log_peak = 2.0 * m * env.log_cos_mode[0] + 2.0 * b * env.mode[0]
-    log_area = log_peak + math.log(env.area[:, 0].sum())
+    log_area = log_peak + math.log(env.total[0])
     return math.exp(_log_angle_normaliser(m, b) - log_area)

@@ -25,9 +25,10 @@ class TestEnsembleParams:
         with pytest.raises(sf.DomainError):
             asy.EnsembleParams(8, 2.0, delta=0.1, scaled_d=0.1)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None, True])
     def test_n_must_be_an_integer(self, n):
-        # 2.5 would give three rank slots, one with a negative weight
+        # 2.5 would give three rank slots, one with a negative weight;
+        # a bool is an int subclass, but True is no ensemble size
         with pytest.raises(sf.DomainError, match="integer n"):
             asy.EnsembleParams(n, 2.0)
 

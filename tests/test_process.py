@@ -155,6 +155,25 @@ class TestConversions:
         back = pr.alpha_to_gamma(pr.gamma_to_alpha(gamma))
         assert np.max(np.abs(back - gamma)) < 1e-12
 
+    def test_finite_on_drift_ensembles(self):
+        # the running product Phi_j(1) overflows on these draws
+        for d in (0.1, 0.5):
+            gamma = sp.sample_ensemble(EnsembleParams(4096, 2.0, scaled_d=d), 3).gamma
+            alpha = pr.gamma_to_alpha(gamma).alpha
+            assert np.all(np.isfinite(alpha))
+            assert np.max(np.abs(np.abs(alpha) - np.abs(gamma))) < 1e-15
+
+    @pytest.mark.parametrize("kw", [{"delta": 0.5}, {"delta": 0.3 + 0.2j},
+                                    {"scaled_d": 0.5 + 0.5j}])
+    def test_matches_product_route(self, kw):
+        # the oracle: alpha_j = conj(gamma_j) conj(P_j) / P_j with P_j the
+        # running product itself, finite at this n
+        gamma = sp.sample_ensemble(EnsembleParams(1024, 2.0, **kw), 3).gamma
+        prefix = np.concatenate([[1.0 + 0.0j], np.cumprod(1.0 - gamma)[:-1]])
+        assert np.all(np.isfinite(prefix)) and np.min(np.abs(prefix)) > 1e-300
+        oracle = np.conj(gamma) * (np.conj(prefix) / prefix)
+        assert np.max(np.abs(pr.gamma_to_alpha(gamma).alpha - oracle)) < 1e-14
+
 
 class TestSzego:
     def test_degree_one(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -340,3 +341,44 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert g.nbytes == 16 * size
         assert peak <= g.nbytes + 3 * 8 * size
+
+
+def _pinned_digests() -> dict:
+    """sha256 of the bytes of each pinned draw, by case."""
+    out = {}
+    for r, delta in ((3.0, 0.5), (5.0, 0.3 + 0.2j), (3.0, 2j), (0.0, 1.0), (0.0, 0.5 + 0.5j)):
+        h = hashlib.sha256()
+        for i, size in enumerate((1, sp._BLOCK - 1, sp._BLOCK + 1, 2 * 10**5)):
+            rng = sp.substream(2718, i)
+            if r == 0:
+                h.update(sp.sample_gamma_circle(delta, rng, size=size).tobytes())
+            else:
+                h.update(sp.sample_gamma_disc(r, delta, rng, size=size).tobytes())
+        out[f"r={r}, delta={delta}"] = h.hexdigest()
+    for kw in ({"delta": 0.0}, {"delta": 0.5}, {"delta": 0.3 + 0.2j}, {"scaled_d": 0.5 + 0.5j}):
+        h = hashlib.sha256()
+        for n in (12, 4096):
+            h.update(sp.ensemble_gammas(EnsembleParams(n, 2.0, **kw), sp.substream(2718, n)).tobytes())
+        out[f"ensemble {kw}"] = h.hexdigest()
+    return out
+
+
+# recorded once: they move only when a draw moves, which the randomness
+# contract forbids
+PINNED_DIGESTS = {
+    "r=3.0, delta=0.5": "57fd6301e2716d9191778842cfa6ed79521e27761c01ccefbe6ec5e9059937fa",
+    "r=5.0, delta=(0.3+0.2j)": "1d4ca217103a49ef38749bb19a39d46db097a4eb25f9a90921545996180f4e8d",
+    "r=3.0, delta=2j": "e882dbfd6187d2ca9d9df8c461eac801ed9d652f216eea302c9a755ae8661266",
+    "r=0.0, delta=1.0": "3a901fbb279d9050d91ee9f59630a1d795b9bcdcd707388808cd4326d32adb5a",
+    "r=0.0, delta=(0.5+0.5j)": "40b812389dba3eeb102705a5bbe893a571b74733828eea881ce95958439e8c48",
+    "ensemble {'delta': 0.0}": "a1638704856858be710f1d2988689e6ec8dbcda191d5ad6044b9ddcb922117c1",
+    "ensemble {'delta': 0.5}": "b81eeb19501ee53314271228ca5abd53385a9e2c9832ac9873bd2bb681460ebc",
+    "ensemble {'delta': (0.3+0.2j)}": "47d931d9283a31e323378025367e157d8446c4311c689ac104d3a30fcdcfe01c",
+    "ensemble {'scaled_d': (0.5+0.5j)}": "6347cd111495791695263fa63ffe5127d2fa05c6c06f3e67144908aa29b3efb6",
+}
+
+
+def test_draws_are_pinned():
+    # every variate, proposal and accept decision of the kernel: a change
+    # to its arithmetic that moves one bit of one draw fails here
+    assert _pinned_digests() == PINNED_DIGESTS
