@@ -48,8 +48,9 @@ from .equilibrium import (
 from .process import (
     LogPolyPath,
     SchurCoefficients,
+    cmv_log_det,
+    cmv_matrix,
     gamma_to_alpha,
-    ggt_check,
     log_path,
     szego_eval,
 )

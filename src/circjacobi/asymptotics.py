@@ -144,8 +144,9 @@ def _direct_sums(params: EnsembleParams, ms: np.ndarray, summand) -> np.ndarray:
 
 def _abel_plana_sums(params: EnsembleParams, ms: np.ndarray, summand) -> np.ndarray:
     """The rows of ``_direct_sums`` in one Abel-Plana pass over k, where the
-    rank weight is beta' (k-1), k = n-m+1..n.  The k = 1 term is split off
-    where m = n, as the summand may have poles with real part < 1 in k."""
+    rank weight is beta' (k-1), k = n-m+1..n.  It starts at k = 2 if the
+    summand's poles, Re k <= 1 - (1 + min(2 Re delta, Re delta)) / beta',
+    come within 1 of Re k = 1, else at k = 1; earlier terms are added."""
     term, primitive = summand
     n, bp = params.n, params.beta_prime
 
@@ -155,13 +156,15 @@ def _abel_plana_sums(params: EnsembleParams, ms: np.ndarray, summand) -> np.ndar
     def anti(k):
         return primitive(bp * (k - 1)) / bp
 
+    d = params.effective_delta
+    start = 1 if 1 + min(2 * d.real, d.real) >= bp else 2
     # a real deformation makes both summands real on the real axis, so the
     # boundary line x-iy is the mirror image of x+iy
-    full = ms == n
-    real = params.effective_delta.imag == 0
-    sums = abel_plana_sum(g, anti, np.where(full, 1, n - ms), n, conjugate_symmetric=real)
-    if full.any():
-        sums = sums + np.where(full, g(np.ones(1, dtype=np.complex128)), 0.0)
+    sums = abel_plana_sum(g, anti, np.maximum(n - ms, start), n, conjugate_symmetric=d.imag == 0)
+    for k in range(1, start + 1):
+        rows = n - ms < k
+        if rows.any():
+            sums = sums + np.where(rows, g(np.full(1, k, dtype=np.complex128)), 0.0)
     return sums
 
 

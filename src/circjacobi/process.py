@@ -8,13 +8,14 @@ orthogonal polynomials at z = 1:
    path and its centred form (minus the exact mean) in ``log_path``, one
    Monte Carlo sample each in ``log_phi_sums``,
 2. the Szego recursion driven by the Schur coefficients alpha_j,
-3. the determinant of I_k minus the top-left k x k block of the GGT
-   (Hessenberg) matrix built from the alpha_j.
+3. det(I_k - C_k) = Phi_k(1) for the top-left k x k block of the CMV
+   matrix C of the alpha_j, the ensembles' matrix model (Killip & Nenciu).
 
 The complex logarithm of route 3 is defined eigenvalue-by-eigenvalue
 with the principal branch, which is valid whenever no eigenvalue of the
 block lies on [1, inf); routes 1 and 3 then agree exactly, including
-imaginary parts, which the test suite pins at desk scale.
+imaginary parts (a plain determinant would fix Im only mod 2 pi),
+which the test suite pins at desk scale.
 """
 
 from __future__ import annotations
@@ -39,19 +40,19 @@ __all__ = [
     "gamma_to_alpha",
     "alpha_to_gamma",
     "szego_eval",
-    "ggt_matrix",
-    "ggt_check",
+    "cmv_matrix",
+    "cmv_log_det",
 ]
 
 
 class DegenerateMatrixError(ValueError):
-    """A truncated GGT block has an eigenvalue on [1, inf)."""
+    """A truncated CMV block has an eigenvalue on [1, inf)."""
 
 
 @dataclass(frozen=True)
 class SchurCoefficients:
-    """Schur/Verblunsky coefficients; the terminal one is unimodular in a
-    full spectral sample, interior ones lie in the open disc."""
+    """Schur/Verblunsky coefficients: interior ones in the open disc, the
+    terminal one in the closed disc (to 1e-12), unimodular in a full sample."""
 
     alpha: np.ndarray
 
@@ -59,8 +60,10 @@ class SchurCoefficients:
         a = np.asarray(self.alpha, dtype=np.complex128)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("alpha must be a nonempty 1-d array")
-        if a.size > 1 and np.any(np.abs(a[:-1]) >= 1.0):
-            raise ValueError("interior Schur coefficients must lie in the open disc")
+        mod = np.abs(a)  # negated comparisons, which NaN fails
+        if not (np.all(mod[:-1] < 1.0) and mod[-1] <= 1.0 + 1e-12):
+            raise ValueError("Schur coefficients must lie in the open disc, "
+                             "the terminal one in the closed disc")
         object.__setattr__(self, "alpha", a)
 
     def __len__(self) -> int:
@@ -165,17 +168,10 @@ def gamma_to_alpha(gamma: np.ndarray) -> SchurCoefficients:
 
 
 def alpha_to_gamma(alpha: SchurCoefficients) -> np.ndarray:
-    """Evaluate gamma_j = conj(alpha_j) Phi*_j(1) / Phi_j(1) through the
-    Szego recursion at z = 1."""
-    a = alpha.alpha
-    n = a.size
-    gamma = np.empty(n, dtype=np.complex128)
-    phi = 1.0 + 0.0j
-    phi_star = 1.0 + 0.0j
-    for j in range(n):
-        gamma[j] = np.conj(a[j]) * phi_star / phi
-        phi, phi_star = phi - np.conj(a[j]) * phi_star, phi_star - a[j] * phi
-    return gamma
+    """gamma_j = conj(alpha_j) Phi*_j(1) / Phi_j(1), with Phi_j(1) from
+    ``szego_eval``; Phi*_j(1) = conj Phi_j(1), as 1 lies on the circle."""
+    phi = szego_eval(alpha, 1.0)[:-1]
+    return np.conj(alpha.alpha) * (np.conj(phi) / phi)
 
 
 def szego_eval(alpha: SchurCoefficients, z: complex) -> np.ndarray:
@@ -196,41 +192,34 @@ def szego_eval(alpha: SchurCoefficients, z: complex) -> np.ndarray:
     return out
 
 
-def ggt_matrix(alpha: SchurCoefficients) -> np.ndarray:
-    """Hessenberg matrix of multiplication by z in the orthonormal
-    polynomial basis, built from the Schur coefficients.
-
-    With rho_l = sqrt(1 - |alpha_l|^2) and alpha_{-1} = -1:
-    G[k, l] = -conj(alpha_l) alpha_{k-1} prod_{j=k..l-1} rho_j for k <= l,
-    G[l+1, l] = rho_l, zero below the first subdiagonal.  Unitary exactly
-    when the terminal coefficient is unimodular.
-    """
+def cmv_matrix(alpha: SchurCoefficients) -> np.ndarray:
+    """The five-diagonal CMV matrix C = L M of the Schur coefficients:
+    L and M are block diagonal in Theta_j = [[conj a_j, rho_j],
+    [rho_j, -a_j]], rho_j = sqrt(1 - |a_j|^2), on rows j, j+1, of even j
+    in L and odd j in M, after a leading 1.  Unitary exactly when the
+    terminal coefficient is unimodular."""
     a = alpha.alpha
     n = a.size
     rho = np.sqrt(np.maximum(0.0, 1.0 - np.abs(a) ** 2))
-    # prods[k, l] = prod_{j=k..l-1} rho_j for k <= l, by the running
-    # product P_k = rho_k P_{k+1} down each column (no quotient: rho may be 0)
-    prods = np.eye(n)
-    for k in range(n - 2, -1, -1):
-        prods[k, k + 1 :] = rho[k] * prods[k + 1, k + 1 :]
-    prev = np.concatenate([[-1.0 + 0.0j], a[:-1]])
-    g = np.triu(-np.conj(a) * prev[:, None] * prods)
-    idx = np.arange(n - 1)
-    g[idx + 1, idx] = rho[:-1]
-    return g
+    lm = np.zeros((2, n, n), dtype=np.complex128)
+    lm[1, 0, 0] = 1.0
+    for first, f in enumerate(lm):
+        j = np.arange(first, n, 2)
+        f[j, j] = np.conj(a[j])
+        j = j[j + 1 < n]  # a block at j = n - 1 is cut to its conj a_j
+        f[j, j + 1] = f[j + 1, j] = rho[j]
+        f[j + 1, j + 1] = -a[j]
+    return lm[0] @ lm[1]
 
 
-def ggt_check(alpha: SchurCoefficients, k: int) -> complex:
-    """log det(I_k - G_k) for the top-left k x k GGT block, the log taken
-    as the sum of principal logs over eigenvalues.
-
-    Raises :class:`DegenerateMatrixError` if an eigenvalue lies on
-    [1, inf), where that branch convention breaks down.
-    """
+def cmv_log_det(alpha: SchurCoefficients, k: int) -> complex:
+    """log det(I_k - C_k) for the top-left k x k CMV block, as the sum of
+    principal logs of 1 - lambda over its eigenvalues lambda;
+    :class:`DegenerateMatrixError` if one lies on [1, inf), off that branch."""
     n = len(alpha)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    block = ggt_matrix(alpha)[:k, :k]
+    block = cmv_matrix(alpha)[:k, :k]
     eigs = np.linalg.eigvals(block)
     bad = (np.abs(eigs.imag) < 1e-14) & (eigs.real >= 1.0 - 1e-14)
     if np.any(bad):

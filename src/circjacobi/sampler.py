@@ -121,10 +121,10 @@ class DeformedVerblunskySample:
         g = self.gamma
         if len(g) != self.params.n:
             raise ValueError("coefficient count does not match n")
-        mod = np.abs(g)
-        if len(g) > 1 and np.any(mod[:-1] >= 1.0):
+        mod = np.abs(g)  # negated comparisons, which NaN fails
+        if not np.all(mod[:-1] < 1.0):
             raise ValueError("interior coefficients must lie in the open disc")
-        if abs(mod[-1] - 1.0) > 1e-12:
+        if not abs(mod[-1] - 1.0) <= 1e-12:
             raise ValueError("terminal coefficient must lie on the circle")
         if np.any(g == 1.0):
             raise ValueError("coefficients must differ from 1")

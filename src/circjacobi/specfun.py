@@ -72,6 +72,7 @@ import numpy as np
 __all__ = [
     "DomainError",
     "PoleError",
+    "OverflowDomainError",
     "QuadratureError",
     "log_gamma",
     "digamma",
@@ -104,6 +105,10 @@ class DomainError(ValueError):
 
 class PoleError(DomainError):
     """Argument sits on a pole."""
+
+
+class OverflowDomainError(DomainError, OverflowError):
+    """A value is not finite: the argument is too large (or not finite)."""
 
 
 class QuadratureError(RuntimeError):
@@ -220,10 +225,10 @@ def _check_domain(z: np.ndarray, what: str, cut: bool) -> None:
 
 def _finite(out: np.ndarray, scalar: bool, what: str):
     """``out``, or for a scalar argument its last axis's one entry (a
-    complex when no other axis is left); OverflowError if not finite."""
+    complex when no other axis is left); OverflowDomainError if not finite."""
     # count_nonzero skips the Python layer of ndarray.all, about 0.6 us
     if np.count_nonzero(np.isfinite(out)) < out.size:
-        raise OverflowError(f"{what} overflow: argument magnitude too large")
+        raise OverflowDomainError(f"{what} overflow: argument magnitude too large")
     if not scalar:
         return out
     out = out[..., 0]
@@ -285,7 +290,7 @@ def _digamma_scalar(z: complex) -> complex:
     else:
         out = complex(_special.psi(z))
     if not cmath.isfinite(out):
-        raise OverflowError("digamma overflow: argument magnitude too large")
+        raise OverflowDomainError("digamma overflow: argument magnitude too large")
     return out
 
 

@@ -129,6 +129,20 @@ class TestAcceleration:
         assert direct.shape == fast.shape == (2, 4)
         assert np.all(np.abs(direct - fast) <= 1e-9 * np.maximum(1.0, np.abs(direct)))
 
+    @pytest.mark.parametrize("beta, delta", [
+        (2000.0, 0.5), (20000.0, 0.0), (2.0, -0.499), (2.0, -0.4999999),
+    ])
+    def test_pole_near_the_lower_end(self, beta, delta):
+        # the summand's nearest pole, Re k = 1 - (1 + min(2 Re delta,
+        # Re delta)) / beta', lies within 1 of the line Re k = 1, where rows
+        # m = n - 1 and n start
+        params = asy.EnsembleParams(20_000, beta, delta=delta)
+        ms = np.array([1, 2, 19_998, 19_999, 20_000])
+        for summand in (asy._mean_summand(params), asy._cov_summand(params)):
+            direct = asy._direct_sums(params, ms, summand)
+            fast = asy._abel_plana_sums(params, ms, summand)
+            assert np.all(np.abs(direct - fast) <= 1e-9 * np.maximum(1.0, np.abs(direct)))
+
 
 def _table_rows(n):
     grid = np.floor(n * np.arange(1, 101) / 100 + 1e-9).astype(int)

@@ -3,6 +3,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -14,7 +16,7 @@ from circjacobi.asymptotics import EnsembleParams
 from circjacobi.cli import PATH_ROW
 from circjacobi.process import log_path
 
-from test_startup import _python
+from test_startup import SRC, _python
 
 
 def run(tmp_path, name, args):
@@ -571,6 +573,25 @@ class TestUsageErrors:
         assert len(errors) == 1 and "Traceback" not in err
         assert errors[0].endswith("argument --seed: seed must be non-negative, got " + text)
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        # Abel-Plana rows whose lower end sits next to a pole of the summand
+        ["moments", "--n", "20000", "--beta", "2000", "--delta-re", "0.5"],
+        ["moments", "--n", "20000", "--beta", "20000", "--delta-re", "0"],
+        ["moments", "--n", "20000", "--beta", "2", "--delta-re", "-0.499"],
+        # polygamma overflows on the trigamma sums
+        ["moments", "--n", "3", "--beta", "2", "--delta-im", "1e300"],
+        ["moments", "--n", "30", "--beta", "2", "--delta-im", "1e200"],
+    ], ids=lambda args: " ".join(args))
+    def test_domain_edge_prints_no_traceback(self, args, tmp_path):
+        # a fresh process, so stderr is what a user sees
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "circjacobi", *args, "--out", str(tmp_path / "x.out")]
+        proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert (proc.returncode, len(errors)) in ((0, 0), (2, 1)), proc.stderr
 
     def test_grid_size_limit(self):
         assert cli._parse_grid("0:1:1e-6").size == 10**6 + 1

@@ -18,19 +18,24 @@ def random_gamma(rng, n):
     return g
 
 
-def ggt_matrix_loop(alpha):
-    """The GGT matrix entry by entry from its defining products."""
+def cmv_matrix_loop(alpha):
+    """The CMV matrix L M with L and M written out entry by entry from the
+    blocks Theta_j = [[conj a_j, rho_j], [rho_j, -a_j]]: L holds those of
+    even j, M a leading 1 and those of odd j, and a block at j = n - 1 is
+    its entry conj a_j alone."""
     a = alpha.alpha
     n = a.size
-    rho = np.sqrt(np.maximum(0.0, 1.0 - np.abs(a) ** 2))
-    g = np.zeros((n, n), dtype=np.complex128)
-    for l in range(n):
-        if l + 1 < n:
-            g[l + 1, l] = rho[l]
-        for k in range(l + 1):
-            prev = -1.0 + 0.0j if k == 0 else a[k - 1]
-            g[k, l] = -np.conj(a[l]) * prev * np.prod(rho[k:l])
-    return g
+    factors = [np.zeros((n, n), dtype=np.complex128) for _ in range(2)]
+    factors[1][0, 0] = 1.0
+    for j in range(n):
+        f = factors[j % 2]
+        f[j, j] = np.conj(a[j])
+        if j + 1 < n:
+            rho = math.sqrt(1.0 - abs(a[j]) ** 2)
+            f[j, j + 1] = rho
+            f[j + 1, j] = rho
+            f[j + 1, j + 1] = -a[j]
+    return factors[0] @ factors[1]
 
 
 class TestLogPath:
@@ -123,9 +128,9 @@ def _log_one_minus_spellings(tree):
 
 def test_log_one_minus_is_spelled_once():
     """Every log(1 - gamma) of the package goes through
-    ``process.log_one_minus``; the one other spelling is ``ggt_check``'s log
-    of eigenvalues, which are not coefficients."""
-    allowed = {("process.py", "log_one_minus"), ("process.py", "ggt_check")}
+    ``process.log_one_minus``; the one other spelling is ``cmv_log_det``'s
+    log of eigenvalues, which are not coefficients."""
+    allowed = {("process.py", "log_one_minus"), ("process.py", "cmv_log_det")}
     spellings = set()
     offenders = []
     for path in sorted(Path(circjacobi.__file__).parent.glob("*.py")):
@@ -175,6 +180,20 @@ class TestConversions:
         assert np.max(np.abs(pr.gamma_to_alpha(gamma).alpha - oracle)) < 1e-14
 
 
+class TestSchurCoefficients:
+    @pytest.mark.parametrize("alpha", [
+        [math.nan, 0.5, 1.0], [0.5, complex(0.0, math.inf), 1.0], [0.5, 3.0],
+        [0.5, math.nan], [complex(math.inf, 0.0)], [1.5],
+    ], ids=repr)
+    def test_rejects_non_finite_and_outside_the_disc(self, alpha):
+        with pytest.raises(ValueError, match="disc"):
+            pr.SchurCoefficients(np.array(alpha, dtype=complex))
+
+    def test_terminal_on_the_circle_to_rounding(self):
+        terminal = np.exp(0.3j) * (1.0 + 2**-50)
+        assert len(pr.SchurCoefficients(np.array([0.5, terminal]))) == 2
+
+
 class TestSzego:
     def test_degree_one(self):
         a0 = 0.4 + 0.1j
@@ -198,14 +217,14 @@ class TestSzego:
         assert pr.szego_eval(alpha, z)[8] / z**8 == pytest.approx(1.0, rel=1e-6)
 
 
-class TestGGT:
+class TestCMV:
     def test_full_determinant(self):
         rng = np.random.default_rng(6)
         for n in (2, 5, 12):
             gamma = random_gamma(rng, n)
             alpha = pr.gamma_to_alpha(gamma)
             prod = np.prod(1 - gamma)
-            val = np.exp(pr.ggt_check(alpha, n))
+            val = np.exp(pr.cmv_log_det(alpha, n))
             assert abs(val - prod) <= 1e-8 * abs(prod)
 
     def test_block_determinants(self):
@@ -214,22 +233,41 @@ class TestGGT:
         alpha = pr.gamma_to_alpha(gamma)
         phis = pr.szego_eval(alpha, 1.0)
         for k in (1, 4, 9):
-            val = np.exp(pr.ggt_check(alpha, k))
+            val = np.exp(pr.cmv_log_det(alpha, k))
             assert abs(val - phis[k]) <= 1e-8 * abs(phis[k])
 
     def test_unitarity(self):
         rng = np.random.default_rng(8)
-        for n in (3, 8, 12):
-            u = pr.ggt_matrix(pr.gamma_to_alpha(random_gamma(rng, n)))
+        for n in (3, 8, 12, 256):
+            u = pr.cmv_matrix(pr.gamma_to_alpha(random_gamma(rng, n)))
             assert np.max(np.abs(u @ u.conj().T - np.eye(n))) < 1e-12
 
-    def test_matches_entrywise_products(self):
+    def test_five_diagonal(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 8, 13, 64):
+            c = pr.cmv_matrix(pr.gamma_to_alpha(random_gamma(rng, n)))
+            rows, cols = np.indices(c.shape)
+            assert np.all(c[np.abs(rows - cols) > 2] == 0)
+
+    def test_matches_entrywise_blocks(self):
         rng = np.random.default_rng(10)
-        for n in (1, 2, 64, 256):
+        for n in (1, 2, 3, 64, 256):
             alpha = pr.SchurCoefficients(random_gamma(rng, n))
             np.testing.assert_allclose(
-                pr.ggt_matrix(alpha), ggt_matrix_loop(alpha), rtol=1e-14, atol=0
+                pr.cmv_matrix(alpha), cmv_matrix_loop(alpha), rtol=1e-14, atol=0
             )
+
+    def test_characteristic_polynomials(self):
+        # det(z - C_k) = Phi_k(z) for every cutoff k, on and off the circle
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 20, 40):
+            alpha = pr.gamma_to_alpha(random_gamma(rng, n))
+            c = pr.cmv_matrix(alpha)
+            for z in (1.0, 0.3 + 0.4j, 2.0 - 1.0j):
+                phis = pr.szego_eval(alpha, z)
+                for k in range(1, n + 1):
+                    det = np.linalg.det(z * np.eye(k) - c[:k, :k])
+                    assert abs(det - phis[k]) <= 1e-12 * max(1.0, abs(phis[k])), (n, z, k)
 
     def test_branch_correct_logs(self):
         rng = np.random.default_rng(9)
@@ -239,22 +277,20 @@ class TestGGT:
             alpha = pr.gamma_to_alpha(gamma)
             logs = np.cumsum(np.log(1 - gamma))
             for k in (1, n):
-                lg = pr.ggt_check(alpha, k)
+                lg = pr.cmv_log_det(alpha, k)
                 assert abs(lg - logs[k - 1]) < 1e-8 * max(1.0, abs(logs[k - 1]))
 
     def test_degenerate_rejected(self):
-        # terminal coefficient -1 with zero interior coefficients puts an
-        # eigenvalue at z = 1 for odd-even block sizes; construct gamma = 1 - eps
+        # zero interior coefficient and terminal +1: C = [[0, 1], [1, 0]]
+        # has the eigenvalue 1, and Phi_2(1) = 0
         alpha = pr.SchurCoefficients(np.array([0.0, 1.0 + 0j]))
-        # G_1 block is [[0]]: fine; full matrix has eigenvalue 1 when the
-        # terminal coefficient is +1 (gamma produces Phi_n(1) = 0)
         with pytest.raises(pr.DegenerateMatrixError):
-            pr.ggt_check(alpha, 2)
+            pr.cmv_log_det(alpha, 2)
 
     def test_bad_k(self):
         alpha = pr.SchurCoefficients(np.array([0.5 + 0j]))
         with pytest.raises(ValueError):
-            pr.ggt_check(alpha, 0)
+            pr.cmv_log_det(alpha, 0)
 
 
 class TestPathStatistics:

@@ -205,6 +205,15 @@ class TestOpenDisc:
         with pytest.raises(ValueError, match="open disc"):
             sp.DeformedVerblunskySample(np.array([0.5, 1j, -1.0]), 0, params)
 
+    @pytest.mark.parametrize("gamma", [
+        [0.5, 0.2j, complex(math.nan, 0.0)], [math.nan, 0.2j, -1.0],
+        [0.5, complex(0.0, math.inf), -1.0], [0.5, 0.2j, complex(math.inf, 0.0)],
+    ], ids=repr)
+    def test_passed_non_finite_vector_is_a_value_error(self, gamma):
+        params = EnsembleParams(3, 2.0)
+        with pytest.raises(ValueError, match="disc|circle"):
+            sp.DeformedVerblunskySample(np.array(gamma, dtype=complex), 0, params)
+
 
 def _z_scores(lg: np.ndarray, cs) -> list:
     root = math.sqrt(lg.size)

@@ -66,6 +66,19 @@ class TestLogGamma:
         with pytest.raises(OverflowError):
             sf.log_gamma(1e307)
 
+    @pytest.mark.parametrize("call", [
+        lambda: sf.log_gamma(1e307),
+        lambda: sf.digamma(math.inf),
+        lambda: sf.digamma(np.array([math.inf])),
+        lambda: sf.polygamma(1, np.array([1.0 + 1e300j])),
+    ], ids=["log_gamma", "digamma scalar", "digamma array", "polygamma"])
+    def test_overflow_is_a_domain_error(self, call):
+        # callers that catch OverflowError still do, and the CLI's
+        # DomainError exit covers it
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(sf.DomainError) as info:
+            call()
+        assert isinstance(info.value, OverflowError)
+
     def test_vectorized(self):
         z = np.array([1.0, 0.5, 3 + 4j])
         out = sf.log_gamma(z)
