@@ -12,10 +12,10 @@ a table equals its one-row call bit for bit, and the two routes agree to
 1e-9 at the crossover, which the test suite pins.
 
 ``limit_moments`` is the large-n limit of both at the same m, the one
-home of the limit predictions.  It is built on ``limit_mean_functions``
-(the entropy-difference mean profiles and the first-order mean
-correction) and ``limit_covariance`` (the covariance density and its
-closed-form time integral).
+home of the limit predictions.  In the drift regime they are derivatives
+of ``ldp``'s zero-drift cgf L0 at (T, s, t) = (t, 2 Re d, 2 Im d) (Gartner-
+Ellis): with D = d/ds + i d/dt, ``limit_mean_functions`` gives E_d(t) = D L0
+and F_d(t) = D^2 L0, and ``limit_covariance`` integrates to Hessian / beta'.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import specfun
+from .ldp import _grad_L0, _hess_L0
 from .specfun import (
     DomainError,
     abel_plana_sum,
     digamma,
-    entropy_J,
     log_gamma,
     polygamma,
 )
@@ -204,11 +204,10 @@ def exact_cov_zeta(params: EnsembleParams, m) -> np.ndarray:
 
 
 def limit_mean_functions(d: complex, t: float) -> Tuple[complex, complex]:
-    """Scaled-drift limit profiles of the mean.
-
-    Returns (E, F) where E(t) is the entropy-difference leading profile
-    and F(t) the first-order correction factor.  Requires Re d > 0 and
-    0 <= t <= 1 (t = 0 returns the limit (0, 0))."""
+    """Scaled-drift limit profiles of the mean: the leading profile E_d(t)
+    = D L0 and its first-order correction F_d(t) = D^2 L0, D = d/ds + i d/dt
+    at (t, 2 Re d, 2 Im d).  Requires Re d > 0 and 0 <= t <= 1 (t = 0
+    returns the limit (0, 0))."""
     d = complex(d)
     if not np.isfinite(d) or d.real <= 0:
         raise DomainError(f"need a finite d with Re d > 0, got {d}")
@@ -216,19 +215,17 @@ def limit_mean_functions(d: complex, t: float) -> Tuple[complex, complex]:
         raise DomainError(f"need 0 <= t <= 1, got {t}")
     if t == 0:
         return 0j, 0j
-    a = 1 + 2 * d.real
-    b = 1 + d.conjugate()
-    e_val = entropy_J(a) - entropy_J(a - t) - entropy_J(b) + entropy_J(b - t)
-    f_val = np.log(a) - np.log(b) - np.log(a - t) + np.log(b - t)
-    return complex(e_val), complex(f_val)
+    s, u = 2.0 * d.real, 2.0 * d.imag
+    (h11, h12), (_, h22) = _hess_L0(t, s, u)
+    return complex(*_grad_L0(t, s, u)), complex(h11 - h22, 2.0 * h12)
 
 
 def limit_covariance(d: complex, t: float, beta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Limit covariance density Z_t and its time integral over [0, t].
-
-    At d = 0 the density is I2 / (beta (1-t)) and t = 1 is an explicit
-    error: the normalization changes there (``limit_moments`` branches).
-    For Re d > 0 the closed forms hold on 0 <= t <= 1."""
+    """Limit covariance density Z_t and its time integral over [0, t], the
+    Hessian of L0 at (t, 2 Re d, 2 Im d) over beta'.  At d = 0 the density
+    is I2 / (beta (1-t)) and t = 1 is an explicit error: the normalization
+    changes there (``limit_moments`` branches).  For Re d > 0 the closed
+    forms hold on 0 <= t <= 1."""
     d = complex(d)
     if not 0 < beta < math.inf:
         raise DomainError(f"need finite beta > 0, got {beta}")
@@ -245,11 +242,7 @@ def limit_covariance(d: complex, t: float, beta: float) -> Tuple[np.ndarray, np.
     w = 1.0 / (2.0 * (1 - t + d))
     z11 = 1.0 / (1 - t + 2 * d.real) - w.real
     z = np.array([[z11, w.imag], [w.imag, w.real]]) / bp
-    big_l = np.log((1 + d) / (1 - t + d))
-    i11 = np.log((1 + 2 * d.real) / (1 - t + 2 * d.real)) - 0.5 * big_l.real
-    off = 0.5 * big_l.imag
-    integral = np.array([[i11, off], [off, 0.5 * big_l.real]]) / bp
-    return z, integral
+    return z, _hess_L0(t, 2.0 * d.real, 2.0 * d.imag) / bp
 
 
 def _limit_row(params: EnsembleParams, m: int) -> Tuple[complex, np.ndarray]:

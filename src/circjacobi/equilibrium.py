@@ -42,8 +42,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .ldp import shift_constant
-from .specfun import DomainError, QuadratureError, _gauss_nodes, entropy_J, graded_quad
+from .ldp import _grad_L0, shift_constant
+from .specfun import DomainError, QuadratureError, _gauss_nodes, graded_quad
 
 __all__ = [
     "RadonMeasure1D",
@@ -126,8 +126,8 @@ class CayleyReport:
 
 def mu_a_measure(a: float) -> RadonMeasure1D:
     """Constrained circle equilibrium measure with parameter a > 0."""
-    if a <= 0:
-        raise DomainError(f"need a > 0, got {a}")
+    if not 0 < a < math.inf:  # negated, so that NaN fails it
+        raise DomainError(f"need a finite a > 0, got {a}")
     k = a / (1.0 + a)
     theta_a = 2.0 * math.asin(k)
     k2 = k * k
@@ -156,9 +156,9 @@ def circle_log_moments(a: float) -> Tuple[float, float]:
 
 
 def circle_logmod_closed(a: float) -> float:
-    """The log-modulus moment of 1 - z under mu_a in closed form, the
-    entropy-difference combination J(1+2a) - J(1+a) - J(2a) + J(a)."""
-    return entropy_J(1 + 2 * a) - entropy_J(1 + a) - entropy_J(2 * a) + entropy_J(a)
+    """The log-modulus moment of 1 - z under mu_a in closed form, d/ds L0
+    at (T, s, t) = (1, 2a, 0): J(1+2a) - J(2a) - J(1+a) + J(a)."""
+    return _grad_L0(1.0, 2.0 * a, 0.0)[0]
 
 
 # Log-energy rule: Gauss-Legendre panels in u on [0, pi], about three nodes
@@ -230,8 +230,8 @@ def energy_rate(mu: RadonMeasure1D, d: complex) -> EnergyReport:
 
 def line_edge(r: float) -> float:
     """Support endpoint of the line equilibrium: b = 2 sqrt(1+r) / r."""
-    if r <= 0:
-        raise DomainError(f"need r > 0, got {r}")
+    if not 0 < r < math.inf:  # negated, so that NaN fails it
+        raise DomainError(f"need a finite r > 0, got {r}")
     return 2.0 * math.sqrt(1.0 + r) / r
 
 
@@ -244,8 +244,8 @@ def edge_equation_residual(r: float, b: float) -> float:
 
 def line_potential(r: float) -> Callable[[float], float]:
     """The even admissible field Q(x) = (1 + r/2)/2 log(1 + x^2)."""
-    if r <= 0:
-        raise DomainError(f"need r > 0, got {r}")
+    if not 0 < r < math.inf:  # negated, so that NaN fails it
+        raise DomainError(f"need a finite r > 0, got {r}")
     c = 0.5 * (1.0 + 0.5 * r)
     return lambda x: c * math.log1p(x * x)
 

@@ -284,17 +284,19 @@ def cgf_L0(T: float, s: float, t: float, d: complex = 0j) -> float:
 
 
 def _grad_L0(T: float, s: float, t: float) -> Tuple[float, float]:
-    """(d/ds, d/dt) of the zero-drift cgf: entropy-difference closed form."""
+    """(d/ds, d/dt) of the zero-drift cgf, 2z = s + it: J(1+s) - J(1-T+s) - Re c and
+    Im c, c = J(1+z) - J(1-T+z).  The mean profile E_d(t), (d/ds + i d/dt) L0 at
+    (t, 2 Re d, 2 Im d), the branch edge xi_T and the circle's log moment read it."""
     z = complex(0.5 * s, 0.5 * t)
     cross = entropy_J(1.0 + z) - entropy_J(1.0 - T + z)
-    gs = entropy_J(1.0 + s) - entropy_J(1.0 - T + s) - cross.real
-    gt = cross.imag
-    return gs, gt
+    return entropy_J(1.0 + s) - entropy_J(1.0 - T + s) - cross.real, cross.imag
 
 
 def _hess_L0(T: float, s: float, t: float) -> np.ndarray:
+    """Hessian of the zero-drift cgf, by logs of quotients; at (t, 2 Re d, 2 Im d)
+    beta' times the covariance integral, and (h11 - h22) + 2i h12 is F_d(t)."""
     z = complex(0.5 * s, 0.5 * t)
-    lg = cmath.log(1.0 + z) - cmath.log(1.0 - T + z)
+    lg = cmath.log((1.0 + z) / (1.0 - T + z))
     h11 = math.log((1.0 + s) / (1.0 - T + s)) - 0.5 * lg.real
     h12 = 0.5 * lg.imag
     h22 = 0.5 * lg.real
@@ -407,15 +409,10 @@ def path_action(
 
 
 def xi_boundary(T: float) -> float:
-    """Left edge xi_T of the interior branch:
+    """Left edge xi_T of the interior branch, d/ds L0 at s = -(1-T):
     J(T) - 1 - J((1+T)/2) + J((1-T)/2); nonpositive on (0, 1]."""
     _check_T(T)
-    return (
-        entropy_J(T)
-        - 1.0
-        - entropy_J(0.5 * (1.0 + T))
-        + entropy_J(0.5 * (1.0 - T))
-    )
+    return _grad_L0(T, -(1.0 - T), 0.0)[0]
 
 
 def implicit_mean_map(T: float, gamma: float) -> float:

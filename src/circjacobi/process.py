@@ -168,10 +168,15 @@ def gamma_to_alpha(gamma: np.ndarray) -> SchurCoefficients:
 
 
 def alpha_to_gamma(alpha: SchurCoefficients) -> np.ndarray:
-    """gamma_j = conj(alpha_j) Phi*_j(1) / Phi_j(1), with Phi_j(1) from
-    ``szego_eval``; Phi*_j(1) = conj Phi_j(1), as 1 lies on the circle."""
-    phi = szego_eval(alpha, 1.0)[:-1]
-    return np.conj(alpha.alpha) * (np.conj(phi) / phi)
+    """The inverse of ``gamma_to_alpha``: gamma_j = conj(alpha_j) conj(u_j) / u_j,
+    with the unit phase u_{j+1} = u_j (1 - gamma_j) / |1 - gamma_j|, u_0 = 1."""
+    gamma, u = np.conj(alpha.alpha), 1.0 + 0.0j
+    for j in range(gamma.size - 1):
+        gamma[j] *= u.conjugate() / u
+        step = 1.0 - complex(gamma[j])
+        u *= step / abs(step)
+    gamma[-1] *= u.conjugate() / u
+    return gamma
 
 
 def szego_eval(alpha: SchurCoefficients, z: complex) -> np.ndarray:

@@ -75,6 +75,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .asymptotics import EnsembleParams
+from .gammalaw import CoefficientLaw
 from .specfun import DomainError, log_gamma
 
 __all__ = [
@@ -130,13 +131,18 @@ class DeformedVerblunskySample:
             raise ValueError("coefficients must differ from 1")
 
 
-def _check_delta(delta: complex) -> complex:
+def _check_law(r: float, delta: complex) -> complex:
+    """delta of a draw from the law (r, delta), which must be a
+    ``CoefficientLaw`` with Re delta >= 0 and a finite largest Gamma shape."""
     delta = complex(delta)
     if delta.real < 0:
         raise DomainError(
             "the samplers cover Re delta >= 0, and moments and ldp cover"
             f" -1/2 < Re delta < 0; got delta = {delta}"
         )
+    CoefficientLaw(r, delta)
+    if not math.isfinite(2 * (r + 1 + 2 * abs(delta))):
+        raise DomainError(f"need finite Gamma shapes, got r={r}, delta={delta}")
     return delta
 
 
@@ -382,7 +388,7 @@ def sample_gamma_disc(
     """
     if r <= 0:
         raise DomainError(f"disc law needs r > 0, got {r}")
-    return _draw_one_law(r, _check_delta(delta), rng, size)
+    return _draw_one_law(r, _check_law(r, delta), rng, size)
 
 
 def sample_gamma_circle(
@@ -391,7 +397,7 @@ def sample_gamma_circle(
     size: Optional[int] = None,
 ):
     """Exact draw(s) from the circle law (the terminal coefficient)."""
-    return _draw_one_law(0.0, _check_delta(delta), rng, size)
+    return _draw_one_law(0.0, _check_law(0.0, delta), rng, size)
 
 
 def sample_ensemble(params: EnsembleParams, seed: int) -> DeformedVerblunskySample:
@@ -406,7 +412,7 @@ def ensemble_gammas(params: EnsembleParams, rng: np.random.Generator) -> np.ndar
 
     Raises :class:`SamplingError` if a disc coefficient rounded onto the
     unit circle."""
-    delta = _check_delta(params.effective_delta)
+    delta = _check_law(0.0, params.effective_delta)  # its terminal, circle law
     ranks = params.coefficient_ranks()
     return _check_open_disc(_draw(rng, ranks, delta, params.n), ranks)
 
@@ -439,9 +445,7 @@ def disc_acceptance_rate(r: float, delta: complex) -> float:
     1 unless Im delta != 0; then it is the acceptance of the angle step,
     the ratio of the angle density's normaliser to its envelope's area.
     """
-    delta = _check_delta(delta)
-    if r < 0:
-        raise DomainError(f"rank weight must be nonnegative, got {r}")
+    delta = _check_law(r, delta)
     if delta.imag == 0:
         return 1.0
     m, b = r + delta.real, delta.imag

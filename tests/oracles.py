@@ -5,7 +5,10 @@ quadrature of its exponential-kernel integral representation, digamma
 through its partial-fraction series with an analytic tail, trigamma
 through direct series summation, the circle log energy through nested
 adaptive quadrature split at the diagonal, and polygamma and the exact
-moment sums through mpmath, at beta = 2 also in closed form.
+moment sums through mpmath, at beta = 2 also in closed form.  The mean
+profile, its correction, the covariance integral, the rate branch edge and
+the circle log moment keep their closed forms in J and log here, apart from
+the derivatives of the cgf L0 that the package reads them from.
 
 The ``quadpack_*`` functions are the adaptive QUADPACK integrals (scipy's
 ``quad``) that the package's graded Gauss-Legendre rule replaced, each at
@@ -301,6 +304,40 @@ def quadpack_mass_defect(r: float, tol: float = 1e-12) -> float:
 def _entropy(u):
     """J(u) = u log u - u + 1 for u > 0 or complex u off the cut."""
     return u * (cmath.log(u) if isinstance(u, complex) else math.log(u)) - u + 1.0
+
+
+def entropy_mean_profiles(d: complex, t: float):
+    """E_d(t) = J(a) - J(a-t) - J(b) + J(b-t) and F_d(t) = log a - log b
+    - log(a-t) + log(b-t), a = 1 + 2 Re d, b = 1 + conj(d), for 0 < t <= 1."""
+    d = complex(d)
+    a, b = 1.0 + 2.0 * d.real, 1.0 + d.conjugate()
+    e = _entropy(a) - _entropy(a - t) - _entropy(b) + _entropy(b - t)
+    f = math.log(a) - cmath.log(b) - math.log(a - t) + cmath.log(b - t)
+    return complex(e), complex(f)
+
+
+def log_quotient_cov_integral(d: complex, t: float, beta: float) -> np.ndarray:
+    """The limit covariance density integrated over [0, t]: (2/beta)
+    [[log(a/(a-t)) - Re L/2, Im L/2], [Im L/2, Re L/2]], a = 1 + 2 Re d,
+    L = log((1+d)/(1-t+d))."""
+    d = complex(d)
+    a = 1.0 + 2.0 * d.real
+    big_l = cmath.log((1.0 + d) / (1.0 - t + d))
+    off = 0.5 * big_l.imag
+    return np.array([[math.log(a / (a - t)) - 0.5 * big_l.real, off],
+                     [off, 0.5 * big_l.real]]) * (2.0 / beta)
+
+
+def entropy_xi_boundary(T: float) -> float:
+    """The left edge of the interior rate branch, J(T) - 1 - J((1+T)/2)
+    + J((1-T)/2)."""
+    edge = 0.5 * (1.0 - T)
+    return _entropy(T) - 1.0 - _entropy(0.5 * (1.0 + T)) + (_entropy(edge) if edge else 1.0)
+
+
+def entropy_circle_logmod(a: float) -> float:
+    """The log-modulus moment of 1 - z under mu_a, J(1+2a) - J(1+a) - J(2a) + J(a)."""
+    return _entropy(1.0 + 2.0 * a) - _entropy(1.0 + a) - _entropy(2.0 * a) + _entropy(a)
 
 
 def quadpack_path_functional(T: float, x, y, tol: float = 1e-11) -> float:

@@ -582,6 +582,12 @@ class TestUsageErrors:
         # polygamma overflows on the trigamma sums
         ["moments", "--n", "3", "--beta", "2", "--delta-im", "1e300"],
         ["moments", "--n", "30", "--beta", "2", "--delta-im", "1e200"],
+        # the log-modulus quadrature stops at 4.6e-10 against its 1e-10, as
+        # the density forms sin^2(th/2) - sin^2(th_a/2) by subtraction (item
+        # 19); the closed form it is compared with loses 7 digits there (item 15)
+        pytest.param(["equilibrium", "--scaled-d-re", "1e8", "--format", "json"],
+                     marks=pytest.mark.xfail(strict=True, reason="QuadratureError traceback, "
+                                             "ROADMAP items 15 and 19")),
     ], ids=lambda args: " ".join(args))
     def test_domain_edge_prints_no_traceback(self, args, tmp_path):
         # a fresh process, so stderr is what a user sees
@@ -592,6 +598,8 @@ class TestUsageErrors:
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
         assert (proc.returncode, len(errors)) in ((0, 0), (2, 1)), proc.stderr
+        if proc.returncode == 2:  # the one error line and nothing else, no numpy warning
+            assert proc.stderr.splitlines() == errors, proc.stderr
 
     def test_grid_size_limit(self):
         assert cli._parse_grid("0:1:1e-6").size == 10**6 + 1

@@ -148,6 +148,15 @@ class TestEnergies:
         assert calls == []
 
 
+class TestParameterDomain:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=repr)
+    @pytest.mark.parametrize("entry", [eq.mu_a_measure, eq.line_edge, eq.line_potential,
+                                       eq.line_equilibrium], ids=lambda f: f.__name__)
+    def test_needs_a_finite_positive_parameter(self, entry, value):
+        with pytest.raises(sf.DomainError, match="need a finite"):
+            entry(value)
+
+
 class TestLineEquilibrium:
     def test_edge_closed_form(self):
         assert eq.line_edge(2.0) == pytest.approx(math.sqrt(3.0), abs=1e-15)

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from circjacobi import ldp
+from circjacobi import asymptotics, equilibrium, ldp
 from circjacobi import specfun as sf
 
-from oracles import golden_section_max, mpmath_marginal_cgf, mpmath_mean_map_root
+from oracles import (
+    entropy_circle_logmod,
+    entropy_mean_profiles,
+    entropy_xi_boundary,
+    golden_section_max,
+    log_quotient_cov_integral,
+    mpmath_marginal_cgf,
+    mpmath_mean_map_root,
+)
 
 
 class TestRateHa:
@@ -127,6 +135,41 @@ class TestCgf:
             ldp.cgf_L0(0.5, 0.1, 0.0, d)
         with pytest.raises(sf.DomainError):
             ldp.shift_constant(0.5, d)
+
+
+def _rel(value, ref) -> float:
+    """The largest entry of |value - ref| over the largest of |ref|, or
+    absolute where ref is 0 (xi_T at T = 1)."""
+    return float(np.max(np.abs(np.subtract(value, ref))) / (np.max(np.abs(ref)) or 1.0))
+
+
+class TestOneCgf:
+    """The mean profile and its correction, the covariance integral, the
+    branch edge and the circle's log moment read the gradient and Hessian
+    of L0; their closed forms in J and log are the oracles.  t stays above 0.1:
+    below it both spellings cancel O(1) terms to O(t), and their relative
+    gap grows like 1e-16 / t."""
+
+    def test_mean_profiles_and_covariance_integral(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            d = complex(rng.uniform(0.01, 3.0), rng.uniform(-3.0, 3.0))
+            t, beta = rng.uniform(0.1, 1.0), rng.uniform(0.5, 4.0)
+            e_ref, f_ref = entropy_mean_profiles(d, t)
+            e_val, f_val = asymptotics.limit_mean_functions(d, t)
+            assert _rel(e_val, e_ref) < 1e-13 and _rel(f_val, f_ref) < 1e-13, (d, t)
+            integral = asymptotics.limit_covariance(d, t, beta)[1]
+            assert _rel(integral, log_quotient_cov_integral(d, t, beta)) < 1e-13, (d, t)
+
+    def test_branch_edge_and_circle_log_moment(self):
+        rng = np.random.default_rng(29)
+        for T in [1.0, *(1.0 - rng.uniform(0.0, 1.0, 300))]:
+            assert _rel(ldp.xi_boundary(T), entropy_xi_boundary(T)) < 1e-13, T
+        for a in np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 300)):
+            assert _rel(equilibrium.circle_logmod_closed(a), entropy_circle_logmod(a)) < 1e-13, a
+
+    def test_one_spelling(self):
+        assert not hasattr(asymptotics, "entropy_J") and not hasattr(equilibrium, "entropy_J")
 
 
 class TestHkocForms:

@@ -160,6 +160,12 @@ class TestConversions:
         back = pr.alpha_to_gamma(pr.gamma_to_alpha(gamma))
         assert np.max(np.abs(back - gamma)) < 1e-12
 
+    def test_round_trip_on_a_drift_ensemble(self):
+        # Phi_j(1) overflows here, so the inverse carries the unit phase too
+        gamma = sp.sample_ensemble(EnsembleParams(4096, 2.0, scaled_d=0.5), 3).gamma
+        back = pr.alpha_to_gamma(pr.gamma_to_alpha(gamma))
+        assert np.max(np.abs(back - gamma)) < 1e-12
+
     def test_finite_on_drift_ensembles(self):
         # the running product Phi_j(1) overflows on these draws
         for d in (0.1, 0.5):

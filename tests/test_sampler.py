@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -189,6 +190,42 @@ class TestAcceptance:
         monkeypatch.setattr(sp, "ITERATION_CAP", 0)
         with pytest.raises(sp.SamplingError, match="empirical acceptance"):
             sp.sample_gamma_disc(2.0, 0.5 + 0.5j, sp.substream(1, 0), size=1000)
+
+
+class TestLawDomain:
+    @pytest.mark.parametrize("draw", [
+        lambda rng: sp.sample_gamma_disc(math.nan, 0.5, rng),
+        lambda rng: sp.sample_gamma_disc(2.0, math.nan, rng),
+        lambda rng: sp.sample_gamma_disc(math.inf, 0.5, rng, size=3),
+        lambda rng: sp.sample_gamma_circle(math.nan, rng),
+        lambda rng: sp.sample_gamma_circle(complex(0.5, math.nan), rng, size=3),
+    ], ids=["disc r nan", "disc delta nan", "disc r inf", "circle delta nan",
+            "circle Im delta nan"])
+    def test_non_finite_law_is_a_domain_error(self, draw, monkeypatch):
+        # a NaN angle law must not run to the cap (about a minute per slot at
+        # the real one): a low cap makes such a failure quick
+        monkeypatch.setattr(sp, "ITERATION_CAP", 5)
+        with pytest.raises(sf.DomainError, match="finite"):
+            draw(sp.substream(1, 0))
+
+    @pytest.mark.parametrize("r, delta", [(2.0, 1e308), (1e308, 0.5), (0.0, 1e308j)])
+    def test_overflowing_gamma_shape_is_a_domain_error(self, r, delta, monkeypatch):
+        monkeypatch.setattr(sp, "ITERATION_CAP", 5)
+        draw = sp.sample_gamma_circle if r == 0 else partial(sp.sample_gamma_disc, r)
+        with pytest.raises(sf.DomainError, match="Gamma shapes"):
+            draw(delta, sp.substream(1, 0))
+
+    @pytest.mark.parametrize("r, delta", [(math.nan, 0.5j), (1.0, complex(0.5, math.nan)),
+                                          (1.0, complex(1e308, 1.0))])
+    def test_acceptance_rate_needs_a_finite_law(self, r, delta):
+        with pytest.raises(sf.DomainError, match="finite"):
+            sp.disc_acceptance_rate(r, delta)
+
+    def test_sampled_range_is_kept(self):
+        with pytest.raises(sf.DomainError, match="Re delta >= 0"):
+            sp.sample_gamma_circle(-0.3, sp.substream(1, 0))
+        with pytest.raises(sf.DomainError, match="nonnegative"):
+            sp.disc_acceptance_rate(-1.0, 0.5j)
 
 
 class TestOpenDisc:
