@@ -160,12 +160,14 @@ PATH_HEADER = "k,t,re_log_phi,im_log_phi,re_zeta,im_zeta"
 PATH_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
 RATE_HEADER = "T,xi,eta,d_re,d_im,h,branch,gamma,rho\n"
 RATE_ROW = "%.17g," * 6 + "%s,%s\n"
-# Fewest rate points an ldp worker is given.  A pool costs about 15 ms to
-# start; on 2 CPUs a grid with eta != 0 won that back from about 150 points
-# (110 points: 71 ms serial, 80 ms pooled; 220 points: 141 against 88 ms),
-# so a pool starts from 200 points there.  An eta = 0 point costs tens of
-# microseconds, so such lines still lose up to 15 ms pooled below about
-# 1,000 points; the count cannot tell the two kinds apart.
+# Fewest rate points an ldp worker is given, an eta = 0 point counting as
+# a tenth of one.  A pool costs about 15 ms to start; on 2 CPUs a grid with
+# eta != 0 won that back from about 150 points (110 points: 71 ms serial,
+# 80 ms pooled; 220 points: 141 against 88 ms), so a pool starts from 200
+# points there.  An eta = 0 point costs tens of microseconds: at T = 0.9
+# lines of 300 and 600 points took 18.5 and 25.1 ms serial against 31.9
+# and 40.8 ms pooled, and 1,000 points broke even, so such a line pools
+# from 2,000 points.
 LDP_POINTS_PER_WORKER = 100
 
 
@@ -284,7 +286,8 @@ def _cmd_ldp(args) -> int:
     # T, d and d's shift hold for every point: reject them before any worker starts
     ldp.RatePoint(args.T, args.xi_grid[0], eta_grid[0], d)
     ldp.shift_constant(args.T, d)
-    workers = min(_usable_cpus(), len(args.xi_grid) * len(eta_grid) // LDP_POINTS_PER_WORKER)
+    tenths = len(args.xi_grid) * (10 * np.count_nonzero(eta_grid) + np.count_nonzero(eta_grid == 0))
+    workers = min(_usable_cpus(), tenths // (10 * LDP_POINTS_PER_WORKER))
     rows = _pool_map(partial(_rate_row, args.T, d, eta_grid), args.xi_grid, workers)
     _write(args.out, [RATE_HEADER, *rows])
     return 0

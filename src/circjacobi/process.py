@@ -20,7 +20,6 @@ which the test suite pins at desk scale.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Sequence
@@ -28,7 +27,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .asymptotics import EnsembleParams, mean_increments
-from .sampler import DeformedVerblunskySample, ensemble_gammas, substream
+# the pool's callers size it by _usable_cpus, whose home is the sampler's
+# kernel; _share_cpus tells each worker its share of the CPUs
+from .sampler import DeformedVerblunskySample, _share_cpus, _usable_cpus, ensemble_gammas, substream
 
 __all__ = [
     "LogPolyPath",
@@ -103,15 +104,6 @@ def log_path(sample: DeformedVerblunskySample) -> LogPolyPath:
     return LogPolyPath(values=values, zeta=values - mean)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, which ``taskset``
-    sets, or the machine's count where the platform has no such call."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _guarded(fn, item):
     """``(fn(item), None)``, or ``(None, exc)`` for any exception.  A worker
     that let a BaseException such as KeyboardInterrupt escape would die with
@@ -128,7 +120,10 @@ def _pool_map(fn, items: Sequence, workers: int) -> list:
 
     Results keep item order, so they do not depend on the worker count.
     The exception of the first item that raised is re-raised here, as the
-    serial loop would raise it, and no worker outlives the call.
+    serial loop would raise it, and no worker outlives the call.  Each
+    worker's ``_usable_cpus`` is its share of the pool's CPUs, so a
+    worker's draws start no helper thread that its siblings' CPUs would
+    have to run.
     """
     workers = min(workers, len(items))  # no idle processes when items are few
     if workers <= 1:
@@ -136,7 +131,7 @@ def _pool_map(fn, items: Sequence, workers: int) -> list:
     from multiprocessing import get_context  # only a pool needs it
 
     chunksize = max(1, len(items) // (4 * workers))
-    with get_context("fork").Pool(workers) as pool:
+    with get_context("fork").Pool(workers, _share_cpus, (workers,)) as pool:
         results = pool.map(partial(_guarded, fn), items, chunksize=chunksize)
     for _, exc in results:
         if exc is not None:

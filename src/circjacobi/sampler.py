@@ -42,18 +42,28 @@ Drawing W, with m = r + Re delta and b = Im delta:
 Samplers require Re delta >= 0; the singular-weight range
 -1/2 < Re delta < 0 is covered by the closed-form modules only.
 
-Kernel.  Every sampler calls ``_draw``.  It draws each variate by one
-whole-array generator call, in a fixed order (the angle step makes two
-per rejection wave); a Gamma shape shared by all slots goes to the
-generator as a Python float, which draws the same bits as a shape-(1,)
-array without numpy's broadcast loop.  Only then does it turn the
-variates into coefficients, block by block over ``_BLOCK`` entries, so a
-block's temporaries stay in cache and no full-length temporary is held;
-the writers reuse the variates' blocks for their temporaries, and a
-rejection wave evaluates each envelope piece only on the proposals that
-land in it.  numpy's elementwise functions give the same bits on any
-slice, so blocking changes no draw; a draw of up to ``_BLOCK`` entries,
-every ensemble up to n = 32768, is one block on the whole arrays.
+Kernel.  Every sampler calls ``_draw``.  It draws the variates in a
+fixed order (the angle step draws two per rejection wave) and turns them
+into coefficients block by block over ``_BLOCK`` entries, so a block's
+temporaries stay in cache and no full-length temporary is held.  The
+last variate a writer reads is drawn block by block: consecutive
+generator calls draw the same bits, and leave the same generator state,
+as one whole-array call.  On a draw of more than one block, a helper
+thread writes block k while the caller draws block k+1, and once the
+caller has drawn the stage's last block it writes the blocks still
+queued beside the helper; a rejection wave splits its blocks the same
+way.  The helper is joined before ``_draw`` returns or raises, so no
+thread outlives a draw (a forking pool finds none), and none starts
+when the process may use one CPU or is a pool worker whose share of the
+CPUs is one.  A Gamma shape shared by all slots goes to the generator
+as a Python float, which draws the same bits as a shape-(1,) array
+without numpy's broadcast loop; the writers reuse the variates' blocks
+for their temporaries, and a rejection wave evaluates each envelope
+piece only on the proposals that land in it.  numpy's elementwise
+functions give the same bits on any slice, so neither the blocks nor
+the thread that writes them changes a draw; a draw of up to ``_BLOCK``
+entries, every ensemble up to n = 32768, is one block on the whole
+arrays on the caller's thread.
 
 Randomness contract (pinned): numpy ``PCG64`` bit generators seeded via
 ``SeedSequence(seed, spawn_key=(i,))``.  Ensemble sample i of master
@@ -68,7 +78,11 @@ weights, whose draw sequence depends only on the ranks and delta.
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -153,18 +167,134 @@ def _check_law(r: float, delta: complex) -> complex:
 _BLOCK = 1 << 15
 
 
-def _blockwise(f, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
-    """``out`` after f(out, *args), which writes entry i of ``out`` from
-    entry i of each array in ``args``, run block by block over ``_BLOCK``
-    entries; an array of shape (1,) is shared by every block.  f may use
-    the blocks of a full-length argument as scratch, and may also write
-    elsewhere at positions its block's arguments name, as a rejection
-    wave writes accepted angles to the slots in its block of indices.
-    numpy's elementwise functions give the same bits on any slice, so
-    the result does not depend on ``_BLOCK``."""
-    for lo in range(0, out.size, _BLOCK):
+# processes that share this one's CPUs: a pool's worker count, in each worker
+_sharers = 1
+
+
+def _share_cpus(processes: int) -> None:
+    """A pool's initializer: this worker shares its CPUs with the pool's
+    ``processes`` workers."""
+    global _sharers
+    _sharers = processes
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset``
+    sets, or the machine's count where the platform has no such call,
+    shared among the workers of the pool it runs in, and at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _sharers)
+
+
+class _Helper:
+    """One thread that runs queued writer blocks beside the caller, which
+    meanwhile makes the generator calls.  It runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds in it too.
+    ``drain`` lets the caller run queued blocks as well, returns once
+    every block has run and raises a helper block's exception; ``close``
+    joins the thread."""
+
+    def __init__(self):
+        self._tasks = collections.deque()  # (f, args) of each block; None stops the thread
+        self._cond = threading.Condition()
+        self._running = 0
+        self._error: Optional[BaseException] = None
+        self._thread = threading.Thread(target=contextvars.copy_context().run, args=(self._serve,))
+        self._thread.start()
+
+    def submit(self, f, *args) -> None:
+        with self._cond:
+            self._tasks.append((f, args))
+            self._cond.notify()
+
+    def _serve(self) -> None:
+        while True:
+            with self._cond:
+                while not self._tasks:
+                    self._cond.wait()
+                task = self._tasks.popleft()
+                if task is None:
+                    return
+                self._running += 1
+            try:
+                task[0](*task[1])
+            except BaseException as exc:  # raised in the caller by drain
+                self._error = exc
+            finally:
+                del task  # a block's arrays are released once it has run
+                with self._cond:
+                    self._running -= 1
+                    self._cond.notify_all()
+
+    def drain(self) -> None:
+        while True:
+            with self._cond:
+                if not self._tasks:
+                    while self._running:
+                        self._cond.wait()
+                    break
+                f, args = self._tasks.popleft()
+            f(*args)
+        if self._error is not None:
+            raise self._error
+
+    def close(self) -> None:
+        with self._cond:
+            self._tasks.clear()
+            self._tasks.append(None)
+            self._cond.notify()
+        self._thread.join()
+
+
+def _shape(a: np.ndarray):
+    """A Gamma shape for the generator: a Python float when shared (shape
+    (1,)), which skips numpy's broadcast loop and draws the same bits."""
+    return float(a[0]) if a.size == 1 else a
+
+
+def _variates(method, shape: Optional[np.ndarray] = None):
+    """draw(block, n): n variates of the generator method ``method`` for
+    the slots ``block``, with a Gamma shape per slot (shape (size,)),
+    shared (shape (1,), see ``_shape``) or none."""
+    if shape is None:
+        return lambda block, n: method(n)
+    if shape.size == 1:
+        shared = _shape(shape)
+        return lambda block, n: method(shared, n)
+    return lambda block, n: method(shape[block], n)
+
+
+def _blockwise(helper: Optional[_Helper], f, out: np.ndarray, *args: np.ndarray, draw=None) -> np.ndarray:
+    """``out`` after f(out, *args, v), which writes entry i of ``out`` from
+    entry i of each argument, run block by block over ``_BLOCK`` entries;
+    an array of shape (1,) is shared by every block.  v, if ``draw`` is
+    given, is drawn by it on the caller's thread, block by block, each
+    block just before f's block is queued.  With a helper, the blocks run
+    on it while the caller draws, and then on both; without one, on the
+    caller.  f may use the blocks of a full-length argument as scratch,
+    and may also write elsewhere at positions its block's arguments name,
+    as a rejection wave writes accepted angles to the slots in its block
+    of indices.  numpy's elementwise functions give the same bits on any
+    slice, so the result depends neither on ``_BLOCK`` nor on the thread
+    that ran a block.  Up to ``_BLOCK`` entries are one call of f."""
+    size = out.size
+    if size <= _BLOCK:
+        f(out, *args, *(() if draw is None else (draw(slice(0, size), size),)))
+        return out
+    for lo in range(0, size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        f(out[block], *(a if a.size == 1 else a[block] for a in args))
+        blocks = [a if a.size == 1 else a[block] for a in args]
+        if draw is not None:
+            blocks.append(draw(block, min(_BLOCK, size - lo)))
+        if helper is None:
+            f(out[block], *blocks)
+        else:
+            helper.submit(f, out[block], *blocks)
+    if helper is not None:
+        helper.drain()
     return out
 
 
@@ -222,14 +352,17 @@ def _at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a if a.size == 1 else a[idx]
 
 
-def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int):
+def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int,
+                 helper: Optional[_Helper] = None):
     """``size`` angles phi with density proportional to cos^(2m)(phi)
     e^(2 b phi) on (-pi/2, pi/2), m per slot (shape (size,)) or shared
     (shape (1,)), and the number of proposals used.
 
     Each wave proposes one candidate per open slot from the envelope
     (one uniform picks the piece and the position by inversion, one
-    decides acceptance), so the draw sequence is deterministic."""
+    decides acceptance), so the draw sequence is deterministic; a wave
+    of more than one block splits its blocks between the caller and
+    ``helper``."""
     env = _angle_envelope(m, b)
     shared = m.size == 1
     phi = np.empty(size)
@@ -270,8 +403,8 @@ def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int):
     while open_idx.size:
         k = open_idx.size
         w = rng.random(k)
-        v = rng.random(k)
-        accept = _blockwise(wave, np.empty(k, dtype=bool), open_idx, w, v)
+        accept = _blockwise(helper, wave, np.empty(k, dtype=bool), open_idx, w,
+                            draw=_variates(rng.random))
         open_idx = open_idx[~accept]
         proposals += k
         if open_idx.size and proposals > ITERATION_CAP * size:
@@ -321,38 +454,43 @@ def _mix(out, g1, g2):
     out += np.divide(g2, total, out=g2)
 
 
-def _shape(a: np.ndarray):
-    """A Gamma shape for the generator: a Python float when shared (shape
-    (1,)), which skips numpy's broadcast loop and draws the same bits."""
-    return float(a[0]) if a.size == 1 else a
-
-
 def _draw(rng: np.random.Generator, ranks: np.ndarray, delta: complex, size: int) -> np.ndarray:
     """The sampling kernel: ``size`` exact coefficients with deformation
     delta.  ``ranks`` holds the rank weight of each slot (shape (size,))
     or one weight shared by all slots (shape (1,)); 0 selects the circle
-    law.  Every variate is drawn whole-array, in a fixed order; only the
-    arithmetic that turns them into coefficients runs in blocks."""
+    law.  The variates are drawn in a fixed order; a draw of more than
+    one block turns them into coefficients on a helper thread as well,
+    unless ``_usable_cpus`` gives this process one CPU."""
+    helper = _Helper() if size > _BLOCK and _usable_cpus() > 1 else None
+    try:
+        return _coefficients(helper, rng, ranks, delta, size)
+    finally:
+        if helper is not None:
+            helper.close()
+
+
+def _coefficients(helper, rng, ranks, delta, size):
+    """``_draw``'s coefficients, written on ``helper`` too when one is given."""
     if delta == 0:
         u = rng.random(size)
-        v = rng.random(size)
-        return _blockwise(_radial, np.empty(size, dtype=np.complex128), ranks, u, v)
+        return _blockwise(helper, _radial, np.empty(size, dtype=np.complex128), ranks, u,
+                          draw=_variates(rng.random))
     m = ranks + delta.real
-    # each variate array is released once W is formed from it
+    # each variate array is released once its writers have run
     if delta.imag == 0:
         normal = rng.standard_normal(size)
-        g = rng.standard_gamma(_shape(m + 0.5), size)
-        out = _blockwise(_circle_from_t, np.empty(size, dtype=np.complex128), normal, g)
-        del normal, g
+        out = _blockwise(helper, _circle_from_t, np.empty(size, dtype=np.complex128), normal,
+                         draw=_variates(rng.standard_gamma, m + 0.5))
+        del normal
     else:
-        phi, _ = _draw_angles(rng, m, delta.imag, size)
-        out = _blockwise(_circle_from_angle, np.empty(size, dtype=np.complex128), phi)
+        phi, _ = _draw_angles(rng, m, delta.imag, size, helper)
+        out = _blockwise(helper, _circle_from_angle, np.empty(size, dtype=np.complex128), phi)
         del phi
     if not (ranks > 0).any():
         return out
     g1 = rng.standard_gamma(_shape(ranks + 1.0 + 2.0 * delta.real), size)
-    g2 = rng.standard_gamma(_shape(ranks), size)  # 0 on a circle slot, where S = 1
-    return _blockwise(_mix, out, g1, g2)
+    # g2 is 0 on a circle slot, where S = 1
+    return _blockwise(helper, _mix, out, g1, draw=_variates(rng.standard_gamma, ranks))
 
 
 def _check_open_disc(gamma: np.ndarray, ranks: np.ndarray) -> np.ndarray:

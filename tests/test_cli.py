@@ -32,7 +32,8 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, size):
+        def __init__(self, size, *initializer):
+            # not run: it would make this process a pool worker
             sizes.append(size)
 
         def __enter__(self):
@@ -269,12 +270,13 @@ class TestLdpCommand:
         assert text == serial
 
     @pytest.mark.parametrize("cpus, points, pools", [
-        (2, 151, []), (2, 199, []), (2, 200, [2]), (8, 450, [4]), (8, 1000, [8]),
+        (2, 151, []), (2, 300, []), (2, 1999, []), (2, 2000, [2]), (8, 4500, [4]),
     ])
     def test_each_worker_gets_enough_points(self, cpus, points, pools, tmp_path, monkeypatch,
                                             pool_sizes):
-        # an eta = 0 line of ``points`` rows; a pool starts only when each
-        # worker gets LDP_POINTS_PER_WORKER of them, and changes no byte
+        # an eta = 0 line of ``points`` rows, each counting as a tenth of a
+        # point; a pool starts only when each worker gets
+        # LDP_POINTS_PER_WORKER points, and changes no byte
         assert cli.LDP_POINTS_PER_WORKER == 100
         argv = ["ldp", "--T", "0.9", f"--xi-grid=-0.6:{-0.6 + 0.001 * (points - 1):.3f}:0.001"]
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -284,6 +286,15 @@ class TestLdpCommand:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         _, serial = run(tmp_path, "s.csv", argv)
         assert pool_sizes == pools and text == serial
+
+    def test_benchmark_surface_gets_two_workers(self, tmp_path, monkeypatch, pool_sizes):
+        # the rate-surface grid: 91 xi rows of 21 etas, one of them 0, so
+        # 1,820 points and 91 tenths of one
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_rate_row", lambda T, d, eta_grid, xi: "")
+        rc, _ = run(tmp_path, "b.csv", ["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.01",
+                                        "--eta-grid=-0.5:0.5:0.05"])
+        assert rc == 0 and pool_sizes == [2]
 
     @pytest.mark.parametrize("args, message", [
         (["--T", "1", "--xi-grid=0:0.1:0.1"], "T = 1 requires Re d > 0"),
@@ -295,14 +306,21 @@ class TestLdpCommand:
         (["--T", "1", "--xi-grid=0:0.1:0.1", "--scaled-d-re", "1e308"], "overflows"),
     ])
     def test_domain_is_checked_before_forking(self, args, message, tmp_path, monkeypatch, capsys):
+        class Forked(Exception):
+            pass
+
         def no_pool(method):
-            raise AssertionError("ldp started a pool for a grid outside the domain")
+            raise Forked
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "LDP_POINTS_PER_WORKER", 1)  # a pool would start
+        monkeypatch.setattr(cli, "LDP_POINTS_PER_WORKER", 1)
+        eta = "--eta-grid=0.1:0.2:0.1"  # four points of full weight
+        # the same grid inside the domain starts a pool
+        with pytest.raises(Forked):
+            cli.main(["ldp", "--T", "0.5", "--xi-grid=0:0.1:0.1", eta, "--out", str(tmp_path / "in.csv")])
         out = tmp_path / "l.csv"
-        assert cli.main(["ldp", *args, "--out", str(out)]) == 2
+        assert cli.main(["ldp", *args, eta, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not out.exists()
@@ -739,10 +757,11 @@ class TestOutputFiles:
                     _interrupt(asymptotics, "limit_covariance", 2)),
         "clt": (["clt", "--n", "16", "--beta", "2", "--samples", "5", "--format", "csv"],
                 _interrupt(process, "ensemble_gammas", 2)),
-        # pooled, as each worker may take one point
-        "ldp": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],
+        # pooled, as each of two workers may take one point of eta != 0
+        "ldp": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1", "--eta-grid=0.1:0.1:0.1"],
                 lambda mp: (_interrupt(ldp, "marginal_rate_h", 3)(mp),
-                            mp.setattr(cli, "LDP_POINTS_PER_WORKER", 1))),
+                            mp.setattr(cli, "LDP_POINTS_PER_WORKER", 1),
+                            mp.setattr(cli, "_usable_cpus", lambda: 2))),
         # serial, so call 3 is the third row
         "ldp-one-cpu": (["ldp", "--T", "0.5", "--xi-grid=-0.6:0.3:0.1"],
                         lambda mp: (_interrupt(ldp, "marginal_rate_h", 3)(mp),
@@ -759,9 +778,13 @@ class TestOutputFiles:
     def test_interrupted_command_leaves_no_file(self, command, tmp_path, monkeypatch):
         argv, patch = self.CASES[command]
         patch(monkeypatch)
+        pools, get_context = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: pools.append(method) or get_context(method))
         with pytest.raises(KeyboardInterrupt):
             cli.main(argv + ["--out", str(tmp_path / "out.csv")])
         assert list(tmp_path.iterdir()) == []
+        assert len(pools) == (command == "ldp")  # the one pooled case
 
     def test_failed_run_removes_an_older_file(self, tmp_path, monkeypatch):
         out = tmp_path / "out.csv"

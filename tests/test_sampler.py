@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from functools import partial
 
@@ -8,6 +11,7 @@ import pytest
 from scipy import stats
 
 from circjacobi import gammalaw as gl
+from circjacobi import process
 from circjacobi import sampler as sp
 from circjacobi import specfun as sf
 from circjacobi.asymptotics import EnsembleParams
@@ -320,8 +324,10 @@ class TestSupport:
 
 
 class TestBlockedKernel:
-    """The kernel's arithmetic runs in blocks of ``_BLOCK`` entries after
-    whole-array generator calls; no draw may depend on the block length."""
+    """The kernel's arithmetic runs in blocks of ``_BLOCK`` entries, and the
+    last variate of each writer is drawn block by block (on a helper
+    thread's schedule once a draw has more than one block); no draw may
+    depend on the block length."""
 
     ONE_BLOCK = 1 << 20
     # delta = 0, real delta, complex delta (the angle step)
@@ -387,6 +393,163 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert g.nbytes == 16 * size
         assert peak <= g.nbytes + 3 * 8 * size
+
+
+MULTI_BLOCK = 32 * sp._BLOCK  # about 10^6: the caller draws while the helper writes
+
+
+def _multi_block_draw(delta, index=0):
+    return sp.sample_gamma_disc(3.0, delta, sp.substream(35, index), size=MULTI_BLOCK)
+
+
+def _multi_block_digest(index):
+    return hashlib.sha256(_multi_block_draw(0.3 + 0.2j, index).tobytes()).hexdigest()
+
+
+def _on_helper():
+    return threading.current_thread() is not threading.main_thread()
+
+
+def _pooled_draw(index):
+    """(usable CPUs, helpers started) of a multi-block draw, run in a pool worker."""
+    started, helper = [], sp._Helper
+    sp._Helper = lambda: started.append(1) or helper()
+    try:
+        _multi_block_draw(0.5, index)
+    finally:
+        sp._Helper = helper
+    return sp._usable_cpus(), len(started)
+
+
+class TestHelperThread:
+    """A draw of more than one block writes blocks on one helper thread,
+    which is joined before the draw returns or raises."""
+
+    DELTAS = (0.0, 0.5, 0.3 + 0.2j)
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The list gets every thread started."""
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    @staticmethod
+    def _helper_first(writer):
+        """``writer``, whose calls on the caller's thread wait until a
+        helper has run it once, so that a helper block surely runs."""
+        helper_ran = threading.Event()
+
+        def patched(out, *args):
+            if _on_helper():
+                try:
+                    writer(out, *args)
+                finally:
+                    helper_ran.set()
+            else:
+                assert helper_ran.wait(60)
+                writer(out, *args)
+
+        return patched
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_no_thread_outlives_a_draw(self, delta, starts):
+        before = threading.active_count()
+        _multi_block_draw(delta)
+        assert len(starts) == 1 and threading.active_count() == before
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_one_cpu_starts_no_thread(self, delta, monkeypatch, starts):
+        threaded = _multi_block_draw(delta).tobytes()
+        assert len(starts) == 1
+        monkeypatch.setattr(sp, "_usable_cpus", lambda: 1)
+        del starts[:]
+        assert _multi_block_draw(delta).tobytes() == threaded
+        assert starts == []
+
+    def test_one_block_starts_no_thread(self, starts):
+        sp.sample_gamma_disc(3.0, 0.3 + 0.2j, sp.substream(35, 0), size=sp._BLOCK)
+        assert starts == []
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        mix = sp._mix
+
+        def writer(out, g1, g2):
+            if _on_helper():
+                raise ValueError("raised on the helper")
+            mix(out, g1, g2)
+
+        monkeypatch.setattr(sp, "_mix", self._helper_first(writer))
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="raised on the helper"):
+            _multi_block_draw(0.5)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("on_helper", [False, True])
+    def test_writers_keep_the_callers_errstate(self, monkeypatch, on_helper):
+        # a writer that divides by zero on its thread raises under the
+        # caller's divide="raise", inline and on the helper alike
+        circle_from_t = sp._circle_from_t
+
+        def writer(out, normal, g):
+            if _on_helper() == on_helper:
+                np.divide(1.0, np.zeros(1))
+            circle_from_t(out, normal, g)
+
+        size = MULTI_BLOCK if on_helper else sp._BLOCK
+        monkeypatch.setattr(sp, "_circle_from_t", self._helper_first(writer) if on_helper else writer)
+        before = threading.active_count()
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                sp.sample_gamma_disc(3.0, 0.5, sp.substream(35, 0), size=size)
+        assert threading.active_count() == before
+
+    def test_concurrent_draws_under_fast_switching(self, monkeypatch):
+        # six callers at once, each with its own helper, and a thread
+        # switch every microsecond: every block is written once, as serially
+        monkeypatch.setattr(sp, "_BLOCK", 7)
+        cases = [(delta, i) for delta in self.DELTAS for i in range(2)]
+
+        def draw(delta, i):
+            return sp.sample_gamma_disc(3.0, delta, sp.substream(36, i), size=500).tobytes()
+
+        monkeypatch.setattr(sp, "_usable_cpus", lambda: 1)
+        serial = [draw(*case) for case in cases]
+        monkeypatch.setattr(sp, "_usable_cpus", lambda: 2)
+        results = [None] * len(cases)
+
+        def run(k):
+            results[k] = draw(*cases[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
+    def test_draw_in_a_forked_worker(self):
+        digests = [_multi_block_digest(i) for i in range(2)]
+        assert process._pool_map(_multi_block_digest, range(2), 2) == digests
+
+    @pytest.mark.parametrize("cpus, helpers", [(2, 0), (3, 0), (4, 1)])
+    def test_pool_workers_share_the_cpus(self, cpus, helpers, monkeypatch):
+        # each of two workers may use half of the CPUs: on two or three it
+        # draws inline, on four it starts a helper
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert sp._usable_cpus() == cpus
+        assert process._pool_map(_pooled_draw, range(2), 2) == [(cpus // 2, helpers)] * 2
 
 
 def _pinned_digests() -> dict:
