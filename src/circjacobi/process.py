@@ -122,8 +122,8 @@ def _pool_map(fn, items: Sequence, workers: int) -> list:
     The exception of the first item that raised is re-raised here, as the
     serial loop would raise it, and no worker outlives the call.  Each
     worker's ``_usable_cpus`` is its share of the pool's CPUs, so a
-    worker's draws start no helper thread that its siblings' CPUs would
-    have to run.
+    worker's draws open no one-thread executor (the sampler's helper)
+    whose thread its siblings' CPUs would have to run.
     """
     workers = min(workers, len(items))  # no idle processes when items are few
     if workers <= 1:

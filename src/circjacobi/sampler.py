@@ -35,7 +35,8 @@ Drawing W, with m = r + Re delta and b = Im delta:
   curvature lengths, the best choice for a Gaussian) (Devroye, Non-Uniform Random Variate Generation, 1986,
   ch. VII); concavity makes every tangent an upper bound, so the draw is
   exact.  ``disc_acceptance_rate`` gives the exact acceptance, which is
-  above 0.67 for all m >= 0 and b (its infimum lies near m = 0.405, b = 0).
+  above 0.67 for all m >= 0 and b (its infimum lies near m = 0.405, b = 0);
+  the float64 envelope fails to bound the density at some m near 5e15.
 * delta = 0: |z|^2 = 1 - (1-u)^(1/r) by inversion and a uniform angle,
   which is cheaper than the product form.
 
@@ -48,22 +49,22 @@ into coefficients block by block over ``_BLOCK`` entries, so a block's
 temporaries stay in cache and no full-length temporary is held.  The
 last variate a writer reads is drawn block by block: consecutive
 generator calls draw the same bits, and leave the same generator state,
-as one whole-array call.  On a draw of more than one block, a helper
-thread writes block k while the caller draws block k+1, and once the
-caller has drawn the stage's last block it writes the blocks still
-queued beside the helper; a rejection wave splits its blocks the same
-way.  The helper is joined before ``_draw`` returns or raises, so no
-thread outlives a draw (a forking pool finds none), and none starts
-when the process may use one CPU or is a pool worker whose share of the
-CPUs is one.  A Gamma shape shared by all slots goes to the generator
-as a Python float, which draws the same bits as a shape-(1,) array
-without numpy's broadcast loop; the writers reuse the variates' blocks
-for their temporaries, and a rejection wave evaluates each envelope
-piece only on the proposals that land in it.  numpy's elementwise
-functions give the same bits on any slice, so neither the blocks nor
-the thread that writes them changes a draw; a draw of up to ``_BLOCK``
-entries, every ensemble up to n = 32768, is one block on the whole
-arrays on the caller's thread.
+as one whole-array call.  On a draw of more than one block, the thread
+of a one-thread ``ThreadPoolExecutor`` writes block k while the caller
+draws block k+1, and the caller then writes each block whose future it
+can still cancel; a rejection wave splits its blocks the same way.  The
+executor is shut down before ``_draw`` returns or raises, so no thread
+outlives a draw (a forking pool finds none), and none starts when the
+process may use one CPU or is a pool worker whose share of the CPUs is
+one.  A Gamma shape shared by all
+slots goes to the generator as a Python float, which draws the same bits
+as a shape-(1,) array without numpy's broadcast loop; the writers reuse
+the variates' blocks for their temporaries, and a rejection wave
+evaluates each envelope piece only on the proposals that land in it.
+numpy's elementwise functions give the same bits on any slice, so
+neither the blocks nor the thread that writes them changes a draw; a
+draw of up to ``_BLOCK`` entries, every ensemble up to n = 32768, is one
+block on the whole arrays on the caller's thread.
 
 Randomness contract (pinned): numpy ``PCG64`` bit generators seeded via
 ``SeedSequence(seed, spawn_key=(i,))``.  Ensemble sample i of master
@@ -78,19 +79,17 @@ weights, whose draw sequence depends only on the ranks and delta.
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import math
 import os
-import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .asymptotics import EnsembleParams
 from .gammalaw import CoefficientLaw
-from .specfun import DomainError, log_gamma
+from .specfun import DomainError, log_gamma_ratio
 
 __all__ = [
     "GENERATOR_FAMILY",
@@ -189,66 +188,6 @@ def _usable_cpus() -> int:
     return max(1, cpus // _sharers)
 
 
-class _Helper:
-    """One thread that runs queued writer blocks beside the caller, which
-    meanwhile makes the generator calls.  It runs in a copy of the
-    caller's context, so the caller's ``np.errstate`` holds in it too.
-    ``drain`` lets the caller run queued blocks as well, returns once
-    every block has run and raises a helper block's exception; ``close``
-    joins the thread."""
-
-    def __init__(self):
-        self._tasks = collections.deque()  # (f, args) of each block; None stops the thread
-        self._cond = threading.Condition()
-        self._running = 0
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=contextvars.copy_context().run, args=(self._serve,))
-        self._thread.start()
-
-    def submit(self, f, *args) -> None:
-        with self._cond:
-            self._tasks.append((f, args))
-            self._cond.notify()
-
-    def _serve(self) -> None:
-        while True:
-            with self._cond:
-                while not self._tasks:
-                    self._cond.wait()
-                task = self._tasks.popleft()
-                if task is None:
-                    return
-                self._running += 1
-            try:
-                task[0](*task[1])
-            except BaseException as exc:  # raised in the caller by drain
-                self._error = exc
-            finally:
-                del task  # a block's arrays are released once it has run
-                with self._cond:
-                    self._running -= 1
-                    self._cond.notify_all()
-
-    def drain(self) -> None:
-        while True:
-            with self._cond:
-                if not self._tasks:
-                    while self._running:
-                        self._cond.wait()
-                    break
-                f, args = self._tasks.popleft()
-            f(*args)
-        if self._error is not None:
-            raise self._error
-
-    def close(self) -> None:
-        with self._cond:
-            self._tasks.clear()
-            self._tasks.append(None)
-            self._cond.notify()
-        self._thread.join()
-
-
 def _shape(a: np.ndarray):
     """A Gamma shape for the generator: a Python float when shared (shape
     (1,)), which skips numpy's broadcast loop and draws the same bits."""
@@ -267,34 +206,49 @@ def _variates(method, shape: Optional[np.ndarray] = None):
     return lambda block, n: method(shape[block], n)
 
 
-def _blockwise(helper: Optional[_Helper], f, out: np.ndarray, *args: np.ndarray, draw=None) -> np.ndarray:
+def _run(f, out: np.ndarray, blocks: list) -> None:
+    """f(out, *blocks), then release the block's arrays."""
+    f(out, *blocks)
+    blocks.clear()
+
+
+def _blockwise(submit: Optional[Callable], f, out: np.ndarray, *args: np.ndarray, draw=None) -> np.ndarray:
     """``out`` after f(out, *args, v), which writes entry i of ``out`` from
     entry i of each argument, run block by block over ``_BLOCK`` entries;
     an array of shape (1,) is shared by every block.  v, if ``draw`` is
     given, is drawn by it on the caller's thread, block by block, each
-    block just before f's block is queued.  With a helper, the blocks run
-    on it while the caller draws, and then on both; without one, on the
-    caller.  f may use the blocks of a full-length argument as scratch,
-    and may also write elsewhere at positions its block's arguments name,
-    as a rejection wave writes accepted angles to the slots in its block
-    of indices.  numpy's elementwise functions give the same bits on any
-    slice, so the result depends neither on ``_BLOCK`` nor on the thread
-    that ran a block.  Up to ``_BLOCK`` entries are one call of f."""
+    block just before f's block is submitted.  With ``submit``, that of a
+    one-thread executor, the blocks run there in one copy of the caller's
+    context (so its ``np.errstate`` holds) while the caller draws; then,
+    from the last, the caller runs each block whose future it can still
+    cancel and waits on the rest, which re-raises a helper block's
+    exception.  Without it, they run on the caller.  f may use the blocks
+    of a full-length argument as scratch, and may also write elsewhere at
+    positions its block's arguments name, as a rejection wave writes
+    accepted angles to the slots in its block of indices.  numpy's
+    elementwise functions give the same bits on any slice, so the result
+    depends neither on ``_BLOCK`` nor on the thread that ran a block.  Up
+    to ``_BLOCK`` entries are one call of f."""
     size = out.size
     if size <= _BLOCK:
         f(out, *args, *(() if draw is None else (draw(slice(0, size), size),)))
         return out
+    run, queued = contextvars.copy_context().run, []
     for lo in range(0, size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         blocks = [a if a.size == 1 else a[block] for a in args]
         if draw is not None:
             blocks.append(draw(block, min(_BLOCK, size - lo)))
-        if helper is None:
+        if submit is None:
             f(out[block], *blocks)
         else:
-            helper.submit(f, out[block], *blocks)
-    if helper is not None:
-        helper.drain()
+            job = (f, out[block], blocks)
+            queued.append((submit(run, _run, *job), job))
+    for future, job in reversed(queued):
+        if future.cancel():
+            _run(*job)
+        else:
+            future.result()
     return out
 
 
@@ -353,7 +307,7 @@ def _at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int,
-                 helper: Optional[_Helper] = None):
+                 submit: Optional[Callable] = None):
     """``size`` angles phi with density proportional to cos^(2m)(phi)
     e^(2 b phi) on (-pi/2, pi/2), m per slot (shape (size,)) or shared
     (shape (1,)), and the number of proposals used.
@@ -361,8 +315,7 @@ def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int,
     Each wave proposes one candidate per open slot from the envelope
     (one uniform picks the piece and the position by inversion, one
     decides acceptance), so the draw sequence is deterministic; a wave
-    of more than one block splits its blocks between the caller and
-    ``helper``."""
+    of more than one block splits its blocks with ``submit``'s thread."""
     env = _angle_envelope(m, b)
     shared = m.size == 1
     phi = np.empty(size)
@@ -403,7 +356,7 @@ def _draw_angles(rng: np.random.Generator, m: np.ndarray, b: float, size: int,
     while open_idx.size:
         k = open_idx.size
         w = rng.random(k)
-        accept = _blockwise(helper, wave, np.empty(k, dtype=bool), open_idx, w,
+        accept = _blockwise(submit, wave, np.empty(k, dtype=bool), open_idx, w,
                             draw=_variates(rng.random))
         open_idx = open_idx[~accept]
         proposals += k
@@ -459,38 +412,42 @@ def _draw(rng: np.random.Generator, ranks: np.ndarray, delta: complex, size: int
     delta.  ``ranks`` holds the rank weight of each slot (shape (size,))
     or one weight shared by all slots (shape (1,)); 0 selects the circle
     law.  The variates are drawn in a fixed order; a draw of more than
-    one block turns them into coefficients on a helper thread as well,
-    unless ``_usable_cpus`` gives this process one CPU."""
-    helper = _Helper() if size > _BLOCK and _usable_cpus() > 1 else None
+    one block turns them into coefficients on the one thread of a
+    ``ThreadPoolExecutor`` as well, unless ``_usable_cpus`` gives this
+    process one CPU; the executor is shut down before the draw returns."""
+    if size <= _BLOCK or _usable_cpus() == 1:
+        return _coefficients(None, rng, ranks, delta, size)
+    from concurrent.futures import ThreadPoolExecutor  # it loads logging: only here
+
+    pool = ThreadPoolExecutor(1)
     try:
-        return _coefficients(helper, rng, ranks, delta, size)
+        return _coefficients(pool.submit, rng, ranks, delta, size)
     finally:
-        if helper is not None:
-            helper.close()
+        pool.shutdown(cancel_futures=True)
 
 
-def _coefficients(helper, rng, ranks, delta, size):
-    """``_draw``'s coefficients, written on ``helper`` too when one is given."""
+def _coefficients(submit, rng, ranks, delta, size):
+    """``_draw``'s coefficients, written on ``submit``'s thread too."""
     if delta == 0:
         u = rng.random(size)
-        return _blockwise(helper, _radial, np.empty(size, dtype=np.complex128), ranks, u,
+        return _blockwise(submit, _radial, np.empty(size, dtype=np.complex128), ranks, u,
                           draw=_variates(rng.random))
     m = ranks + delta.real
     # each variate array is released once its writers have run
     if delta.imag == 0:
         normal = rng.standard_normal(size)
-        out = _blockwise(helper, _circle_from_t, np.empty(size, dtype=np.complex128), normal,
+        out = _blockwise(submit, _circle_from_t, np.empty(size, dtype=np.complex128), normal,
                          draw=_variates(rng.standard_gamma, m + 0.5))
         del normal
     else:
-        phi, _ = _draw_angles(rng, m, delta.imag, size, helper)
-        out = _blockwise(helper, _circle_from_angle, np.empty(size, dtype=np.complex128), phi)
+        phi, _ = _draw_angles(rng, m, delta.imag, size, submit)
+        out = _blockwise(submit, _circle_from_angle, np.empty(size, dtype=np.complex128), phi)
         del phi
     if not (ranks > 0).any():
         return out
     g1 = rng.standard_gamma(_shape(ranks + 1.0 + 2.0 * delta.real), size)
     # g2 is 0 on a circle slot, where S = 1
-    return _blockwise(helper, _mix, out, g1, draw=_variates(rng.standard_gamma, ranks))
+    return _blockwise(submit, _mix, out, g1, draw=_variates(rng.standard_gamma, ranks))
 
 
 def _check_open_disc(gamma: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -571,9 +528,11 @@ def sample_ensemble_batch(
 
 def _log_angle_normaliser(m: float, b: float) -> float:
     """log of the integral of cos^(2m)(phi) e^(2 b phi) over (-pi/2, pi/2),
-    which is pi Gamma(2m+1) / (4^m |Gamma(m+1+ib)|^2)."""
-    g = log_gamma(np.array([2.0 * m + 1.0, complex(m + 1.0, b)])).real
-    return math.log(math.pi) + g[0] - 2.0 * m * math.log(2.0) - 2.0 * g[1]
+    pi Gamma(2m+1) / (4^m |Gamma(m+1+ib)|^2), or by the duplication formula
+    sqrt(pi) Gamma(m+1/2) Gamma(m+1) / |Gamma(m+1+ib)|^2: two log-Gamma
+    differences, with no term of size m log m."""
+    x = m + 1.0
+    return 0.5 * math.log(math.pi) + log_gamma_ratio(x, -0.5).real - 2.0 * log_gamma_ratio(x, 1j * b).real
 
 
 def disc_acceptance_rate(r: float, delta: complex) -> float:
@@ -581,13 +540,21 @@ def disc_acceptance_rate(r: float, delta: complex) -> float:
     weight r >= 0 (r = 0: the circle law).
 
     1 unless Im delta != 0; then it is the acceptance of the angle step,
-    the ratio of the angle density's normaliser to its envelope's area.
+    the ratio of the angle density's normaliser to the area of the
+    sampler's envelope, within 1e-8.  Terms of size pi |Im delta| cancel
+    in it, so |Im delta| > 1e6 raises ``DomainError``, as does an envelope
+    that fails to bound its density (a ratio above 1; at m = 0 the
+    envelope is the density, and rounding above 1 reads 1).
     """
     delta = _check_law(r, delta)
     if delta.imag == 0:
         return 1.0
     m, b = r + delta.real, delta.imag
+    if abs(b) > 1e6:
+        raise DomainError(f"disc_acceptance_rate covers |Im delta| <= 1e6, got delta = {delta}")
     env = _angle_envelope(np.array([m]), b)
     log_peak = 2.0 * m * env.log_cos_mode[0] + 2.0 * b * env.mode[0]
-    log_area = log_peak + math.log(env.total[0])
-    return math.exp(_log_angle_normaliser(m, b) - log_area)
+    rate = math.exp(_log_angle_normaliser(m, b) - log_peak - math.log(env.total[0]))
+    if not 0.0 < rate <= 1.0 + 1e-8:
+        raise DomainError(f"the angle envelope at m = {m}, b = {b} does not bound its density")
+    return min(rate, 1.0)

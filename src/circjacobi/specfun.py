@@ -75,6 +75,7 @@ __all__ = [
     "OverflowDomainError",
     "QuadratureError",
     "log_gamma",
+    "log_gamma_ratio",
     "digamma",
     "polygamma",
     "entropy_J",
@@ -244,6 +245,29 @@ def log_gamma(z):
     arr, scalar = _as_complex_array(z)
     _check_domain(arr, "log_gamma", cut=True)
     return _finite(_special.loggamma(arr), scalar, "log_gamma")
+
+
+def _clog1p(u: complex) -> complex:
+    """log(1 + u), accurate for small complex u (numpy's is not)."""
+    return complex(0.5 * math.log1p(2.0 * u.real + abs(u) ** 2), math.atan2(u.imag, 1.0 + u.real))
+
+
+def log_gamma_ratio(x: float, a: complex) -> complex:
+    """log Gamma(x + a) - log Gamma(x) for real x >= 1 and Re a >= -1/2,
+    without the log-Gamma values themselves, whose size x log x would
+    swamp the difference: at x >= 16 (x moves up to there by the
+    recurrence) Stirling's series gives a log(x+a) + (x - 1/2) log(1 + a/x)
+    - a + sum_k B_2k / (2k (2k-1)) ((x+a)^(1-2k) - x^(1-2k))."""
+    a, x, shift = complex(a), float(x), 0j
+    while x < _SHIFT_RE:
+        shift += _clog1p(a / x)
+        x += 1.0
+    w, v, series = 1.0 / (x + a), 1.0 / x, 0j
+    w2, v2 = w * w, v * v
+    for k, b in enumerate(_BERNOULLI, start=1):
+        series += b / (2 * k * (2 * k - 1)) * (w - v)
+        w, v = w * w2, v * v2
+    return a * cmath.log(x + a) + (x - 0.5) * _clog1p(a / x) - a + series - shift
 
 
 def digamma(z):

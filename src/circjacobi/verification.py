@@ -91,31 +91,38 @@ def check_triple_determinant() -> CheckResult:
 
 def _moment_z(r: float, delta: complex, stream, draws: int) -> float:
     """Largest |z|-score of one law's Monte Carlo moments of log(1-gamma)
-    and |1-gamma|^2 against their closed forms.  The draw and its
-    temporaries die at return, so one law's arrays are live at a time."""
+    and |1-gamma|^2 against their closed forms, summed over blocks of the
+    draw in two passes (the means, then the sums centred on them), so the
+    draw is the one full-length array, and one law's is live at a time."""
     law = gl.CoefficientLaw(r, delta)
     cs = gl.cumulants(law)
     if r > 0:
         vals = sp.sample_gamma_disc(r, delta, stream, size=draws)
     else:
         vals = sp.sample_gamma_circle(delta, stream, size=draws)
-    lg = pr.log_one_minus(vals)
-    root = math.sqrt(draws)
-    pairs = [
-        (lg.real.mean(), cs.mean.real, lg.real.std(ddof=1) / root),
-        (lg.imag.mean(), cs.mean.imag, lg.imag.std(ddof=1) / root),
-    ]
-    cre = lg.real - lg.real.mean()
-    cim = lg.imag - lg.imag.mean()
-    pairs += [
-        (np.mean(cre**2), cs.var_re, np.std(cre**2, ddof=1) / root),
-        (np.mean(cim**2), cs.var_im, np.std(cim**2, ddof=1) / root),
-        (np.mean(cre * cim), cs.cov_re_im, np.std(cre * cim, ddof=1) / root),
-    ]
-    sq = np.abs(1 - vals) ** 2
-    mf = gl.mellin_fourier(law, 1.0, 1.0).real
-    pairs.append((sq.mean(), mf, sq.std(ddof=1) / root))
-    return max(abs(a - b) / se for a, b, se in pairs)
+    blocks = [vals[lo:lo + (1 << 16)] for lo in range(0, draws, 1 << 16)]
+    sums = np.zeros(3)
+    for v in blocks:
+        lg = pr.log_one_minus(v)
+        sums += (lg.real.sum(), lg.imag.sum(), (np.abs(1 - v) ** 2).sum())
+    m_re, m_im, m_sq = sums / draws
+    # cre^2, cim^2 and cre cim, their squares, and the centred |1-gamma|^2 squared
+    sums = np.zeros(7)
+    for v in blocks:
+        lg = pr.log_one_minus(v)
+        cre, cim, dev = lg.real - m_re, lg.imag - m_im, np.abs(1 - v) ** 2 - m_sq
+        second = np.stack([cre * cre, cim * cim, cre * cim])
+        sums += (*second.sum(axis=1), *(second * second).sum(axis=1), (dev * dev).sum())
+    s_re, s_im, s_cross, q_re, q_im, q_cross, s_sq = sums
+
+    def se(squares):  # a mean's standard error, from its centred sum of squares
+        return math.sqrt(squares / (draws - 1) / draws)
+
+    pairs = [(m_re, cs.mean.real, se(s_re)), (m_im, cs.mean.imag, se(s_im))]
+    pairs += [(s / draws, ref, se(q - s * s / draws))
+              for s, ref, q in ((s_re, cs.var_re, q_re), (s_im, cs.var_im, q_im), (s_cross, cs.cov_re_im, q_cross))]
+    pairs.append((m_sq, gl.mellin_fourier(law, 1.0, 1.0).real, se(s_sq)))
+    return max(abs(a - b) / err for a, b, err in pairs)
 
 
 def check_moment_exactness() -> CheckResult:

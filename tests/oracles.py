@@ -13,7 +13,8 @@ the derivatives of the cgf L0 that the package reads them from.
 The ``quadpack_*`` functions are the adaptive QUADPACK integrals (scipy's
 ``quad``) that the package's graded Gauss-Legendre rule replaced, each at
 the tolerance its package call requests; ``mpmath_mean_map_root`` inverts
-the interior mean map in mpmath.
+the interior mean map in mpmath; ``mpmath_acceptance_rate`` is the angle
+step's acceptance over the sampler's float envelope.
 """
 
 import cmath
@@ -123,6 +124,23 @@ def mpmath_log_angle_normaliser(m: float, b: float, dps: int = 30) -> float:
 
         pts = sorted({-mp.pi / 2, mode, mp.pi / 2})
         return float(mp.log(mp.quad(f, pts)) + log_peak)
+
+
+def mpmath_acceptance_rate(m: float, b: float, envelope) -> float:
+    """The angle step's acceptance over the sampler's own float envelope
+    (``sampler._angle_envelope`` at one slot): the normaliser
+    pi Gamma(2m+1) / (4^m |Gamma(m+1+ib)|^2) over
+    exp(2m log_cos_mode + 2b mode) total, each envelope field read
+    exactly.  Its log-Gamma values are of size m log m, so the working
+    precision is 60 digits beyond their magnitude."""
+    import mpmath as mp
+
+    lcm, mode, total = (float(np.ravel(f)[0]) for f in (envelope.log_cos_mode, envelope.mode, envelope.total))
+    with mp.workdps(60 + 2 * int(math.log10(max(1.0, m, abs(b))))):
+        m, b = mp.mpf(m), mp.mpf(b)
+        log_norm = (mp.log(mp.pi) + mp.loggamma(2 * m + 1) - 2 * m * mp.log(2)
+                    - 2 * mp.re(mp.loggamma(mp.mpc(m + 1, b))))
+        return float(mp.exp(log_norm - 2 * m * mp.mpf(lcm) - 2 * b * mp.mpf(mode)) / mp.mpf(total))
 
 
 def mpmath_marginal_cgf(T: float, s: float, t: float, d: complex = 0j, dps: int = 30) -> float:

@@ -15,7 +15,7 @@ from circjacobi import process
 from circjacobi import sampler as sp
 from circjacobi import specfun as sf
 from circjacobi.asymptotics import EnsembleParams
-from oracles import mpmath_log_angle_normaliser
+from oracles import mpmath_acceptance_rate, mpmath_log_angle_normaliser
 
 
 class TestDiscSampler:
@@ -186,6 +186,33 @@ class TestAcceptance:
         for m, b in ((0.0, 0.3), (0.25, -0.08), (0.5, 0.5), (5.3, 0.2), (40.0, -100.0), (4096.0, 2048.0)):
             ref = mpmath_log_angle_normaliser(m, b)
             assert sp._log_angle_normaliser(m, b) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("b", [0.5, 1e3])
+    def test_rate_matches_the_oracle_at_every_rank_weight(self, b):
+        # the normaliser's log-Gamma values grow like m log m, and their
+        # differences must not; at some m from about 3e15 to 9e15 the
+        # float envelope fails to bound its density, and the rate refuses
+        refused = []
+        for m in [1.0, 2.5, 15.5, 16.5, 1e15, 7e15, 1e16] + [10.0 ** (k / 4) for k in range(4, 1201, 7)]:
+            oracle = mpmath_acceptance_rate(m, b, sp._angle_envelope(np.array([m]), b))
+            try:
+                rate = sp.disc_acceptance_rate(m, complex(0.0, b))
+            except sf.DomainError:
+                assert oracle > 1.0 + 1e-8, m
+                refused.append(m)
+                continue
+            assert 0.0 < rate <= 1.0 and rate == pytest.approx(oracle, rel=1e-8, abs=0), m
+        assert 7e15 in refused and all(2e15 < m < 1e16 for m in refused)
+
+    def test_rate_is_a_probability_or_a_domain_error(self):
+        for m in (0.0, 1e-300, 1e-3, 0.405, 1.0, 1e8, 1e15, 5e15, 7e15, 1e16, 1e100, 1e307):
+            for b in (1e-300, -0.5, 3.0, 1e6, -1e6, 1.5e6, 1e100, -1e300):
+                try:
+                    rate = sp.disc_acceptance_rate(m, complex(0.0, b))
+                except sf.DomainError as exc:
+                    assert abs(b) > 1e6 or 1e15 < m < 1e16, (m, b, exc)
+                else:
+                    assert 0.0 < rate <= 1.0, (m, b, rate)
 
     def test_iteration_cap_is_finite(self):
         assert sp.ITERATION_CAP == 10**6
@@ -411,13 +438,13 @@ def _on_helper():
 
 
 def _pooled_draw(index):
-    """(usable CPUs, helpers started) of a multi-block draw, run in a pool worker."""
-    started, helper = [], sp._Helper
-    sp._Helper = lambda: started.append(1) or helper()
+    """(usable CPUs, threads started) of a multi-block draw, run in a pool worker."""
+    started, start = [], threading.Thread.start
+    threading.Thread.start = lambda thread: started.append(thread) or start(thread)
     try:
         _multi_block_draw(0.5, index)
     finally:
-        sp._Helper = helper
+        threading.Thread.start = start
     return sp._usable_cpus(), len(started)
 
 
@@ -489,6 +516,24 @@ class TestHelperThread:
         with pytest.raises(ValueError, match="raised on the helper"):
             _multi_block_draw(0.5)
         assert threading.active_count() == before
+
+    def test_caller_writes_the_blocks_the_helper_has_not_started(self, monkeypatch):
+        # the helper's first block waits until the caller has written a
+        # block, which it can only do by cancelling a queued future
+        mix, caller_wrote, threads = sp._mix, threading.Event(), []
+        expected = _multi_block_draw(0.5).tobytes()
+
+        def writer(out, g1, g2):
+            threads.append(threading.current_thread())
+            if _on_helper():
+                assert len(threads) > 1 or caller_wrote.wait(10)
+            else:
+                caller_wrote.set()
+            mix(out, g1, g2)
+
+        monkeypatch.setattr(sp, "_mix", writer)
+        assert _multi_block_draw(0.5).tobytes() == expected
+        assert len(set(threads)) == 2 and len(threads) == MULTI_BLOCK // sp._BLOCK
 
     @pytest.mark.parametrize("on_helper", [False, True])
     def test_writers_keep_the_callers_errstate(self, monkeypatch, on_helper):

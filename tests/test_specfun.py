@@ -97,6 +97,19 @@ class TestLogGamma:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+class TestLogGammaRatio:
+    @pytest.mark.parametrize("a", [-0.5, 2.0, 0.5j, -1e3j, 0.3 + 0.2j])
+    def test_against_mpmath(self, a):
+        # log Gamma(x + a) - log Gamma(x) keeps its own accuracy where
+        # each log Gamma is of size x log x
+        import mpmath as mp
+
+        for x in (1.0, 1.5, 15.9, 16.0, 100.0, 1e8, 1e16, 1e300):
+            with mp.workdps(40 + 2 * int(math.log10(x))):
+                ref = complex(mp.loggamma(mp.mpf(x) + mp.mpc(a)) - mp.loggamma(mp.mpf(x)))
+            assert abs(sf.log_gamma_ratio(x, a) - ref) <= 1e-14 * max(1.0, abs(ref)), x
+
+
 class TestDigamma:
     def test_at_one_is_minus_euler(self):
         assert sf.digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-14)

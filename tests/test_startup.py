@@ -1,11 +1,13 @@
 """Cold start: no command loads scipy.integrate, scipy.optimize or
 scipy.stats (the package imports nothing from scipy but scipy.special, and
 only ``specfun`` names that), importing the package loads neither
-scipy.special nor multiprocessing, the commands that evaluate no
-Gamma-family function (``ldp``, ``equilibrium``, ``clt --format csv``)
-never load scipy.special, and the first quadrature, root solve or
-scipy.special call of a fresh process gives the same bits as a warm one,
-also when several threads make that first call at once."""
+scipy.special, multiprocessing nor concurrent.futures (nor does a draw
+of one block: only the sampler's helper thread needs it), the commands
+that evaluate no Gamma-family function (``ldp``, ``equilibrium``,
+``clt --format csv``) never load scipy.special, and the first
+quadrature, root solve or scipy.special call of a fresh process gives the
+same bits as a warm one, also when several threads make that first call
+at once."""
 
 import ast
 import json
@@ -125,7 +127,7 @@ def test_first_quadrature_calls_match_warm_calls():
 LIGHT_COMMANDS = """
 import json, sys
 import circjacobi, circjacobi.cli as cli
-imported = [m for m in ("scipy.special", "multiprocessing") if m in sys.modules]
+imported = [m for m in ("scipy.special", "multiprocessing", "concurrent.futures") if m in sys.modules]
 runs = [
     ["clt", "--n", "16", "--beta", "2", "--samples", "4", "--workers", "1", "--format", "csv",
      "--out", "c.csv"],
@@ -144,6 +146,23 @@ def test_large_deviation_commands_leave_scipy_special_unloaded(tmp_path):
     rows = (tmp_path / "l.csv").read_text().splitlines()[1:]
     assert {"linear", "interior"} <= {row.split(",")[6] for row in rows}
     assert {float(row.split(",")[2]) for row in rows} == {-0.2, 0.0, 0.2}
+
+
+ONE_BLOCK_DRAWS = """
+import json, sys
+from circjacobi import sampler as sp
+sp._usable_cpus = lambda: 2  # a draw of two blocks starts the helper
+for delta in (0.0, 0.5, 0.3 + 0.2j):
+    sp.sample_gamma_disc(3.0, delta, sp.substream(1, 0), size=sp._BLOCK)
+    sp.sample_gamma_circle(delta, sp.substream(1, 1), size=sp._BLOCK)
+one_block = "concurrent.futures" in sys.modules
+sp.sample_gamma_disc(3.0, 0.5, sp.substream(1, 0), size=sp._BLOCK + 1)
+print(json.dumps([one_block, "concurrent.futures" in sys.modules]))
+"""
+
+
+def test_one_block_draws_leave_concurrent_futures_unloaded():
+    assert json.loads(_python(["-c", ONE_BLOCK_DRAWS])) == [False, True]
 
 
 HEX = """
