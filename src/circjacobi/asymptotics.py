@@ -3,13 +3,17 @@ their large-n limits.
 
 ``exact_mean_logphi`` and ``exact_cov_zeta`` evaluate the exact digamma /
 trigamma sums for E log Phi_{m,n}(1) and cov(Re, Im) of the centered
-process, at one m or at an array of m in one pass.  Up to the crossover
-size a table is the prefix sum of the per-rank terms, which
-``mean_increments`` (and so the centred path) shares bit for bit.  Beyond
-it a row is A(n) - A(n-m) for an Abel-Plana endpoint function A, whose
-boundary integral is done once per distinct endpoint.  Either way a row of
-a table equals its one-row call bit for bit, and the two routes agree to
-1e-9 at the crossover, which the test suite pins.
+process, at one m or at an array of m.  Each row takes its route from
+its length m, whatever n is.  A row of at most ``CROSSOVER_N``
+terms is a prefix sum of the per-rank terms, which ``mean_increments``
+(and so the centred path) shares bit for bit; all such rows of a table
+come from one prefix sum.  A longer row is A(n) - A(n-m) for an
+Abel-Plana endpoint function A, whose boundary integral is done once per
+distinct endpoint, in one pass for all such rows.  Its mean's primitive is
+``specfun.log_gamma_ratio``, a log-Gamma difference without the two
+log-Gamma values of size x log x.  Either way a row of a table equals its
+one-row call bit for bit, and the two routes agree to 1e-9 at the
+crossover, which the test suite pins.
 
 ``limit_moments`` is the large-n limit of both at the same m, the one
 home of the limit predictions.  In the drift regime they are derivatives
@@ -32,7 +36,7 @@ from .specfun import (
     DomainError,
     abel_plana_sum,
     digamma,
-    log_gamma,
+    log_gamma_ratio,
     polygamma,
 )
 
@@ -47,7 +51,8 @@ __all__ = [
     "CROSSOVER_N",
 ]
 
-# Above this size the digamma sums switch to the Abel-Plana evaluation.
+# Rows of more terms than this take the Abel-Plana evaluation, at any n;
+# shorter rows are summed directly.
 CROSSOVER_N = 10_000
 
 
@@ -110,14 +115,9 @@ def _mean_summand(params: EnsembleParams):
     # a real deformation keeps a_con real, so real ranks take digamma's
     # real route without a complex array to scan and copy back
     a_sym, a_con = 1 + 2 * d.real, 1 + (d.conjugate() if d.imag else d.real)
-    # both shifts on a leading axis: one call of log_gamma, complex anyway
-    shift = np.array([[a_sym], [a_con]])
-
-    def primitive(x):
-        v = log_gamma(x + shift)
-        return v[0] - v[1]
-
-    return lambda x: digamma(x + a_sym) - digamma(x + a_con), primitive
+    # the primitive is called on real endpoints only
+    return (lambda x: digamma(x + a_sym) - digamma(x + a_con),
+            lambda x: log_gamma_ratio(x.real, a_sym, a_con))
 
 
 def _cov_summand(params: EnsembleParams):
@@ -181,9 +181,19 @@ def _indices(params: EnsembleParams, m) -> np.ndarray:
 
 def _moment_sums(params: EnsembleParams, m, summand) -> np.ndarray:
     """The summand's sums over the m highest ranks, one per entry of m:
-    direct up to the crossover size, by Abel-Plana beyond it."""
-    route = _direct_sums if params.n <= CROSSOVER_N else _abel_plana_sums
-    return route(params, _indices(params, m), summand)
+    one prefix sum for the rows of at most ``CROSSOVER_N`` terms, one
+    Abel-Plana pass for the longer ones."""
+    ms = _indices(params, m)
+    short = ms <= CROSSOVER_N
+    if short.all():
+        return _direct_sums(params, ms, summand)
+    if not short.any():
+        return _abel_plana_sums(params, ms, summand)
+    direct = _direct_sums(params, ms[short], summand)
+    out = np.empty(direct.shape[:-1] + ms.shape, dtype=np.complex128)
+    out[..., short] = direct
+    out[..., ~short] = _abel_plana_sums(params, ms[~short], summand)
+    return out
 
 
 def exact_mean_logphi(params: EnsembleParams, m):

@@ -530,9 +530,9 @@ def _log_angle_normaliser(m: float, b: float) -> float:
     """log of the integral of cos^(2m)(phi) e^(2 b phi) over (-pi/2, pi/2),
     pi Gamma(2m+1) / (4^m |Gamma(m+1+ib)|^2), or by the duplication formula
     sqrt(pi) Gamma(m+1/2) Gamma(m+1) / |Gamma(m+1+ib)|^2: two log-Gamma
-    differences, with no term of size m log m."""
-    x = m + 1.0
-    return 0.5 * math.log(math.pi) + log_gamma_ratio(x, -0.5).real - 2.0 * log_gamma_ratio(x, 1j * b).real
+    differences, in one call, with no term of size m log m."""
+    half, tilt = log_gamma_ratio(m + 1.0, np.array([-0.5, 1j * b])).real
+    return 0.5 * math.log(math.pi) + half - 2.0 * tilt
 
 
 def disc_acceptance_rate(r: float, delta: complex) -> float:

@@ -6,6 +6,8 @@ This module is the numeric substrate for the rest of the package:
   plane C \\ R_- and real on the positive reals,
 * ``digamma`` / ``polygamma`` -- its first and higher logarithmic
   derivatives (orders 1..3),
+* ``log_gamma_ratio`` -- the difference log Gamma(x + a) - log Gamma(x + b)
+  without the two values, by the recurrence and Stirling's series,
 * ``entropy_J`` / ``entropy_F`` -- the entropy function
   J(u) = u log u - u + 1 and its primitive F,
 * ``abel_plana_sum`` -- converts a sum of a holomorphic summand with a
@@ -247,27 +249,70 @@ def log_gamma(z):
     return _finite(_special.loggamma(arr), scalar, "log_gamma")
 
 
-def _clog1p(u: complex) -> complex:
-    """log(1 + u), accurate for small complex u (numpy's is not)."""
-    return complex(0.5 * math.log1p(2.0 * u.real + abs(u) ** 2), math.atan2(u.imag, 1.0 + u.real))
+# Stirling's series log Gamma(w) ~ (w - 1/2) log w - w + log(2 pi)/2
+# + (1/w) S(1/w^2), with S's coefficients B_2k / (2k (2k-1)) highest order
+# first, for Horner's rule.
+_STIRLING_COEFFS = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, start=1))[::-1]
 
 
-def log_gamma_ratio(x: float, a: complex) -> complex:
-    """log Gamma(x + a) - log Gamma(x) for real x >= 1 and Re a >= -1/2,
-    without the log-Gamma values themselves, whose size x log x would
-    swamp the difference: at x >= 16 (x moves up to there by the
-    recurrence) Stirling's series gives a log(x+a) + (x - 1/2) log(1 + a/x)
-    - a + sum_k B_2k / (2k (2k-1)) ((x+a)^(1-2k) - x^(1-2k))."""
-    a, x, shift = complex(a), float(x), 0j
-    while x < _SHIFT_RE:
-        shift += _clog1p(a / x)
-        x += 1.0
-    w, v, series = 1.0 / (x + a), 1.0 / x, 0j
-    w2, v2 = w * w, v * v
-    for k, b in enumerate(_BERNOULLI, start=1):
-        series += b / (2 * k * (2 * k - 1)) * (w - v)
-        w, v = w * w2, v * v2
-    return a * cmath.log(x + a) + (x - 0.5) * _clog1p(a / x) - a + series - shift
+def _clog1p(u: np.ndarray) -> np.ndarray:
+    """log(1 + u) for a complex array u with |u| <= 1/2, accurate to a few
+    rounding units of its own size (numpy's complex log1p is not, at small
+    u): 0.5 log1p(2 Re u + |u|^2) + i atan2(Im u, 1 + Re u)."""
+    re, im = u.real, u.imag
+    return 0.5 * np.log1p(re * (2.0 + re) + im * im) + 1j * np.arctan2(im, 1.0 + re)
+
+
+def _log_quotient(w: np.ndarray, v: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Log w - Log v for complex arrays with Re w, Re v > 0, given their
+    difference ``diff`` = w - v without the rounding of w and v: the log1p
+    of diff / v where that is at most 1/2, which keeps the digits of a small
+    difference, and the log of w / v elsewhere."""
+    u = diff / v
+    near = np.abs(u) <= 0.5
+    if near.all():
+        return _clog1p(u)
+    out = np.log(w / v)
+    out[near] = _clog1p(u[near])
+    return out
+
+
+def log_gamma_ratio(x, a, b=0.0):
+    """log Gamma(x + a) - log Gamma(x + b) for real x and complex shifts a
+    and b (numbers or arrays that broadcast together) with Re(x + a) > 0 and
+    Re(x + b) > 0, without the log-Gamma values themselves, whose size
+    x log x would swamp the difference.  Every entry below Re = 16 moves up
+    by the recurrence in one step of at most 16 terms, Log(w + j) - Log(v + j)
+    on one grid; at w = x + a and v = x + b beyond it, Stirling's series
+    gives (a-b) log w + (v - 1/2) log(w/v) - (a-b)
+    + sum_k B_2k / (2k (2k-1)) (w^(1-2k) - v^(1-2k)), with w and v on one
+    leading axis.  Each log(w/v) is ``_log_quotient``'s, so a small a - b
+    keeps its digits.  An entry's value does not depend on the array it
+    comes in; three numbers give a complex."""
+    x, a, b = np.asarray(x, dtype=float), np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    shape = np.broadcast(x, a, b).shape
+    scalar, shape = not shape, shape or (1,)
+    wv, diff = np.empty((2,) + shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
+    np.add(x, a, out=wv[0])
+    np.add(x, b, out=wv[1])
+    np.subtract(a, b, out=diff)
+    wv, diff = wv.reshape(2, -1), diff.ravel()
+    re_min = wv.real.min(axis=0)
+    if not re_min.min(initial=1.0) > 0.0:
+        raise DomainError(f"log_gamma_ratio needs Re(x + a), Re(x + b) > 0, got {re_min[~(re_min > 0.0)][0]}")
+    k = np.ceil(_SHIFT_RE - re_min)
+    shift, low = 0.0, k > 0.0
+    if low.any():
+        w, v = wv[:, low, None] + _SHIFTS
+        terms = _log_quotient(w, v, diff[low, None])
+        shift = np.zeros(diff.size, dtype=np.complex128)
+        shift[low] = np.where(_SHIFTS < k[low, None], terms, 0.0).sum(axis=-1)
+        wv = wv + np.where(low, k, 0.0)
+    r = 1.0 / wv
+    series = r * _horner(r * r, _STIRLING_COEFFS)
+    w, v = wv
+    out = diff * np.log(w) + (v - 0.5) * _log_quotient(w, v, diff) - diff + (series[0] - series[1]) - shift
+    return _finite(out.reshape(shape), scalar, "log_gamma_ratio")
 
 
 def digamma(z):

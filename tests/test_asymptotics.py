@@ -8,6 +8,8 @@ from circjacobi import asymptotics as asy
 from circjacobi import gammalaw as gl
 from circjacobi import specfun as sf
 
+from oracles import mpmath_beta2_moment_row
+
 # J(2) - J(1) - J(3/2) + J(1/2), the drift-1/2 terminal mean profile.
 E_HALF_AT_ONE = 0.43152310867767134
 
@@ -183,20 +185,28 @@ class TestMomentTables:
             asy.exact_cov_zeta(p, 2.5)
 
     def test_one_boundary_pass_per_table(self, monkeypatch):
-        # the end n is evaluated once, however many rows the table has
-        calls = []
-        original = asy.abel_plana_sum
+        # the end n is evaluated once, however many long rows the table
+        # has; the rows of at most CROSSOVER_N terms come from one prefix
+        # sum, whatever n is
+        calls, direct = [], []
+        original, original_direct = asy.abel_plana_sum, asy._direct_sums
 
         def counted(g, primitive, m, n, **kw):
             calls.append(np.size(m))
             return original(g, primitive, m, n, **kw)
 
+        def counted_direct(params, ms, summand):
+            direct.append(ms.tolist())
+            return original_direct(params, ms, summand)
+
         monkeypatch.setattr(asy, "abel_plana_sum", counted)
+        monkeypatch.setattr(asy, "_direct_sums", counted_direct)
         p = asy.EnsembleParams(20_000, 2.0, scaled_d=1.0)
         ms = np.arange(200, 20_001, 200)
         asy.exact_mean_logphi(p, ms)
         asy.exact_cov_zeta(p, ms)
-        assert calls == [100, 100]
+        assert calls == [50, 50]
+        assert direct == [list(range(200, asy.CROSSOVER_N + 1, 200))] * 2
 
     def test_short_direct_row_builds_only_its_ranks(self, monkeypatch):
         # a row of m terms evaluates m rank weights, not n, and equals the
@@ -286,6 +296,38 @@ class TestConjugateSymmetry:
         # g at the endpoints sees no line, every boundary call sees both
         assert seen and not any(symmetric for symmetric, _ in seen)
         assert sum(lower for _, lower in seen) == len(seen) - 2
+
+
+class TestOracleSweep:
+    """Both moment tables against mpmath's closed-form beta = 2 sums, on
+    rows from one term to n at n = 1e6 and 1e8: the direct route up to
+    CROSSOVER_N terms, Abel-Plana beyond.  The fixed-delta mean's floor is
+    the summand's digamma difference, about one rounding unit of log n
+    against terms of size delta / n."""
+
+    # (worst relative error of the mean, worst covariance error relative
+    # to the row's largest entry)
+    BOUNDS = {
+        (10**6, "fixed"): (5e-9, 1e-12),
+        (10**8, "fixed"): (3e-7, 1e-10),
+        (10**6, "scaled"): (2e-10, 2e-10),
+        (10**8, "scaled"): (2e-10, 2e-10),
+    }
+
+    @pytest.mark.parametrize("n", [10**6, 10**8])
+    @pytest.mark.parametrize("deformation", [
+        {"delta": 0.5}, {"delta": 0.3 + 0.2j}, {"delta": -0.499},
+        {"scaled_d": 1.0}, {"scaled_d": 0.5 + 0.5j},
+    ], ids=["d0.5", "d0.3+0.2i", "d-0.499", "drift1", "drift0.5+0.5i"])
+    def test_rows_match_closed_form_sums(self, n, deformation):
+        p = asy.EnsembleParams(n, 2.0, **deformation)
+        ms = np.array([1, 10, 10**3, asy.CROSSOVER_N, asy.CROSSOVER_N + 1, n // 100, n // 10, n // 2, n])
+        means, covs = asy.exact_mean_logphi(p, ms), asy.exact_cov_zeta(p, ms)
+        mean_bound, cov_bound = self.BOUNDS[n, p.regime]
+        for m, mean, cov in zip(ms.tolist(), means, covs):
+            ref_mean, ref_cov = mpmath_beta2_moment_row(n, p.effective_delta, m)
+            assert abs(mean - ref_mean) <= mean_bound * abs(ref_mean), m
+            assert np.max(np.abs(cov - ref_cov)) <= cov_bound * np.max(np.abs(ref_cov)), m
 
 
 class TestExactCov:

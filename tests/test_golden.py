@@ -22,7 +22,8 @@ CASES = {
         "moments", "--n", "50", "--beta", "2", "--delta-re", "0.3",
         "--delta-im", "0.1", "--t-grid", "0.2:1.0:0.2",
     ],
-    # n above CROSSOVER_N: the Abel-Plana route
+    # n above CROSSOVER_N: rows of up to CROSSOVER_N terms summed directly,
+    # the longer ones by Abel-Plana
     "moments_n20000_d1.csv": [
         "moments", "--n", "20000", "--beta", "2", "--scaled-d-re", "1",
         "--t-grid", "0.1:1.0:0.1",
@@ -100,9 +101,10 @@ def _csv_rows(name):
 
 
 def test_moments_n20000_golden_values_match_closed_form_sums():
-    # beta = 2, delta = beta/2 * d * n = 2e4: the Abel-Plana route.  Its
-    # mean is a difference of primitives of size about n log n, so its
-    # rounding floor grows like eps n log n.
+    # beta = 2, delta = beta/2 * d * n = 2e4: rows m <= CROSSOVER_N are
+    # direct sums, the longer ones come from the Abel-Plana route.  A drift
+    # mean is itself of size about n log n, so its rounding floor grows like
+    # eps n log n.
     n = 20_000
     rows = list(_csv_rows("moments_n20000_d1.csv"))
     assert len(rows) == 10

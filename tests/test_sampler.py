@@ -183,7 +183,10 @@ class TestAcceptance:
             assert sp.disc_acceptance_rate(r, d) == 1.0
 
     def test_angle_normaliser_matches_quadrature(self):
-        for m, b in ((0.0, 0.3), (0.25, -0.08), (0.5, 0.5), (5.3, 0.2), (40.0, -100.0), (4096.0, 2048.0)):
+        # m + 1 = 16 is where the log-Gamma differences change from the
+        # recurrence to Stirling's series
+        for m, b in ((0.0, 0.3), (0.25, -0.08), (0.5, 0.5), (5.3, 0.2), (14.5, 0.5), (14.999, -30.0),
+                     (15.0, 0.5), (15.5, -30.0), (40.0, -100.0), (4096.0, 2048.0)):
             ref = mpmath_log_angle_normaliser(m, b)
             assert sp._log_angle_normaliser(m, b) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
@@ -193,7 +196,7 @@ class TestAcceptance:
         # differences must not; at some m from about 3e15 to 9e15 the
         # float envelope fails to bound its density, and the rate refuses
         refused = []
-        for m in [1.0, 2.5, 15.5, 16.5, 1e15, 7e15, 1e16] + [10.0 ** (k / 4) for k in range(4, 1201, 7)]:
+        for m in [1.0, 2.5, 14.999, 15.0, 15.5, 16.5, 1e15, 7e15, 1e16] + [10.0 ** (k / 4) for k in range(4, 1201, 7)]:
             oracle = mpmath_acceptance_rate(m, b, sp._angle_envelope(np.array([m]), b))
             try:
                 rate = sp.disc_acceptance_rate(m, complex(0.0, b))

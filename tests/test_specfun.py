@@ -98,16 +98,48 @@ class TestLogGamma:
 
 
 class TestLogGammaRatio:
-    @pytest.mark.parametrize("a", [-0.5, 2.0, 0.5j, -1e3j, 0.3 + 0.2j])
-    def test_against_mpmath(self, a):
-        # log Gamma(x + a) - log Gamma(x) keeps its own accuracy where
+    # (a, b): shifts against b = 0, as the sampler's normaliser takes them;
+    # delta = -0.499's mean shifts 1 + 2 Re delta and 1 + conj(delta);
+    # delta = 0.5 and 0.3 + 0.2i; the drift shifts at n = 1e8, d = 1 and
+    # 0.5 + 0.5i, where the difference itself is of size x log x
+    SHIFTS = [
+        (-0.5, 0.0), (2.0, 0.0), (0.5j, 0.0), (-1e3j, 0.0), (0.3 + 0.2j, 0.0), (-0.499, 0.0),
+        (0.002, 0.501), (2.0, 1.5), (1.6, 1.3 - 0.2j),
+        (1.0 + 2e8, 1.0 + 1e8), (1.0 + 1e8, 1.0 + 0.5e8 - 0.5e8j),
+    ]
+    XS = np.array([0.0, 0.5, 1.0, 1.5, 7.25, 15.5, 15.9, 16.0, 100.0, 1e4, 1e6, 1e8, 1e16, 1e300])
+
+    @pytest.mark.parametrize("a, b", SHIFTS)
+    def test_against_mpmath(self, a, b):
+        # log Gamma(x + a) - log Gamma(x + b) keeps its own accuracy where
         # each log Gamma is of size x log x
         import mpmath as mp
 
-        for x in (1.0, 1.5, 15.9, 16.0, 100.0, 1e8, 1e16, 1e300):
-            with mp.workdps(40 + 2 * int(math.log10(x))):
-                ref = complex(mp.loggamma(mp.mpf(x) + mp.mpc(a)) - mp.loggamma(mp.mpf(x)))
-            assert abs(sf.log_gamma_ratio(x, a) - ref) <= 1e-14 * max(1.0, abs(ref)), x
+        xs = self.XS[self.XS + min(a.real, b.real) > 0.0]
+        got = sf.log_gamma_ratio(xs, a, b)
+        assert got.shape == xs.shape
+        for x, value in zip(xs.tolist(), got):
+            with mp.workdps(40 + 2 * int(math.log10(max(x, 1.0)))):
+                ref = complex(mp.loggamma(mp.mpf(x) + mp.mpc(a)) - mp.loggamma(mp.mpf(x) + mp.mpc(b)))
+            assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), x
+
+    def test_an_entry_does_not_depend_on_its_array(self):
+        # one grid of shifts and one series for every entry: the array's
+        # entries are its one-entry calls, whichever shifts broadcast in
+        a = np.array([[0.002], [1.6], [1.0 + 2e8]])
+        b = np.array([[0.501], [1.3 - 0.2j], [1.0 + 1e8]])
+        table = sf.log_gamma_ratio(self.XS, a, b)
+        assert table.shape == (3, self.XS.size)
+        for i in range(3):
+            for j, x in enumerate(self.XS.tolist()):
+                one = sf.log_gamma_ratio(x, complex(a[i, 0]), complex(b[i, 0]))
+                assert type(one) is complex and same_bits([one], [table[i, j]])
+
+    def test_domain(self):
+        with pytest.raises(sf.DomainError):
+            sf.log_gamma_ratio(0.0, -0.499)
+        with pytest.raises(sf.DomainError):
+            sf.log_gamma_ratio(np.array([1.0, 2.0]), 0.5, -1.5)
 
 
 class TestDigamma:
