@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import DomainError, digamma, log_gamma, polygamma
+from .specfun import DomainError, _finite, _psi, log_gamma
 
 __all__ = [
     "CoefficientLaw",
@@ -198,9 +198,10 @@ def cumulants(law: CoefficientLaw) -> CumulantSet:
     A law with an array of ranks gives one mean, 2x2 block and bound per
     rank, each equal to its one-rank call bit for bit.  Both take one code
     path, on Python numbers for one law and on arrays for a rank array:
-    one digamma call on r+1+2Re d, one on r+1+conj(d) and one polygamma
-    pass for Psi' and Psi''' on the stacked pair.  A one-rank law gives a
-    complex, a 2x2 array and a float.
+    one pass of ``specfun``'s polygamma engine for Psi, Psi' and Psi''' on
+    the stacked pair r+1+2Re d, r+1+d, with Psi(r+1+conj(d)) taken as
+    conj Psi(r+1+d).  A one-rank law gives a complex, a 2x2 array and a
+    float.
     """
     # one rank is taken as a Python float, as numpy's scalar arithmetic
     # with a Python complex is slow; the values are the same
@@ -208,13 +209,13 @@ def cumulants(law: CoefficientLaw) -> CumulantSet:
     r1 = (float(r) if isinstance(r, (int, float)) else np.asarray(r, dtype=float)) + 1.0
     d = complex(law.delta)
     sym = r1 + 2.0 * d.real
-    mean = digamma(sym) - digamma(r1 + d.conjugate())
-    pg = polygamma((1, 3), np.array([sym, r1 + d]))
+    pg = _finite(*_psi((0, 1, 3), np.array([sym, r1 + d]), "digamma"), "digamma")
     # one law takes Python numbers, which are faster than arrays of one;
     # the operations are the same, so are the bits (squares are x * x, as
     # Python's x**2 goes through pow and can round differently)
     one = pg.ndim == 2
-    (p1_sym, p1), (p3_sym, p3) = pg.tolist() if one else pg
+    (p0_sym, p0), (p1_sym, p1), (p3_sym, p3) = pg.tolist() if one else pg
+    mean = p0_sym - (p0.conjugate() if one else np.conj(p0))
     var_im = 0.5 * p1.real
     var_re = p1_sym.real - var_im
     cov = 0.5 * p1.imag

@@ -5,7 +5,7 @@ This module is the numeric substrate for the rest of the package:
 * ``log_gamma`` -- the branch of log Gamma that is holomorphic on the cut
   plane C \\ R_- and real on the positive reals,
 * ``digamma`` / ``polygamma`` -- its first and higher logarithmic
-  derivatives (orders 1..3),
+  derivatives (orders 0..3 of one engine),
 * ``log_gamma_ratio`` -- the difference log Gamma(x + a) - log Gamma(x + b)
   without the two values, by the recurrence and Stirling's series,
 * ``entropy_J`` / ``entropy_F`` -- the entropy function
@@ -35,37 +35,38 @@ by level until two levels agree.
 All functions accept scalars or numpy arrays and are pure, so they are
 safe for unrestricted concurrent use.  The module's one piece of state is
 its binding of ``scipy.special``, the only place the package names it:
-the module is imported on the first call that needs it (a Gamma-family
-function here, ``ldp``'s entropy or ``asymptotics``' normal CDF), so a
-process that never evaluates one, such as ``ldp`` or ``equilibrium``,
-starts on numpy alone.  The first call rebinds a private module global
-to the module itself, so later calls cost one global lookup, as an
-import at the top would; threads racing on that first call all import
-the same module and bind the same object.
+the module is imported on the first call that needs it (``log_gamma``,
+``ldp``'s entropy or ``asymptotics``' normal CDF), so a process that
+never evaluates one, such as ``moments``, ``sample``, ``ldp`` or
+``equilibrium``, starts on numpy alone.  The first call rebinds a private
+module global to the module itself, so later calls cost one global
+lookup, as an import at the top would; threads racing on that first call
+all import the same module and bind the same object.
 
-``log_gamma`` and ``digamma`` are ``scipy.special.loggamma`` and ``psi``
-behind this module's domain checks; ``digamma`` takes scipy's real ``psi``
-on the positive axis, and a real array there goes to it whole.  A scalar
-argument to ``digamma`` skips the arrays: scipy's ``psi`` on the Python
-number gives the bits of its one-entry array call at a tenth of the cost.
-``polygamma`` takes one order or a tuple of orders and evaluates them in
+``log_gamma`` is ``scipy.special.loggamma`` behind this module's domain
+checks.  ``digamma`` and ``polygamma`` are orders 0 and 1..3 of one
+engine (``_psi``), which takes a tuple of orders and evaluates them in
 one pass: it reflects Re z < 1/2 to the right, shifts every entry below
 Re z = 16 up in one step of at most 16 recurrence terms, and sums the
-asymptotic series with the eight Bernoulli numbers B_2..B_16 by Horner's
-rule, so each call is a fixed handful of whole-array operations whatever
-its argument and however many orders it takes; on a short argument
-those operations take same-shape operands, which numpy runs faster than
-broadcast ones, with the same bits.  A real array on
-[1/2, inf) takes the same operations in real arithmetic, with the same
-bits.  An entry's value does not depend on the array it comes in, nor on
-the other orders.  The test suite checks all three against independent
-oracles (``tests/oracles.py``).
+asymptotic series with the Bernoulli numbers B_2..B_16 (B_2..B_12 for
+order 0, which adds log w) by Horner's rule, so each call is a fixed
+handful of whole-array operations whatever its argument and however many
+orders it takes; on a short argument those operations take same-shape
+operands, which numpy runs faster than broadcast ones, with the same
+bits.  Near Psi's positive root the shift's terms cancel, so order 0
+takes the Taylor series about the root there instead, at most one
+recurrence step up or three down.  A real array on [1/2, inf) takes the same
+operations in real arithmetic, with the same bits.  An entry's value
+does not depend on the array it comes in, nor on the other orders.  The
+test suite checks all three against independent oracles
+(``tests/oracles.py``) and digamma against mpmath.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from functools import lru_cache
 from typing import Callable, Tuple
 
@@ -152,29 +153,62 @@ _SHIFTS = np.arange(int(_SHIFT_RE))
 # entries that need the shift, and each width keeps its own cached tiles.
 _SHORT = 64
 
-# Psi^(q)(w) ~ (a + (b + S(1/w^2) / w) / w) / w^q with (a, b) = _PG_LEAD[q]
-# and S's coefficients from b_n = B_2n: b_n, -(2n+1) b_n and
-# (2n+1)(2n+2) b_n for q = 1, 2, 3, highest order first for Horner's rule.
-_PG_LEAD = {1: (1.0, 0.5), 2: (-1.0, -1.0), 3: (2.0, 3.0)}
+# Psi^(q)(w) ~ [log w] + (a + (b + S(1/w^2) / w) / w) / w^q with
+# (a, b) = _PG_LEAD[q], the log for q = 0 only, and S's coefficients from
+# b_n = B_2n: -b_n / (2n), b_n, -(2n+1) b_n and (2n+1)(2n+2) b_n for
+# q = 0..3, highest order first for Horner's rule.  Order 0 stops at B_12:
+# at Re w >= 16 the next term is below 1e-18 of log w.
+_PG_LEAD = {0: (0.0, -0.5), 1: (1.0, 0.5), 2: (-1.0, -1.0), 3: (2.0, 3.0)}
 _PG_COEFFS = {
     q: tuple(
-        (1, -(2 * n + 1), (2 * n + 1) * (2 * n + 2))[q - 1] * b
-        for n, b in enumerate(_BERNOULLI, start=1)
+        (-1.0 / (2 * n), 1, -(2 * n + 1), (2 * n + 1) * (2 * n + 2))[q] * b
+        for n, b in enumerate(_BERNOULLI[: 6 if q == 0 else None], start=1)
     )[::-1]
-    for q in (1, 2, 3)
+    for q in _PG_LEAD
 }
+
+# Psi's positive root x0 = 1.4616321449683622 + 9.549995429965697e-17 and
+# its Taylor coefficients (-1)^(k+1) zeta(k+1, x0), k = 38..1 (mpmath, 60
+# digits).  Near x0 the shift's terms cancel to a value near 0, and on
+# 1/2 <= x < 5 they still lose one to three bits against Psi(w >= 16) of
+# about 2.8, so the real entries there and the complex ones within 0.1 of
+# the axis (``_root_window``) take the Taylor series instead, at most one
+# recurrence step up or three down (``_root_series``), whose terms are
+# smaller than Psi or of its sign.  It runs on |t| <= 0.51, where its
+# first neglected term is below 1e-17 of Psi.  ``_ROOT_PAIRS`` holds
+# the coefficients of t^0..t^63 of Psi(x0 + t) / t (zero from t^38 on) as
+# even and odd columns, for Estrin's scheme.
+_ROOT = (1.4616321449683622, 9.549995429965697e-17)
+_ROOT_IM = 0.1
+_STEPS = np.arange(3.0)
+_ROOT_COEFFS = (
+    -3.7266161283438227e-07, 5.446941930669446e-07, -7.96142543124197e-07, 1.1636675363548843e-06,
+    -1.7008538854332607e-06, 2.486022733129538e-06, -3.6336507898010456e-06, 5.3110609208898636e-06,
+    -7.762817668462094e-06, 1.134638458466385e-05, -1.6584242271854135e-05, 2.424006611860132e-05,
+    -3.5430070947659604e-05, 5.178575795222081e-05, -7.569179582195066e-05, 0.0001106337276874741,
+    -0.00016170622091974803, 0.00023635601564027053, -0.0003454680251063077, 0.000504953265834602,
+    -0.0007380709389960052, 0.0010788252019162967, -0.0015769367714301972, 0.002305126326734928,
+    -0.003369801655439328, 0.004926781395729853, -0.007204534386356869, 0.010538791616612175,
+    -0.01542476590494896, 0.022597648232218104, -0.03316112647484736, 0.04880428816414311,
+    -0.07219956125645471, 0.10782405069126237, -0.16394270544240652, 0.258499760955651,
+    -0.4427631689835921, 0.9676722454476212,
+)
+_ROOT_PAIRS = np.append(_ROOT_COEFFS[::-1], np.zeros(26)).reshape(32, 2).T[:, :, None].copy()
 
 
 @lru_cache(maxsize=16)
 def _pg_table(orders: Tuple[int, ...], dtype):
-    """Per-order constants of ``polygamma`` as columns of ``dtype``, one row
-    per order: q, the shift exponent -(q+1), the shift factor
-    (-1)^(q+1) q!, the reflection sign (-1)^q, a, b and the Horner
-    coefficients.  The complex route takes complex128 columns, so its
-    products need no cast (the cast gives the same operands, so the same
-    bits); the real route takes float64 ones."""
-    rows = [(q, (-1.0) ** (q + 1) * math.factorial(q), (-1.0) ** q, *_PG_LEAD[q], *_PG_COEFFS[q])
-            for q in orders]
+    """Per-order constants of the polygamma engine as columns of
+    ``dtype``, one row per order: q, the shift exponent -(q+1), the shift
+    factor (-1)^(q+1) q!, the reflection sign (-1)^q, a, b and the Horner
+    coefficients, padded with leading zeros to the longest order's (which
+    leaves Horner's rule the bits of the shorter list).  The complex route
+    takes complex128 columns, so its products need no cast (the cast gives
+    the same operands, so the same bits); the real route takes float64
+    ones."""
+    width = max(len(_PG_COEFFS[q]) for q in orders)
+    rows = [(q, (-1.0) ** (q + 1) * math.factorial(q), (-1.0) ** q, *_PG_LEAD[q],
+             *(0.0,) * (width - len(_PG_COEFFS[q])), *_PG_COEFFS[q]) for q in orders]
     q, shift_c, sign, a, b, *coeffs = np.array(rows, dtype=dtype).T.copy()[:, :, None]
     return q, (-q - 1)[..., None], shift_c, sign, a, b, coeffs
 
@@ -318,72 +352,52 @@ def log_gamma_ratio(x, a, b=0.0):
 def digamma(z):
     """Digamma Psi = (log Gamma)'; meromorphic with poles at 0, -1, -2, ...
 
-    Satisfies Psi(z+1) = Psi(z) + 1/z to better than 1e-12 relative.
-    A scalar (a Python or numpy number, or a 0-d array) gives a complex,
-    equal bit for bit to the one-entry array call, and raises the same
-    errors; it is computed on Python numbers, without arrays.
+    Order 0 of the polygamma engine (see ``polygamma``): Psi(w) ~ log w -
+    1/(2w) - sum_k B_2k / (2k w^2k) at Re w >= 16, the recurrence below,
+    reflection Psi(z) = Psi(1-z) - pi cot(pi z) for Re z < 1/2, and for
+    -3/2 < Re w - x0 < 7/2, |Im w| < 0.1 the Taylor series about the
+    positive root x0 ~ 1.4616, at most one recurrence step up or three
+    down, where the shift's terms would cancel.  The tests hold it within 1e-15 relative of mpmath
+    on the positive axis, from 1e-3 to 1e300, and within 1e-13 in the
+    complex plane away from the negative roots.  A complex argument with
+    no imaginary part is read as real, so -0.0 becomes +0.0, and a real
+    one on [1/2, inf) takes the engine's real route.  A scalar (a Python
+    or numpy number, or a 0-d array) is a one-entry array and gives a
+    complex.
     """
-    # on (0, inf) scipy's real psi is accurate to about 1e-16, and faster;
-    # its complex one is accurate to about 2e-15.  An array with every
-    # entry there goes to it whole, others entry by entry.
-    # np.ndim builds an array from a Python number; isinstance does not
-    if isinstance(z, (float, complex)) or np.ndim(z) == 0:
-        return _digamma_scalar(complex(z))
     x = np.asarray(z)
     if x.dtype.kind == "c" and not x.imag.any():
         x = x.real
-    if x.dtype == np.float64 and (x > 0.0).all():
-        return _finite(_special.psi(x).astype(np.complex128), False, "digamma")
-    arr = np.asarray(x, dtype=np.complex128)
-    _check_domain(arr, "digamma", cut=False)
-    out = _special.psi(arr)
-    axis = arr.imag == 0.0
-    if axis.any():
-        axis &= arr.real > 0.0
-        out[axis] = _special.psi(arr.real[axis])
-    return _finite(out, False, "digamma")
-
-
-def _digamma_scalar(z: complex) -> complex:
-    """The array route's operations for one entry, on Python scalars:
-    scipy's scalar psi gives its array call's bits without the numpy
-    calls on an array of one.  Im z = 0 is read as the real axis, as the
-    array route drops a zero imaginary part, so -0.0 becomes +0.0."""
-    if z.imag == 0.0:
-        if z.real > 0.0:
-            out = complex(_special.psi(z.real))
-        elif z.real == np.floor(z.real):
-            raise PoleError(f"digamma has a pole at {np.complex128(z.real)}")
-        else:
-            out = complex(_special.psi(complex(z.real)))
-    else:
-        out = complex(_special.psi(z))
-    if not cmath.isfinite(out):
-        raise OverflowDomainError("digamma overflow: argument magnitude too large")
-    return out
+    out, scalar = _psi((0,), x, "digamma")
+    return _finite(out[0], scalar, "digamma")
 
 
 def _cot_derivative(orders, z: np.ndarray) -> np.ndarray:
     """-pi (d/dz)^q cot(pi z) for each q of ``orders``, one row each:
-    pi^2 u, -2 pi^3 c u and 2 pi^4 u (3u - 2) for q = 1, 2, 3, with
+    -pi c, pi^2 u, -2 pi^3 c u and 2 pi^4 u (3u - 2) for q = 0..3, with
     c = cot(pi z) and u = 1 + c^2 after Re z is reduced mod 1.
     u = -4 e / (e - 1)^2 with e = exp(2 pi i sign(Im z) z), so |e| <= 1 and
     nothing overflows; c = 1 / tan(pi z), or -tan(pi (z -+ 1/2)) for
     |Re z| > 1/4, which keeps its zero at Re z = +-1/2 sharp."""
     x = z.real - np.round(z.real)
-    s = np.where(z.imag < 0.0, -1.0, 1.0)
-    arg = -2.0 * math.pi * np.abs(z.imag) + 2j * math.pi * (s * x)
-    u = -4.0 * np.exp(arg) / np.expm1(arg) ** 2
+    if 0 in orders or 2 in orders:
+        far = np.abs(x) > 0.25
+        t = np.tan(math.pi * (x - np.where(far, np.copysign(0.5, x), 0.0) + 1j * z.imag))
+        c = np.divide(1.0, t, out=-t, where=~far)
+    if any(orders):
+        s = np.where(z.imag < 0.0, -1.0, 1.0)
+        arg = -2.0 * math.pi * np.abs(z.imag) + 2j * math.pi * (s * x)
+        u = -4.0 * np.exp(arg) / np.expm1(arg) ** 2
     rows = []
     for q in orders:
-        if q == 1:
+        if q == 0:
+            rows.append(-math.pi * c)
+        elif q == 1:
             rows.append(math.pi**2 * u)
-        elif q == 3:
-            rows.append(2.0 * math.pi**4 * u * (3.0 * u - 2.0))
+        elif q == 2:
+            rows.append(-2.0 * math.pi**3 * c * u)
         else:
-            far = np.abs(x) > 0.25
-            t = np.tan(math.pi * (x - np.where(far, np.copysign(0.5, x), 0.0) + 1j * z.imag))
-            rows.append(-2.0 * math.pi**3 * np.divide(1.0, t, out=-t, where=~far) * u)
+            rows.append(2.0 * math.pi**4 * u * (3.0 * u - 2.0))
     return np.array(rows)
 
 
@@ -433,21 +447,89 @@ def _shift(w: np.ndarray, low: np.ndarray, powers: Callable, shift_c: np.ndarray
     return w, shift_sum
 
 
-def _polygamma_complex(orders, arr: np.ndarray) -> np.ndarray:
+def _root_window(w: np.ndarray) -> np.ndarray:
+    """The entries of w (Re w >= 1/2) that take ``_root_series``:
+    -3/2 < Re w - x0 < 7/2 and |Im w| < 0.1."""
+    near = np.abs(w.real - (_ROOT[0] + 1.0)) < 2.5
+    if w.dtype.kind == "c" and near.any():
+        near &= np.abs(w.imag) < _ROOT_IM
+    return near
+
+
+def _root_series(w: np.ndarray) -> np.ndarray:
+    """Psi(w) for the entries of ``_root_window``: the Taylor series
+    Psi(v) = sum_k (-1)^(k+1) zeta(k+1, x0) t^k at v = w - s,
+    s = round(Re w - x0) in {-1, 0, 1, 2, 3}, and t = v - x0 with x0 in two
+    parts so that t keeps its digits; then the recurrence, Psi(w) = Psi(v)
+    - 1/w for s = -1 and Psi(v) + sum_{j<s} 1/(v + j) otherwise (v + j is
+    exact).  The series is summed by Estrin's scheme: pairs of terms
+    a + b t, then pairs of pairs in t^2, t^4, ..., a dozen array
+    operations where Horner's rule takes 76."""
+    s = np.rint(w.real - _ROOT[0])
+    v = w - s
+    t = (v - _ROOT[0]) - _ROOT[1]
+    even, odd = _ROOT_PAIRS
+    terms, power = even + odd * t, t
+    while len(terms) > 1:
+        power = power * power
+        terms = terms[0::2] + terms[1::2] * power
+    up = np.where(_STEPS < s[:, None], 1.0 / (v[:, None] + _STEPS), 0.0)
+    steps = np.where(s < 0.0, -1.0 / w, (up[:, 0] + up[:, 1]) + up[:, 2])
+    return t * terms[0] + steps
+
+
+_NO_ERRSTATE = nullcontext()
+
+
+def _psi(orders, z, what: str):
+    """Psi^(q)(z) for each q of ``orders`` (a tuple from 0..3), one row
+    each, unchecked, and whether z is a scalar: the engine of ``digamma``
+    and ``polygamma``, with ``what`` naming the function in a PoleError.
+    A float64 argument with every entry finite and >= 1/2 takes the real
+    route."""
+    x = np.asarray(z)
+    # the dtype decides first, so complex input pays no scan of its values
+    if x.dtype == np.float64 and x.min(initial=1.0) >= 0.5 and (top := x.max(initial=1.0)) < math.inf:
+        arr, scalar = np.atleast_1d(x), x.ndim == 0
+        # beyond 1e154 the series' w * w overflows to inf, whose reciprocal
+        # 0 is the term's value in floats
+        with np.errstate(over="ignore") if top > 1e150 else _NO_ERRSTATE:
+            out = _polygamma_real(orders, arr.ravel()).astype(np.complex128)
+    else:
+        arr, scalar = _as_complex_array(x)
+        out = _polygamma_complex(orders, arr.ravel(), what)
+    return out.reshape((len(orders),) + arr.shape), scalar
+
+
+def _polygamma_complex(orders, arr: np.ndarray, what: str) -> np.ndarray:
     """Reflection, shift and series in complex arithmetic, for any z."""
     _, exps, shift_c, sign, *_ = _pg_table(orders, np.complex128)
-    w, reflect, shift_sum = arr, False, 0.0
+    w, reflect, shift_sum, near = arr, False, 0.0, None
     # entries with Re z >= 16 need neither reflection nor shift
     if not arr.real.min(initial=_SHIFT_RE) >= _SHIFT_RE:
-        _check_domain(arr, "polygamma", cut=False)
+        _check_domain(arr, what, cut=False)
         left = arr.real < 0.5
         reflect = left.any()
         w = np.where(left, 1.0 - arr, arr) if reflect else arr
         low = w.real < _SHIFT_RE
         if low.any():
+            if 0 in orders:
+                near = _root_window(w)
+                w0 = w
             w, shift_sum = _shift(w, low, lambda p: p**exps, shift_c)
-    w, qs, a, b, coeffs = _series_operands(orders, np.complex128, w)
-    out = (a + (b + _horner(1.0 / (w * w), coeffs) / w) / w) / w**qs + shift_sum
+    ws, qs, a, b, coeffs = _series_operands(orders, np.complex128, w)
+    out = (b + _horner(1.0 / (ws * ws), coeffs) / ws) / ws
+    if any(orders):  # a = 0 and w^0 = 1 for order 0 alone
+        out = (a + out) / ws**qs
+    if 0 in orders:
+        # Log w with log|w| for its real part, the real route's log w on
+        # the axis (numpy's complex log rounds its real part differently)
+        log = np.log(w)
+        log.real = np.log(np.abs(w))
+        out[orders.index(0)] += log
+    out += shift_sum
+    if near is not None and near.any():
+        out[orders.index(0), near] = _root_series(w0[near])
     if reflect:
         out[:, left] = sign * out[:, left] + _cot_derivative(orders, arr[left])
     return out
@@ -455,20 +537,30 @@ def _polygamma_complex(orders, arr: np.ndarray) -> np.ndarray:
 
 def _polygamma_real(orders, x: np.ndarray) -> np.ndarray:
     """The complex route's operations for real x >= 1/2 (no reflection), in
-    real arithmetic: numpy's complex divide forms y / w as y * (1 / w), and
-    powers come from ``_recip_power``, so the bits are the same."""
+    real arithmetic: numpy's complex divide forms y / w as y * (1 / w) when
+    Im w = 0, its power w^q is ``_recip_power``'s product, and log|w| is
+    log w, so the bits are the same."""
     shift_c = _pg_table(orders, np.float64)[2]
-    w, shift_sum = x, 0.0
+    w, shift_sum, near = x, 0.0, None
     low = x < _SHIFT_RE
     if low.any():
         def powers(p):
             return np.array([_recip_power(p, q + 1) for q in orders])
 
         w, shift_sum = _shift(x, low, powers, shift_c)
-    lead = np.array([_recip_power(w, q) for q in orders])
-    w, _, a, b, coeffs = _series_operands(orders, np.float64, w)
-    inv = 1.0 / w
-    return (a + (b + _horner(1.0 / (w * w), coeffs) * inv) * inv) * lead + shift_sum
+        if 0 in orders:
+            near = _root_window(x)
+    ws, _, a, b, coeffs = _series_operands(orders, np.float64, w)
+    inv = 1.0 / ws
+    out = (b + _horner(1.0 / (ws * ws), coeffs) * inv) * inv
+    if any(orders):
+        out = (a + out) * np.array([_recip_power(w, q) if q else np.ones_like(w) for q in orders])
+    if 0 in orders:
+        out[orders.index(0)] += np.log(w)
+    out += shift_sum
+    if near is not None and near.any():
+        out[orders.index(0), near] = _root_series(x[near])
+    return out
 
 
 def polygamma(q, z):
@@ -483,13 +575,14 @@ def polygamma(q, z):
     the eight Bernoulli numbers B_2..B_16 is summed by Horner's rule in
     1/w^2.  A float64 argument with every entry finite and >= 1/2 takes
     the same operations in real arithmetic, with the same bits; the result
-    is complex either way.  Higher orders are out of scope.
+    is complex either way.  Higher orders are out of scope; order 0 is
+    ``digamma``.
 
     The series runs in one of two layouts, chosen by the argument's size
     alone.  Up to 64 entries w is repeated once per order and meets
     constants of the same shape, as numpy's cost per operation, not the
-    arithmetic, sets the time there: a one-law ``gammalaw.cumulants``
-    call, whose pass is ``polygamma((1, 3), two entries)``, takes about
+    arithmetic, sets the time there: ``polygamma((1, 3), two entries)``,
+    then the pass of a one-law ``gammalaw.cumulants`` call, took about
     22 us against 31 us with broadcast operands (2-core x86_64, numpy
     2.4.6).  Longer arguments broadcast (orders, 1) columns against one
     row and update the Horner sum in place.  Both layouts apply the same
@@ -502,15 +595,7 @@ def polygamma(q, z):
     for order in orders:
         if order not in (1, 2, 3):
             raise DomainError(f"polygamma order must be 1, 2 or 3, got {order}")
-    x = np.asarray(z)
-    # the dtype decides first, so complex input pays no scan of its values
-    if x.dtype == np.float64 and x.min(initial=1.0) >= 0.5 and x.max(initial=1.0) < math.inf:
-        arr, scalar = np.atleast_1d(x), x.ndim == 0
-        out = _polygamma_real(orders, arr.ravel()).astype(np.complex128)
-    else:
-        arr, scalar = _as_complex_array(x)
-        out = _polygamma_complex(orders, arr.ravel())
-    out = out.reshape((len(orders),) + arr.shape)
+    out, scalar = _psi(orders, z, "polygamma")
     return _finite(out if isinstance(q, tuple) else out[0], scalar, "polygamma")
 
 

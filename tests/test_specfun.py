@@ -171,7 +171,7 @@ class TestDigamma:
         assert float(rel.max()) < 1e-12
 
     def test_positive_axis_against_mpmath(self):
-        # real-axis entries take scipy's real psi, inside complex arrays too
+        # real-axis entries take the same operations inside complex arrays
         xs = np.concatenate([np.geomspace(1e-3, 1e8, 60), [0.7, 2.0, 1.2, 1.7]])
         for x in xs.tolist():
             ref = mpmath_polygamma(0, x)
@@ -181,8 +181,8 @@ class TestDigamma:
         assert abs(mixed[2] - mpmath_polygamma(0, 2.0)) <= 1e-15 * abs(mixed[2])
 
     def test_real_array_equals_complex_call(self):
-        # a float array takes scipy's real psi whole; the complex call takes
-        # it entry by entry on the axis, so the bits agree
+        # a float array on [1/2, inf) takes the engine's real route; the
+        # complex route gives its entries on the axis the same bits
         x = np.concatenate([np.geomspace(1e-3, 1e8, 40), [0.7, 2.0, 16.0]])
         real = sf.digamma(x)
         assert real.dtype == np.complex128 and real.shape == x.shape
@@ -210,7 +210,7 @@ class TestDigamma:
 
     @pytest.mark.parametrize("z", SCALARS, ids=repr)
     def test_scalar_equals_one_entry_array_bitwise(self, z):
-        # a scalar takes scipy's scalar psi, with the array route's bits
+        # a scalar is a one-entry array
         ref = sf.digamma(np.array([z]))[0]
         for form in self.scalar_forms(z):
             got = sf.digamma(form)
@@ -240,6 +240,70 @@ class TestDigamma:
             gap = math.log(x) - sf.digamma(x).real
             assert 0.0 < x * gap <= 1.0
             assert 0.0 < gap - 1.0 / (2 * x) <= 1.0 / (12.0 * x * x) + 1e-16
+
+
+class TestDigammaOracleSweep:
+    """digamma is order 0 of the polygamma engine: the real route below
+    Re 16 (the shift, and the Taylor series about the positive root x0
+    within three recurrence steps), the series beyond, and in the complex
+    plane the reflection, the shift and the series, against mpmath."""
+
+    X0 = 1.4616321449683622
+
+    @staticmethod
+    def check(z, rel):
+        import mpmath
+
+        got = sf.digamma(z)
+        with mpmath.workdps(40):
+            for point, value in zip(np.ravel(z).tolist(), np.ravel(got).tolist()):
+                ref = complex(mpmath.digamma(mpmath.mpmathify(point)))
+                assert abs(value - ref) <= rel * abs(ref), point
+
+    def test_dense_real_grid_below_the_series(self):
+        # the window's edges x0 - 3/2 + k, k = 1..5, and the shift threshold
+        # 16 included; a float array on [1/2, 16) takes the real route whole
+        rng = np.random.default_rng(23)
+        x = np.concatenate([
+            np.linspace(1e-3, 16.0, 1601),
+            self.X0 + np.linspace(-0.3, 0.3, 241),
+            (self.X0 + np.arange(-0.5, 4.0) + np.linspace(-1e-3, 1e-3, 21)[:, None]).ravel(),
+            [self.X0, np.nextafter(self.X0, 0.0), np.nextafter(self.X0, 2.0), np.nextafter(16.0, 0.0)],
+            rng.uniform(0.5, 16.0, 400),
+        ])
+        self.check(x, 1e-15)
+        self.check(x[x >= 0.5], 1e-15)
+
+    def test_real_axis_up_to_1e300(self):
+        x = np.geomspace(16.0, 1e300, 300)
+        with np.errstate(over="raise"):
+            self.check(x, 1e-15)
+        with np.errstate(over="ignore"):  # the complex route squares 1e300
+            self.check(np.array([1e300, 0.25]), 1e-15)
+
+    def test_complex_strips(self):
+        rng = np.random.default_rng(29)
+        im = np.concatenate([rng.uniform(-1e3, 1e3, 150), rng.uniform(-3.0, 3.0, 150),
+                             [1e-12, -1e-9, 0.05, -0.0999, 0.1001, 1e3, -1e3]])
+        re = np.concatenate([rng.uniform(0.5, 40.0, 300), self.X0 + np.zeros(7)])
+        self.check(re + 1j * im, 1e-13)
+        # around the root, inside and just outside the Taylor band
+        near = self.X0 + rng.uniform(-1.0, 1.6, 200) + 1j * rng.uniform(-0.2, 0.2, 200)
+        self.check(near, 1e-13)
+
+    def test_left_half_plane_and_far_left(self):
+        rng = np.random.default_rng(31)
+        self.check(rng.uniform(-60.0, 0.5, 200) + 1j * rng.uniform(-30.0, 30.0, 200), 1e-13)
+        far = -np.geomspace(10.0, 1e8, 60) + 0.5
+        self.check(far + 1j * rng.uniform(-5.0, 5.0, 60), 1e-13)
+        self.check(far, 1e-13)
+
+    def test_just_off_the_negative_axis(self):
+        # half-integers, where the cotangent term vanishes, and other
+        # points of the reflected strip, at distances 1e-12 to 1e-1
+        re = -np.concatenate([np.arange(0, 40) + 0.5, np.arange(0, 40) + 0.25, [0.9, 3.1, 17.75]])
+        for im in (1e-12, -1e-9, 1e-6, -1e-3, 0.1):
+            self.check(re + 1j * im, 1e-13)
 
 
 class TestPolygamma:
@@ -326,6 +390,13 @@ class TestPolygammaOrders:
             ref = mpmath_polygamma(q, z)
             assert abs(value - ref) <= 1e-13 * abs(ref), z
 
+    def test_order_zero_row_equals_digamma(self):
+        # cumulants take Psi from the engine pass of their third derivative
+        for z in (MIXED, MIXED.real.clip(0.5), np.array([2.5, 2.3 - 0.2j]), np.array([1.5 + 0j])):
+            rows, _ = sf._psi((0, 1, 3), z, "digamma")
+            assert same_bits(rows[0], sf.digamma(z)), z
+            assert same_bits(rows[1:], sf.polygamma((1, 3), z))
+
     def test_bad_order_in_tuple(self):
         with pytest.raises(sf.DomainError, match="got 4"):
             sf.polygamma((1, 4), 2.0)
@@ -393,8 +464,8 @@ class TestPolygammaRealRoute:
 
 class TestFarLeft:
     """Far into the left half-plane every function takes a bounded number
-    of steps: log_gamma and digamma reflect inside scipy, polygamma
-    reflects to Re z > 1/2 and shifts at most 16 times."""
+    of steps: log_gamma reflects inside scipy, digamma and polygamma
+    reflect to Re z > 1/2 and shift at most 16 times."""
 
     POINTS = (-1e6 + 1j, -1e4 + 0.5j, -3.5 + 0.4j)
 

@@ -3,11 +3,13 @@ scipy.stats (the package imports nothing from scipy but scipy.special, and
 only ``specfun`` names that), importing the package loads neither
 scipy.special, multiprocessing nor concurrent.futures (nor does a draw
 of one block: only the sampler's helper thread needs it), the commands
-that evaluate no Gamma-family function (``ldp``, ``equilibrium``,
-``clt --format csv``) never load scipy.special, and the first
-quadrature, root solve or scipy.special call of a fresh process gives the
-same bits as a warm one, also when several threads make that first call
-at once."""
+that evaluate no log Gamma value, the entropy nor a Kolmogorov-Smirnov
+distance (``ldp``, ``equilibrium``, ``clt --format csv``, ``moments`` and
+``sample``) never load scipy.special, nor do ``digamma`` and
+``cumulants``, which run on the package's own polygamma engine, and the
+first quadrature, root solve or scipy.special call of a fresh process
+gives the same bits as a warm one, also when several threads make that
+first call at once."""
 
 import ast
 import json
@@ -148,6 +150,35 @@ def test_large_deviation_commands_leave_scipy_special_unloaded(tmp_path):
     assert {float(row.split(",")[2]) for row in rows} == {-0.2, 0.0, 0.2}
 
 
+EXACT_MOMENT_COMMANDS = """
+import json, sys
+import circjacobi, circjacobi.cli as cli
+from circjacobi import gammalaw
+runs = [
+    ["moments", "--n", "50", "--beta", "2", "--delta-re", "0.3", "--delta-im", "0.1",
+     "--t-grid", "0.2:1.0:0.2", "--out", "m.csv"],
+    # the drift rows of more than CROSSOVER_N terms take the Abel-Plana route
+    ["moments", "--n", "20000", "--beta", "2", "--scaled-d-re", "1", "--t-grid", "0.1:1.0:0.3",
+     "--out", "d.csv"],
+    ["sample", "--n", "8", "--beta", "2", "--delta-re", "0.5", "--samples", "2", "--out", "s.csv"],
+    ["clt", "--n", "16", "--beta", "2", "--delta-re", "0.5", "--samples", "4", "--workers", "1",
+     "--format", "csv", "--out", "c.csv"],
+]
+codes = [cli.main(argv) for argv in runs]
+gammalaw.cumulants(gammalaw.CoefficientLaw(1.5, 0.3 + 0.2j))
+gammalaw.cumulants(gammalaw.CoefficientLaw([0.0, 2.0, 40.0], -0.45))
+print(json.dumps({"codes": codes, "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_exact_moment_commands_leave_scipy_special_unloaded(tmp_path):
+    # the exact sums, the sampler's centring and the cumulants take digamma
+    # and polygamma only, which run on numpy
+    report = json.loads(_python(["-c", EXACT_MOMENT_COMMANDS], cwd=tmp_path).splitlines()[-1])
+    assert report == {"codes": [0] * 4, "special": False}
+    assert {p.name for p in tmp_path.iterdir()} == {"m.csv", "d.csv", "s.csv", "c.csv"}
+
+
 ONE_BLOCK_DRAWS = """
 import json, sys
 from circjacobi import sampler as sp
@@ -174,13 +205,17 @@ def hexes(value):
 # One first call per route to scipy.special, each made in a fresh process.
 FIRST_SPECIAL_CALLS = {
     "log_gamma-complex-array": "specfun.log_gamma(np.array([0.3 + 2j, -2.5 + 0.1j, 40 - 3j]))",
+    "xlogy": "ldp.path_functional_Lambda0(0.7, lambda tau: 0.4 * tau, lambda tau: 0.3)",
+    "ndtr": "asymptotics._ks_normal(np.random.default_rng(5).normal(size=200), 1.2)",
+}
+
+# One first call per route of the polygamma engine, which needs no scipy.
+NUMPY_ONLY_CALLS = {
     "digamma-scalar": "specfun.digamma(2.5 - 1.5j)",
     "digamma-positive-real-array": "specfun.digamma(np.array([0.25, 3.0, 1e3]))",
     "digamma-complex-array": "specfun.digamma(np.array([0.5 + 1j, -1.5 + 0j, 2.0 + 0j]))",
     "cumulants": "(lambda c: [c.mean, *c.covariance.ravel(), c.fourth_bound])("
     "gammalaw.cumulants(gammalaw.CoefficientLaw(1.5, 0.3 + 0.2j)))",
-    "xlogy": "ldp.path_functional_Lambda0(0.7, lambda tau: 0.4 * tau, lambda tau: 0.3)",
-    "ndtr": "asymptotics._ks_normal(np.random.default_rng(5).normal(size=200), 1.2)",
 }
 
 FIRST_SPECIAL = """
@@ -190,18 +225,29 @@ from circjacobi import asymptotics, gammalaw, ldp, specfun
 exec(%r)
 before = "scipy.special" in sys.modules
 value = %s
-print(json.dumps({"before": before, "hex": hexes(value)}))
+print(json.dumps({"before": before, "hex": hexes(value), "after": "scipy.special" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("name", sorted(FIRST_SPECIAL_CALLS))
-def test_first_special_calls_match_warm_calls(name):
-    expr = FIRST_SPECIAL_CALLS[name]
+def _first_call(expr):
+    """The fresh process's report on ``expr`` and the warm value's hexes."""
     report = json.loads(_python(["-c", FIRST_SPECIAL % (HEX, expr)]))
     warm = {"np": np, "asymptotics": asymptotics, "gammalaw": gammalaw, "ldp": ldp,
             "specfun": specfun}
     exec(HEX, warm)
-    assert report == {"before": False, "hex": warm["hexes"](eval(expr, warm))}
+    return report, warm["hexes"](eval(expr, warm))
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_SPECIAL_CALLS))
+def test_first_special_calls_match_warm_calls(name):
+    report, warm = _first_call(FIRST_SPECIAL_CALLS[name])
+    assert report == {"before": False, "hex": warm, "after": True}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_ONLY_CALLS))
+def test_digamma_and_cumulants_leave_scipy_special_unloaded(name):
+    report, warm = _first_call(NUMPY_ONLY_CALLS[name])
+    assert report == {"before": False, "hex": warm, "after": False}
 
 
 THREADED_FIRST_CALLS = """
@@ -216,7 +262,7 @@ barrier = threading.Barrier(len(args))
 
 def first(i):
     barrier.wait()
-    values[i] = specfun.digamma(args[i])
+    values[i] = specfun.log_gamma(args[i])
 
 sys.setswitchinterval(1e-6)
 threads = [threading.Thread(target=first, args=(i,)) for i in range(len(args))]
@@ -230,12 +276,12 @@ print(json.dumps({"before": before, "alive": any(t.is_alive() for t in threads),
 """
 
 
-def test_concurrent_first_digamma_calls_match_warm_calls():
-    args = [0.75, 2.5 - 1.5j, -0.5, 3.0 + 0j]
+def test_concurrent_first_log_gamma_calls_match_warm_calls():
+    args = [0.75, 2.5 - 1.5j, -0.5 + 0.25j, 3.0 + 0j]
     report = json.loads(_python(["-c", THREADED_FIRST_CALLS % (HEX, args)]))
     warm = {"np": np}
     exec(HEX, warm)
-    expected = warm["hexes"]([specfun.digamma(z) for z in args])
+    expected = warm["hexes"]([specfun.log_gamma(z) for z in args])
     assert report == {"before": False, "alive": False, "bound": True, "hex": expected}
 
 
