@@ -6,9 +6,11 @@ the terminal coefficient (r = 0) lives on the unit circle with density
 proportional to (1-z)^conj(delta) (1-conj(z))^delta.  Everything here --
 normalization constants, Mellin-Fourier moments, the cumulant generating
 function and the cumulants of log(1 - gamma) -- is an explicit Gamma /
-digamma combination evaluated through :mod:`circjacobi.specfun`.
-``cumulants`` also takes a law with an array of rank weights and does all
-of them in one pass.
+digamma combination evaluated through :mod:`circjacobi.specfun`, each
+Gamma quotient as ``log_gamma_ratio`` differences, which keep their
+digits at large rank.  Every function takes a law of one rank (Python
+numbers out) or of a rank array (arrays out, each entry the bits of its
+one-rank call), and none loads ``scipy.special``.
 
 All operations are pure and stateless.
 """
@@ -21,17 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import DomainError, _finite, _psi, log_gamma
+from .specfun import DomainError, _finite, _psi, log_gamma_ratio
 
-__all__ = [
-    "CoefficientLaw",
-    "CumulantSet",
-    "disc_weight_integral",
-    "normalization_c",
-    "mellin_fourier",
-    "cgf_Lambda",
-    "cumulants",
-]
+__all__ = ["CoefficientLaw", "CumulantSet", "disc_weight_integral", "normalization_c",
+           "mellin_fourier", "cgf_Lambda", "cumulants"]
 
 
 @dataclass(frozen=True)
@@ -40,10 +35,10 @@ class CoefficientLaw:
     that share ``delta``.
 
     ``r`` is the rank weight (r = 0 selects the circle law), or a 1-D array
-    of rank weights, one law each, which only ``cumulants`` takes; ``delta``
-    is the deformation, constrained by r + 2 Re delta + 1 > 0.  Both must
-    be finite, every entry of a rank array too.  A rank array that breaks
-    a constraint raises the DomainError of its lowest rank.
+    of rank weights, one law each; ``delta`` is the deformation,
+    constrained by r + 2 Re delta + 1 > 0.  Both must be finite, every
+    entry of a rank array too, and a rank is no bool.  A rank array that
+    breaks a constraint raises the DomainError of its lowest rank.
     """
 
     r: float
@@ -51,8 +46,11 @@ class CoefficientLaw:
 
     def __post_init__(self):
         r, delta = self.r, complex(self.delta)
-        # the isinstance test spares the common scalar law an np.ndim call
-        if not isinstance(r, (int, float)) and np.ndim(r):
+        # the isinstance test spares the common scalar law numpy calls
+        one = isinstance(r, (int, float))
+        if isinstance(r, bool) or not one and np.asarray(r).dtype == bool:
+            raise DomainError(f"rank weights must be numbers, not bools, got {r!r}")
+        if not one and np.ndim(r):
             if np.ndim(r) > 1:
                 raise DomainError(f"rank weights must be a number or a 1-D array, got {r!r}")
             finite = np.isfinite(r).all()
@@ -95,91 +93,90 @@ def _entry(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _one_rank(law: CoefficientLaw, what: str) -> float:
-    """The law's rank weight; a DomainError for a rank array, which only
-    ``cumulants`` takes."""
-    if not isinstance(law.r, (int, float)) and np.ndim(law.r):
-        raise DomainError(f"{what} takes one rank weight, got an array of {np.size(law.r)}")
-    return law.r
+def _per_rank(values: np.ndarray, r):
+    """A Python number for one rank r, the array for a rank array."""
+    return values[0].item() if np.ndim(r) == 0 else values
 
 
-def _log_gammas(*args) -> list:
-    """log Gamma of each (value, label) pair, in one call, as Python
-    complexes; a DomainError names the first value whose real part is not
-    positive."""
-    values = [complex(value) for value, _ in args]
-    for value, (_, label) in zip(values, args):
-        if value.real <= 0.0:
-            raise DomainError(f"Gamma argument {label} = {value} must have positive real part")
-    return log_gamma(np.array(values)).tolist()
+def _log_gamma_ratios(x: np.ndarray, *pairs) -> np.ndarray:
+    """log Gamma(x + a) - log Gamma(x + b), one column for each pair
+    ((a, label), (b, label)), in one ``log_gamma_ratio`` call; x is a 1-D
+    float array and a shift a number or an array like x.  Before the call,
+    the first Gamma argument (a before b, pair by pair) with real part <= 0
+    at the lowest x raises a DomainError that names it, so a rank array
+    raises what its lowest rank raises alone."""
+    labels = [label for pair in pairs for _, label in pair]
+    shifts = np.stack(np.broadcast_arrays(*(shift for pair in pairs for shift, _ in pair)), axis=-1)
+    if x.size:
+        i = np.argmin(x)
+        for z, label in zip((x[i] + (shifts[i] if shifts.ndim > 1 else shifts)).tolist(), labels):
+            if z.real <= 0.0:
+                raise DomainError(f"Gamma argument {label} = {z} must have positive real part")
+    return log_gamma_ratio(x[:, None], shifts[..., 0::2], shifts[..., 1::2])
 
 
-def disc_weight_integral(l: complex, s: complex, t: complex) -> complex:
-    """Integral over the unit disc of (1-|z|^2)^(l-1) (1-z)^s (1-conj(z))^t.
+def disc_weight_integral(l: complex, s: complex, t: complex) -> complex | np.ndarray:
+    """Integral over the unit disc of (1-|z|^2)^(l-1) (1-z)^s (1-conj(z))^t,
+    for a number l or an array of them.
 
-    Equals pi * G(l) G(l+1+s+t) / (G(l+1+s) G(l+1+t)), evaluated through
-    log-gamma so large parameters do not overflow.
+    Equals pi * G(l) G(l+1+s+t) / (G(l+1+s) G(l+1+t)), two log-Gamma
+    differences at x = Re l, so large parameters neither overflow nor
+    cancel.
     """
-    l = complex(l)
-    g = _log_gammas(
-        (l, "l"), (l + 1 + s + t, "l+1+s+t"), (l + 1 + s, "l+1+s"), (l + 1 + t, "l+1+t")
-    )
-    return math.pi * np.exp(g[0] + g[1] - g[2] - g[3])
+    lv = np.atleast_1d(np.asarray(l, dtype=complex))
+    il = 1j * lv.imag
+    g = _log_gamma_ratios(lv.real, ((il, "l"), (il + (1 + t), "l+1+t")),
+                          ((il + (1 + s + t), "l+1+s+t"), (il + (1 + s), "l+1+s")))
+    return _per_rank(math.pi * np.exp(g[:, 0] + g[:, 1]), l)
 
 
-def normalization_c(law: CoefficientLaw) -> float:
+def normalization_c(law: CoefficientLaw) -> float | np.ndarray:
     """Normalization constant of the coefficient density.
 
     For r > 0 this is the constant multiplying the disc density (with
-    respect to planar Lebesgue measure); for r = 0 it is the constant of
-    the circle law with respect to d(theta) on (0, 2 pi).
+    respect to planar Lebesgue measure), G(r+1+d) G(r+1+conj d) /
+    (pi G(r) G(r+1+2 Re d)); for r = 0 it is the constant of the circle
+    law with respect to d(theta) on (0, 2 pi), with 2 pi G(1) for pi G(r).
     """
-    r, d = _one_rank(law, "normalization_c"), complex(law.delta)
-    two_re = 2.0 * d.real
-    if r > 0:
-        g = log_gamma(np.array([r + 1 + d, r, r + 1 + two_re])).real
-        val = math.exp(2.0 * g[0] - g[1] - g[2]) / math.pi
-    else:
-        g = log_gamma(np.array([1 + d, 1 + two_re])).real
-        val = math.exp(2.0 * g[0] - g[1]) / (2.0 * math.pi)
-    return val
+    r, d = np.atleast_1d(law.r), complex(law.delta)
+    g = _log_gamma_ratios(r + 1.0, ((d, "r+1+delta"), (2.0 * d.real, "r+1+2Re(delta)")),
+                          ((d, "r+1+delta"), (0.0, "r+1")))
+    scale = np.where(r > 0.0, r / math.pi, 0.5 / math.pi)  # G(r) = G(r+1) / r
+    return _per_rank(np.exp(g[:, 0].real + g[:, 1].real) * scale, law.r)
 
 
-def mellin_fourier(law: CoefficientLaw, a: complex, b: complex) -> complex:
+def mellin_fourier(law: CoefficientLaw, a: complex, b: complex) -> complex | np.ndarray:
     """Joint moment E (1-gamma)^a (1-conj(gamma))^b.
 
-    A quotient of six Gamma factors; at r = 0 it is the Mellin-Fourier
-    transform of 1 - gamma under the circle law.  Every Gamma argument
-    must have positive real part.
+    A quotient of six Gamma factors, three log-Gamma differences; at r = 0
+    it is the Mellin-Fourier transform of 1 - gamma under the circle law.
+    Every Gamma argument must have positive real part.
     """
-    r, d = _one_rank(law, "mellin_fourier"), complex(law.delta)
-    db = d.conjugate()
-    g = _log_gammas(
-        (r + 1 + d + db + a + b, "r+1+delta+conj(delta)+a+b"),
-        (r + 1 + db, "r+1+conj(delta)"),
-        (r + 1 + d, "r+1+delta"),
-        (r + 1 + d + db, "r+1+delta+conj(delta)"),
-        (r + 1 + db + a, "r+1+conj(delta)+a"),
-        (r + 1 + d + b, "r+1+delta+b"),
+    d = complex(law.delta)
+    db, two_re = d.conjugate(), 2.0 * d.real
+    g = _log_gamma_ratios(
+        np.atleast_1d(law.r) + 1.0,
+        ((two_re + a + b, "r+1+delta+conj(delta)+a+b"), (two_re, "r+1+delta+conj(delta)")),
+        ((db, "r+1+conj(delta)"), (db + a, "r+1+conj(delta)+a")),
+        ((d, "r+1+delta"), (d + b, "r+1+delta+b")),
     )
-    return complex(np.exp(g[0] + g[1] + g[2] - (g[3] + g[4] + g[5])))
+    return _per_rank(np.exp(g[:, 0] + g[:, 1] + g[:, 2]), law.r)
 
 
-def cgf_Lambda(law: CoefficientLaw, s: float, t: float) -> float:
+def cgf_Lambda(law: CoefficientLaw, s: float, t: float) -> float | np.ndarray:
     """Cumulant generating function of (2 Re log(1-gamma), 2 Im log(1-gamma))
     at real (s, t): log E exp(2 s Re log(1-gamma) + 2 t Im log(1-gamma)).
 
-    Real-valued; the six log-gamma terms pair into conjugates.
+    Real-valued; the six log-gamma terms pair into conjugates, which leaves
+    the real parts of two log-Gamma differences.
     """
-    r, d = _one_rank(law, "cgf_Lambda"), complex(law.delta)
+    d = complex(law.delta)
     two_re = 2.0 * d.real
-    g = _log_gammas(
-        (r + 1 + two_re + 2 * s, "r+1+2Re(delta)+2s"),
-        (r + 1 + two_re, "r+1+2Re(delta)"),
-        (r + 1 + d + s + 1j * t, "r+1+delta+s+it"),
-        (r + 1 + d, "r+1+delta"),
+    g = _log_gamma_ratios(
+        np.atleast_1d(law.r) + 1.0, ((two_re + 2 * s, "r+1+2Re(delta)+2s"), (two_re, "r+1+2Re(delta)")),
+        ((d + s + 1j * t, "r+1+delta+s+it"), (d, "r+1+delta")),
     )
-    return float(g[0].real - g[1].real - 2.0 * g[2].real + 2.0 * g[3].real)
+    return _per_rank(g[:, 0].real - 2.0 * g[:, 1].real, law.r)
 
 
 def cumulants(law: CoefficientLaw) -> CumulantSet:

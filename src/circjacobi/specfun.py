@@ -7,7 +7,7 @@ This module is the numeric substrate for the rest of the package:
 * ``digamma`` / ``polygamma`` -- its first and higher logarithmic
   derivatives (orders 0..3 of one engine),
 * ``log_gamma_ratio`` -- the difference log Gamma(x + a) - log Gamma(x + b)
-  without the two values, by the recurrence and Stirling's series,
+  without the two values (``gammalaw``'s Gamma quotients are sums of them),
 * ``entropy_J`` / ``entropy_F`` -- the entropy function
   J(u) = u log u - u + 1 and its primitive F,
 * ``abel_plana_sum`` -- converts a sum of a holomorphic summand with a
@@ -35,10 +35,11 @@ by level until two levels agree.
 All functions accept scalars or numpy arrays and are pure, so they are
 safe for unrestricted concurrent use.  The module's one piece of state is
 its binding of ``scipy.special``, the only place the package names it:
-the module is imported on the first call that needs it (``log_gamma``,
-``ldp``'s entropy or ``asymptotics``' normal CDF), so a process that
-never evaluates one, such as ``moments``, ``sample``, ``ldp`` or
-``equilibrium``, starts on numpy alone.  The first call rebinds a private
+it is imported on the first of the three calls that need it: ``log_gamma``,
+the J of ``ldp.path_functional_Lambda0`` (``xlogy``) and ``asymptotics``'
+Kolmogorov-Smirnov distance (``ndtr``).  So a process that makes none,
+such as ``moments``, ``sample``, ``ldp``, ``equilibrium`` or any
+``gammalaw`` call, starts on numpy alone.  The first call rebinds a private
 module global to the module itself, so later calls cost one global
 lookup, as an import at the top would; threads racing on that first call
 all import the same module and bind the same object.

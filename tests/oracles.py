@@ -8,7 +8,9 @@ adaptive quadrature split at the diagonal, and polygamma and the exact
 moment sums through mpmath, at beta = 2 also in closed form.  The mean
 profile, its correction, the covariance integral, the rate branch edge and
 the circle log moment keep their closed forms in J and log here, apart from
-the derivatives of the cgf L0 that the package reads them from.
+the derivatives of the cgf L0 that the package reads them from.  The
+coefficient laws' Gamma quotients are sums of mpmath log-Gamma values at
+50 digits (``mpmath_log_gamma_sum``).
 
 The ``quadpack_*`` functions are the adaptive QUADPACK integrals (scipy's
 ``quad``) that the package's graded Gauss-Legendre rule replaced, each at
@@ -217,6 +219,17 @@ def mpmath_polygamma(q: int, z: complex, dps: int = 40) -> complex:
             return complex(mp.polygamma(q, z))
         cot_q = mp.diff(lambda x: mp.cot(mp.pi * x), z, q)
         return complex((-1) ** q * mp.polygamma(q, 1 - z) - mp.pi * cot_q)
+
+
+def mpmath_log_gamma_sum(terms, exp: bool = False, dps: int = 50) -> complex:
+    """sum of c log Gamma(z) over the (c, parts) of ``terms``, each argument
+    z the sum of its float and complex ``parts`` taken in mpmath, so their
+    rounding does not enter; with ``exp``, the exponential of the sum."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        total = mp.fsum(c * mp.loggamma(mp.fsum(mp.mpc(p) for p in parts)) for c, parts in terms)
+        return complex(mp.exp(total) if exp else total)
 
 
 def mpmath_moment_row(n: int, beta: float, delta: complex, m: int, dps: int = 30):

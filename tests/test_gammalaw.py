@@ -9,6 +9,8 @@ from scipy import integrate
 from circjacobi import gammalaw as gl
 from circjacobi import specfun as sf
 
+from oracles import mpmath_log_gamma_sum
+
 
 def polar_quad(f, tol=1e-11):
     """Integral of f(z) over the unit disc by polar double quadrature."""
@@ -295,6 +297,51 @@ class TestCumulantsOverRanks:
                 assert self.same_bits(one.covariance, many.covariance[i]), r
                 assert self.same_bits(one.fourth_bound, many.fourth_bound[i]), r
 
+    # valid at every delta above, down to r = 0 and Re delta = -0.45
+    LAW_CALLS = [
+        (gl.normalization_c, (), float),
+        (gl.mellin_fourier, (0.4 + 0.1j, 0.2 - 0.3j), complex),
+        (gl.cgf_Lambda, (0.3, -0.2), float),
+    ]
+
+    @pytest.mark.parametrize(
+        "delta", [0.3 + 0.2j, 0.5, 0.0, -0.4 + 1.0j, 2.5 - 3.0j, -0.45, 1e-9j]
+    )
+    def test_law_functions_over_ranks_equal_per_law_calls(self, delta):
+        for fn, args, kind in self.LAW_CALLS:
+            many = fn(gl.CoefficientLaw(self.RANKS, delta), *args)
+            assert many.shape == self.RANKS.shape, fn.__name__
+            for i, r in enumerate(self.RANKS.tolist()):
+                for rank in (r, self.RANKS[i]):
+                    one = fn(gl.CoefficientLaw(rank, delta), *args)
+                    assert type(one) is kind, fn.__name__
+                    assert self.same_bits(one, many[i]), (fn.__name__, r)
+        # the disc law's mass, and parameters off the real axis
+        ls = np.concatenate([self.RANKS[1:], self.RANKS[1:] - 3j])
+        many = gl.disc_weight_integral(ls, delta.conjugate(), delta)
+        for i, l in enumerate(ls.tolist()):
+            one = gl.disc_weight_integral(l, delta.conjugate(), delta)
+            assert type(one) is complex and self.same_bits(one, many[i]), l
+
+    @pytest.mark.parametrize(
+        "call, lowest",
+        [
+            (lambda r: gl.mellin_fourier(gl.CoefficientLaw(r, 0.0), -3.0, 0.0), 0.5),
+            (lambda r: gl.mellin_fourier(gl.CoefficientLaw(r, 0.3j), 0.5, -2.5 + 1j), 0.5),
+            (lambda r: gl.cgf_Lambda(gl.CoefficientLaw(r, 0.3 - 0.2j), -2.0, 0.5), 0.2),
+            (lambda r: gl.disc_weight_integral(r, -2.0, 0.0), 0.5),
+            (lambda l: gl.disc_weight_integral(l + 1j, 0.0, -1.8), 0.5),
+        ],
+        ids=["mellin-a", "mellin-b", "cgf", "disc", "disc-complex"],
+    )
+    def test_rank_array_raises_what_its_lowest_rank_raises(self, call, lowest):
+        with pytest.raises(sf.DomainError) as one:
+            call(lowest)
+        with pytest.raises(sf.DomainError) as many:
+            call(np.array([3.0, 40.0, lowest, 1.0]))
+        assert str(many.value) == str(one.value)
+        assert "Gamma argument" in str(one.value)
+
     @pytest.mark.parametrize(
         "ranks, delta, bad",
         [([3.0, -2.0, 1.0, -0.5], 0.3, -2.0), ([3.0, 0.1, 1.0], -0.6 + 0.2j, 0.1)],
@@ -334,11 +381,75 @@ class TestCumulantsOverRanks:
         with pytest.raises(sf.DomainError, match="1-D"):
             gl.CoefficientLaw(np.ones((2, 2)), 0.3)
 
-    def test_one_rank_functions_reject_a_rank_array(self):
+    def test_law_functions_take_a_rank_array(self):
         law = gl.CoefficientLaw(np.array([1.0, 2.0]), 0.3)
-        with pytest.raises(sf.DomainError, match="normalization_c takes one rank"):
-            gl.normalization_c(law)
-        with pytest.raises(sf.DomainError, match="mellin_fourier takes one rank"):
-            gl.mellin_fourier(law, 0.1, 0.1)
-        with pytest.raises(sf.DomainError, match="cgf_Lambda takes one rank"):
-            gl.cgf_Lambda(law, 0.1, 0.1)
+        assert gl.normalization_c(law).shape == (2,)
+        assert gl.mellin_fourier(law, 0.1, 0.1).shape == (2,)
+        assert gl.cgf_Lambda(law, 0.1, 0.1).shape == (2,)
+
+    @pytest.mark.parametrize(
+        "r", [True, False, np.True_, np.array(True), np.array([True, False]), [False, True]]
+    )
+    def test_bool_rank_is_rejected(self, r):
+        # a bool is an int subclass, but True is no rank weight
+        with pytest.raises(sf.DomainError, match="not bools"):
+            gl.CoefficientLaw(r, 0.5)
+
+    def test_sampler_rejects_a_bool_rank(self):
+        from circjacobi import sampler as sp
+
+        with pytest.raises(sf.DomainError, match="not bools"):
+            sp.sample_gamma_disc(True, 0.5, sp.substream(1, 0))
+
+
+# Every law function against mpmath's log Gamma at 50 digits, each Gamma
+# quotient written out factor by factor from its closed form.
+SWEEP_RANKS = np.array([0.0, 1.0, 10.0, 1e3, 1e4, 1e6, 1e8])
+SWEEP_DELTAS = [0.5, 0.3 + 0.2j, -0.4, 0.0]
+
+
+def _mellin_terms(r, d, a, b):
+    """log E (1-gamma)^a (1-conj(gamma))^b as (coefficient, parts) terms:
+    G(r+1+d+db+a+b) G(r+1+db) G(r+1+d) / (G(r+1+d+db) G(r+1+db+a) G(r+1+d+b))
+    with db = conj(d)."""
+    plus, minus, sym = (r, 1.0, d), (r, 1.0, d.conjugate()), (r, 1.0, d, d.conjugate())
+    return [(1, sym + (a, b)), (1, minus), (1, plus), (-1, sym), (-1, minus + (a,)), (-1, plus + (b,))]
+
+
+@pytest.mark.parametrize("delta", SWEEP_DELTAS, ids=str)
+class TestAgainstMpmath:
+    def test_normalization_c(self, delta):
+        got = gl.normalization_c(gl.CoefficientLaw(SWEEP_RANKS, delta))
+        d = complex(delta)
+        for r, value in zip(SWEEP_RANKS.tolist(), got):
+            # G(r+1+d) G(r+1+conj d) / (pi G(r) G(r+1+2 Re d)), 2 pi G(1) at r = 0
+            low, scale = ((r,), math.pi) if r > 0 else ((1.0,), 2.0 * math.pi)
+            terms = [(1, (r, 1.0, d)), (1, (r, 1.0, d.conjugate())), (-1, low), (-1, (r, 1.0, d, d.conjugate()))]
+            ref = mpmath_log_gamma_sum(terms, exp=True).real / scale
+            assert abs(value - ref) <= 1e-13 * ref, r
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.4 - 0.2j, 0.4 + 0.2j), (-0.05 + 0.3j, 0.2)])
+    def test_mellin_fourier(self, delta, a, b):
+        got = gl.mellin_fourier(gl.CoefficientLaw(SWEEP_RANKS, delta), a, b)
+        for r, value in zip(SWEEP_RANKS.tolist(), got):
+            ref = mpmath_log_gamma_sum(_mellin_terms(r, complex(delta), a, b), exp=True)
+            assert abs(value - ref) <= 1e-13 * abs(ref), r
+
+    @pytest.mark.parametrize("s, t", [(0.3, 0.2), (-0.05, -0.5), (1.0, 1.0)])
+    def test_cgf_Lambda(self, delta, s, t):
+        # the log of the Mellin-Fourier moment at a = s - it, b = s + it
+        got = gl.cgf_Lambda(gl.CoefficientLaw(SWEEP_RANKS, delta), s, t)
+        a, b = complex(s, -t), complex(s, t)
+        for r, value in zip(SWEEP_RANKS.tolist(), got):
+            ref = mpmath_log_gamma_sum(_mellin_terms(r, complex(delta), a, b)).real
+            assert abs(value - ref) <= 5e-14, (r, value - ref)
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 0.0), (1.0, 1.0), (0.7 + 0.4j, 0.7 - 0.4j), (-0.3, 0.5j)])
+def test_disc_weight_integral_against_mpmath(s, t):
+    ls = np.array([0.5, 1.0, 10.0, 1e3, 1e4, 1e6, 1e8, 2.0 + 5.0j])
+    got = gl.disc_weight_integral(ls, s, t)
+    for l, value in zip(ls.tolist(), got):
+        terms = [(1, (l,)), (1, (l, 1.0, s, t)), (-1, (l, 1.0, s)), (-1, (l, 1.0, t))]
+        ref = math.pi * mpmath_log_gamma_sum(terms, exp=True)
+        assert abs(value - ref) <= 1e-13 * abs(ref), l

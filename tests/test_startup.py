@@ -5,11 +5,13 @@ scipy.special, multiprocessing nor concurrent.futures (nor does a draw
 of one block: only the sampler's helper thread needs it), the commands
 that evaluate no log Gamma value, the entropy nor a Kolmogorov-Smirnov
 distance (``ldp``, ``equilibrium``, ``clt --format csv``, ``moments`` and
-``sample``) never load scipy.special, nor do ``digamma`` and
-``cumulants``, which run on the package's own polygamma engine, and the
-first quadrature, root solve or scipy.special call of a fresh process
-gives the same bits as a warm one, also when several threads make that
-first call at once."""
+``sample``) never load scipy.special, nor do ``digamma``, ``cumulants``
+and the coefficient laws of ``gammalaw`` (``normalization_c``,
+``mellin_fourier``, ``cgf_Lambda`` and ``disc_weight_integral``), which
+run on the package's own polygamma engine and log-Gamma difference
+kernel, and the first quadrature, root solve, scipy.special or law call
+of a fresh process gives the same bits as a warm one, also when several
+threads make that first call at once."""
 
 import ast
 import json
@@ -209,13 +211,18 @@ FIRST_SPECIAL_CALLS = {
     "ndtr": "asymptotics._ks_normal(np.random.default_rng(5).normal(size=200), 1.2)",
 }
 
-# One first call per route of the polygamma engine, which needs no scipy.
+# One first call per route of the polygamma engine and per law function
+# on the log-Gamma difference kernel, which need no scipy.
 NUMPY_ONLY_CALLS = {
     "digamma-scalar": "specfun.digamma(2.5 - 1.5j)",
     "digamma-positive-real-array": "specfun.digamma(np.array([0.25, 3.0, 1e3]))",
     "digamma-complex-array": "specfun.digamma(np.array([0.5 + 1j, -1.5 + 0j, 2.0 + 0j]))",
     "cumulants": "(lambda c: [c.mean, *c.covariance.ravel(), c.fourth_bound])("
     "gammalaw.cumulants(gammalaw.CoefficientLaw(1.5, 0.3 + 0.2j)))",
+    "normalization_c": "gammalaw.normalization_c(gammalaw.CoefficientLaw([0.0, 2.0, 1e8], 0.3 + 0.2j))",
+    "mellin_fourier": "gammalaw.mellin_fourier(gammalaw.CoefficientLaw(1.5, 0.3 + 0.2j), 0.4 - 0.2j, 1.0)",
+    "cgf_Lambda": "gammalaw.cgf_Lambda(gammalaw.CoefficientLaw(np.array([0.0, 40.0]), -0.4), 0.3, 0.2)",
+    "disc_weight_integral": "gammalaw.disc_weight_integral(2.0 + 5.0j, 0.7 + 0.4j, 0.7 - 0.4j)",
 }
 
 FIRST_SPECIAL = """
